@@ -13,12 +13,12 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateFit, EmptyWindow
-from .model import ScenarioConfig, SimulationRecord
+from .model import ScenarioConfig
 from .solver import SolverSettings, run
 
 __all__ = [
@@ -93,19 +93,82 @@ def fit_fringe(phases: Sequence[float], energies: Sequence[float], port: str = "
     )
 
 
-def _run_energies(config: ScenarioConfig, settings: SolverSettings | None) -> dict[str, float]:
-    return run(config, settings).window_energies
+PORTS = ("E1", "E2")
 
 
-def _energies_for_configs(
+def _check_port(port: str) -> None:
+    if port not in PORTS:
+        raise ValueError("port must be 'E1' or 'E2'")
+
+
+def _solve(config: ScenarioConfig, settings: SolverSettings | None, per_pulse: bool) -> dict:
+    """Window energies of a direct run, or window Gram matrices of a per-pulse run."""
+    record = run(config, settings, per_pulse=per_pulse)
+    return record.window_grams() if per_pulse else record.window_energies
+
+
+def _solve_all(
     configs: Sequence[ScenarioConfig],
     settings: SolverSettings | None,
+    per_pulse: bool,
     workers: int | None,
-) -> list[dict[str, float]]:
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_energies, configs, [settings] * len(configs)))
-    return [_run_energies(c, settings) for c in configs]
+) -> list[dict]:
+    n = len(configs)
+    if workers and workers > 1 and n > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+            return list(pool.map(_solve, configs, [settings] * n, [per_pulse] * n))
+    return [_solve(c, settings, per_pulse) for c in configs]
+
+
+def _sweep_energies(
+    family,
+    phases: Sequence[float],
+    variants: Sequence[dict],
+    settings: SolverSettings | None,
+    workers: int | None,
+) -> list[list[dict[str, float]]]:
+    """Window energies per variant (config_for_phase keywords) and per phase.
+
+    When the family's phase is a factor e^{i phase} on some pulse rows, each
+    variant costs one per-pulse solve at phase 0 and every phase's energies
+    are w^H G w with w_r = e^{i phase} on those rows and 1 elsewhere.
+    Otherwise every (variant, phase) pair is run directly.  Independent
+    solves share a process pool of `workers`.
+    """
+    rows = family.phase_rows()
+    if rows is None:
+        configs = [family.config_for_phase(p, **kw) for kw in variants for p in phases]
+        flat = _solve_all(configs, settings, False, workers)
+        n = len(phases)
+        return [flat[i * n:(i + 1) * n] for i in range(len(variants))]
+    configs = [family.config_for_phase(0.0, **kw) for kw in variants]
+    out = []
+    for config, grams in zip(configs, _solve_all(configs, settings, True, workers)):
+        weights = np.ones(len(config.pulses), dtype=complex)
+        energies = []
+        for p in phases:
+            weights[list(rows)] = complex(math.cos(p), math.sin(p))
+            energies.append({
+                name: float(np.real(np.conj(weights) @ gram @ weights))
+                for name, gram in grams.items()
+            })
+        out.append(energies)
+    return out
+
+
+def _fit_ports(energies: Sequence[dict], phases: list[float],
+               ports: Sequence[str]) -> dict[str, FringeDataset]:
+    return {port: fit_fringe(phases, [e[port] for e in energies], port=port) for port in ports}
+
+
+def _scan(family, phases, ports, settings, workers) -> dict[str, FringeDataset]:
+    phases = list(phases)
+    if len(phases) < 5:
+        raise DegenerateFit("need at least five phase samples")
+    for port in ports:
+        _check_port(port)
+    [energies] = _sweep_energies(family, phases, [{}], settings, workers)
+    return _fit_ports(energies, phases, ports)
 
 
 def fringe_scan(
@@ -114,25 +177,13 @@ def fringe_scan(
     port: str = "E1",
     settings: SolverSettings | None = None,
     workers: int | None = None,
-    _energy_cache: dict | None = None,
 ) -> FringeDataset:
-    """Run one scenario per phase and fit the port's fringe.
+    """Window energies at every phase and the port's fringe fit.
 
-    An optional energy cache maps phase -> window-energy dict so that the
-    two ports of one sweep reuse the same runs.
+    A family whose phase is a pulse-row factor needs one per-pulse solve
+    for all phases; otherwise each phase is one run, spread over `workers`.
     """
-    phases = list(phases)
-    if len(phases) < 5:
-        raise DegenerateFit("need at least five phase samples")
-    window = family.port_window(port)
-    cache = _energy_cache if _energy_cache is not None else {}
-    missing = [p for p in phases if p not in cache]
-    if missing:
-        configs = [family.config_for_phase(p) for p in missing]
-        for p, energies in zip(missing, _energies_for_configs(configs, settings, workers)):
-            cache[p] = energies
-    energies = [cache[p][window] for p in phases]
-    return fit_fringe(phases, energies, port=port)
+    return _scan(family, phases, (port,), settings, workers)[port]
 
 
 def scan_both_ports(
@@ -141,12 +192,8 @@ def scan_both_ports(
     settings: SolverSettings | None = None,
     workers: int | None = None,
 ) -> dict[str, FringeDataset]:
-    """Phase scan shared by both output ports (one run per phase)."""
-    cache: dict = {}
-    return {
-        port: fringe_scan(family, phases, port, settings, workers, _energy_cache=cache)
-        for port in ("E1", "E2")
-    }
+    """Phase scan shared by both output ports (one solve set for both)."""
+    return _scan(family, phases, PORTS, settings, workers)
 
 
 def _default_phases(n: int = 12) -> list[float]:
@@ -168,14 +215,11 @@ def coupling_sweep(
     if any(p <= 0 for p in relative_powers):
         raise ValueError("relative powers must be positive")
     phases = list(phases) if phases is not None else _default_phases()
-    curves: dict[str, list[tuple[float, float]]] = {"E1": [], "E2": []}
-    for power in relative_powers:
-        cache: dict = {}
-        configs = [family.config_for_phase(p, power_factor=power) for p in phases]
-        for p, energies in zip(phases, _energies_for_configs(configs, settings, workers)):
-            cache[p] = energies
-        for port in ("E1", "E2"):
-            ds = fit_fringe(phases, [cache[p][port] for p in phases], port=port)
+    variants = [{"power_factor": power} for power in relative_powers]
+    curves: dict[str, list[tuple[float, float]]] = {port: [] for port in PORTS}
+    for power, energies in zip(relative_powers,
+                               _sweep_energies(family, phases, variants, settings, workers)):
+        for port, ds in _fit_ports(energies, phases, PORTS).items():
             curves[port].append((float(power), ds.visibility))
     return curves
 
@@ -191,15 +235,16 @@ def mismatch_curve(
     """Visibility of one port vs the mode-overlap factor mu."""
     if any(not 0.0 <= m <= 1.0 for m in mus):
         raise ValueError("mu values must lie in [0, 1]")
+    _check_port(port)
     phases = list(phases) if phases is not None else _default_phases()
-    window = family.port_window(port)
+    variants = [{"mu": mu} for mu in mus if mu != 0.0]
+    sweeps = iter(_sweep_energies(family, phases, variants, settings, workers))
     curve = []
     for mu in mus:
         if mu == 0.0:
             curve.append((0.0, 0.0))  # no overlap: the fringe amplitude vanishes
             continue
-        configs = [family.config_for_phase(p, mu=mu) for p in phases]
-        energies = [e[window] for e in _energies_for_configs(configs, settings, workers)]
+        energies = [e[port] for e in next(sweeps)]
         curve.append((float(mu), fit_fringe(phases, energies, port=port).visibility))
     return curve
 
@@ -219,9 +264,8 @@ def find_mu_for_visibility(
     phases = list(phases) if phases is not None else _default_phases()
 
     def objective(mu: float) -> float:
-        configs = [family.config_for_phase(p, mu=mu) for p in phases]
-        energies = [e["E1"] for e in _energies_for_configs(configs, settings, workers)]
-        return fit_fringe(phases, energies).visibility - target
+        [energies] = _sweep_energies(family, phases, [{"mu": mu}], settings, workers)
+        return fit_fringe(phases, [e["E1"] for e in energies]).visibility - target
 
     return float(brentq(objective, bracket[0], bracket[1], xtol=xtol))
 

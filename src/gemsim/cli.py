@@ -127,6 +127,10 @@ def cmd_sweep(args) -> int:
     try:
         family = _resolve_family(args)
         values = _parse_range(args.range)
+        sha = config_sha256(family.config_for_phase(0.0))
+    except (NonFinite, StabilityBound) as exc:  # from the calibration runs
+        _err(f"solver error: {exc}")
+        return EXIT_SOLVER
     except (OSError, ValueError, KeyError, json.JSONDecodeError, GemSimError, TypeError) as exc:
         _err(f"cannot build sweep: {exc}")
         return EXIT_CONFIG
@@ -136,8 +140,6 @@ def cmd_sweep(args) -> int:
 
     out = _out_dir(args)
     workers = args.workers
-    base_config = family.config_for_phase(0.0)
-    sha = config_sha256(base_config)
     summary: dict = {"kind": args.kind, "config_sha256": sha, "preset": args.preset}
     try:
         if args.kind == "phase":
@@ -270,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--config", help="override keys for the preset")
     swp.add_argument("--out", help="output directory (default $GEMSIM_OUT or ./gemsim-out)")
     swp.add_argument("--workers", type=int, default=os.cpu_count(),
-                     help="sweep worker processes (default: number of processors)")
+                     help="worker processes for independent solves: coupling and mismatch "
+                          "points, per-phase fallback runs (default: number of processors)")
     swp.set_defaults(func=cmd_sweep)
 
     orc = sub.add_parser("oracle", help="predicted energies for a beamsplitter event list")

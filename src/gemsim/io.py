@@ -111,7 +111,7 @@ def save_record(record: SimulationRecord, path) -> None:
         kspec_t=record.k_spectra.t,
         kspec_k=record.k_spectra.k,
         kspec_mag=record.k_spectra.magnitude,
-        window_names=np.array(sorted(record.window_energies), dtype=object),
+        window_names=np.array(sorted(record.window_energies), dtype=str),
         window_values=np.array([record.window_energies[k] for k in sorted(record.window_energies)]),
         strides=np.array([record.snapshot_stride, record.kspec_stride]),
         coherence_norm=record.coherence_norm,
@@ -119,7 +119,8 @@ def save_record(record: SimulationRecord, path) -> None:
 
 
 def load_record(path) -> SimulationRecord:
-    with np.load(path, allow_pickle=True) as data:
+    """Inverse of save_record; refuses object arrays, so loading never unpickles."""
+    with np.load(path, allow_pickle=False) as data:
         config = config_from_dict(json.loads(str(data["config_json"])))
         snapshots = [
             (FieldState(t=float(t), fields=f), CoherenceState(t=float(t), sigma=s))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -269,6 +270,12 @@ class GridSpec:
     nt: int
     t_end: float
 
+    def __post_init__(self):
+        for name in ("nz", "nt"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"grid {name} must be an integer, got {value!r}")
+
     @property
     def dt(self) -> float:
         return self.t_end / self.nt
@@ -472,6 +479,7 @@ class SimulationRecord:
     snapshot_stride: int
     kspec_stride: int
     coherence_norm: np.ndarray  # (n_steps+1,), N * integral |sigma|^2 dz
+    pulse_out: Optional[np.ndarray] = None  # (n_pulses, n_steps+1, n_channels), per-pulse runs only
 
     def recompute_window_energies(self) -> dict[str, float]:
         out = {}
@@ -482,6 +490,26 @@ class SimulationRecord:
                 out[name] = 0.0
             else:
                 out[name] = float(np.trapezoid(power[mask], self.t[mask]))
+        return out
+
+    def window_grams(self) -> dict[str, np.ndarray]:
+        """Per-window Gram matrices of the per-pulse boundary traces.
+
+        G[r, s] = integral over the window of sum_j conj(b_rj) b_sj dt, so the
+        window energy of the superposition sum_r w_r b_r is w^H G w.
+        """
+        if self.pulse_out is None:
+            raise ValueError("window Gram matrices need a per-pulse record")
+        rows = self.pulse_out.shape[0]
+        out = {}
+        for name, (w0, w1) in self.config.windows.items():
+            mask = (self.t >= w0) & (self.t <= w1)
+            if mask.sum() < 2:
+                out[name] = np.zeros((rows, rows), dtype=complex)
+            else:
+                traces = self.pulse_out[:, mask]
+                products = np.einsum("rkj,skj->rsk", np.conj(traces), traces)
+                out[name] = np.trapezoid(products, self.t[mask], axis=-1)
         return out
 
     def input_energy(self) -> float:
@@ -587,6 +615,16 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     }
 
 
+def _window_from_json(name: str, bounds) -> tuple[float, float]:
+    if not (
+        isinstance(bounds, (list, tuple))
+        and len(bounds) == 2
+        and all(isinstance(b, numbers.Real) and not isinstance(b, bool) for b in bounds)
+    ):
+        raise TypeError(f"window {name} must be a pair of numbers [t_start, t_end], got {bounds!r}")
+    return (bounds[0], bounds[1])
+
+
 def config_from_dict(doc: dict) -> ScenarioConfig:
     ens = doc["ensemble"]
     return ScenarioConfig(
@@ -625,7 +663,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         ),
         pulses=tuple(_pulse_from_dict(p) for p in doc["pulses"]),
         grid=GridSpec(nz=doc["grid"]["nz"], nt=doc["grid"]["nt"], t_end=doc["grid"]["t_end"]),
-        windows={name: (w[0], w[1]) for name, w in doc["windows"].items()},
+        windows={name: _window_from_json(name, w) for name, w in doc["windows"].items()},
         mode_mismatch=doc.get("mode_mismatch", 1.0),
         mismatch_time=doc.get("mismatch_time"),
         metadata=doc.get("metadata", {}),

@@ -318,10 +318,14 @@ class TimeDomainFamily:
         steer = self._steering_pulse(phase, self.steering_scale())
         return self._assemble((self._probe(), steer), power_factor, mu=mu)
 
-    def port_window(self, port: str) -> str:
-        if port not in ("E1", "E2"):
-            raise ValueError("port must be 'E1' or 'E2'")
-        return port
+    def phase_rows(self) -> tuple[int, ...] | None:
+        """Pulse rows that carry the swept phase as a factor e^{i phase}.
+
+        With the steering knob that is the steering pulse; with the coupling
+        knob the phase sits on the event-era coupling, not on a pulse, so
+        there is no such row (None).
+        """
+        return None if self.params.phase_knob == "coupling" else (1,)
 
     def with_params(self, **changes) -> "TimeDomainFamily":
         return TimeDomainFamily(replace(self.params, **changes))
@@ -480,10 +484,16 @@ class FrequencyDomainFamily:
             metadata=dict(p.metadata),
         )
 
-    def port_window(self, port: str) -> str:
-        if port not in ("E1", "E2"):
-            raise ValueError("port must be 'E1' or 'E2'")
-        return port
+    def phase_rows(self) -> tuple[int, ...] | None:
+        """Pulse rows that carry the swept phase as a factor e^{i phase}.
+
+        The phase of coupling channel 1 is a gauge: |Omega| does not depend on
+        it, and rotating channel 1's field by e^{-i phi} moves it onto the
+        steering pulse, which leaves every channel's output energy unchanged.
+        The beat-note mode puts the phase on a coupling modulation that
+        changes |Omega(t)|, so it has no such row (None).
+        """
+        return None if self.params.beat_note else (1,)
 
     def with_params(self, **changes) -> "FrequencyDomainFamily":
         return FrequencyDomainFamily(replace(self.params, **changes))

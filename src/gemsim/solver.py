@@ -135,8 +135,17 @@ def run(
     config: ScenarioConfig,
     settings: SolverSettings | None = None,
     initial_coherence: np.ndarray | None = None,
+    per_pulse: bool = False,
 ) -> SimulationRecord:
-    """Integrate a validated scenario and return its full record."""
+    """Integrate a validated scenario and return its full record.
+
+    With per_pulse=True the coherence carries one row per pulse, each row
+    driven by that pulse alone on the time grid of the whole scenario.  The
+    record then holds the per-pulse boundary traces in `pulse_out`, their
+    sum in `boundary_out`, and no snapshots or k-spectra: the equations are
+    linear in the boundary pulses, so the energy of any weighted
+    superposition of the pulses follows from `record.window_grams()`.
+    """
     settings = settings or SolverSettings()
     if settings.enforce_stability:
         _check_stability(config)
@@ -168,13 +177,24 @@ def run(
         if ch.modulation is None:
             # keep midpoints on the piecewise value of their own step
             omegas_h[c, 1::2] = np.asarray(ch.omega_at(t_nodes[:-1]), dtype=complex)
-    e_in_h = np.zeros((nch, 2 * n_steps + 1), dtype=complex)
-    for p in config.pulses:
-        e_in_h[p.channel] += p.envelope(t_half)
+    # the state is sigma (nz,), or one row per pulse (n_pulses, nz) driven by
+    # sources[r], the boundary input of pulse r alone
+    if per_pulse:
+        sources = np.zeros((len(config.pulses), nch, 2 * n_steps + 1), dtype=complex)
+        for r, p in enumerate(config.pulses):
+            sources[r, p.channel] = p.envelope(t_half)
+        e_in_h = sources.sum(axis=0)
+    else:
+        e_in_h = np.zeros((nch, 2 * n_steps + 1), dtype=complex)
+        for p in config.pulses:
+            e_in_h[p.channel] += p.envelope(t_half)
+        sources = e_in_h
 
     g_over_delta = ens.g / ens.delta
     kappa_h = 1j * ens.g * ens.n_density * np.conj(omegas_h) / ens.delta  # field source coeffs
-    drive_h = 1j * g_over_delta * np.sum(omegas_h * e_in_h, axis=0)  # scalar per stage
+    drive_h = 1j * g_over_delta * np.sum(omegas_h * sources, axis=-2)  # ([rows,] 2*n_steps+1)
+    if per_pulse:
+        drive_h = drive_h.T[:, :, None]  # one (rows, 1) column per stage
     w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * np.sum(np.abs(omegas_h) ** 2, axis=0)
     if settings.stark_enabled:
         stark_h = np.sum(np.abs(omegas_h) ** 2, axis=0) / ens.delta
@@ -185,8 +205,8 @@ def run(
 
     def cumint(sig: np.ndarray) -> np.ndarray:
         out = np.empty_like(sig)
-        out[0] = 0.0
-        np.cumsum((sig[1:] + sig[:-1]) * half_dz, out=out[1:])
+        out[..., 0] = 0.0
+        np.cumsum((sig[..., 1:] + sig[..., :-1]) * half_dz, axis=-1, out=out[..., 1:])
         return out
 
     def rhs(sig: np.ndarray, i: int) -> np.ndarray:
@@ -198,16 +218,18 @@ def run(
         )
 
     if initial_coherence is not None:
+        if per_pulse:
+            raise ValueError("per-pulse runs start from zero coherence")
         sigma = np.array(initial_coherence, dtype=complex)
         if sigma.shape != (nz,):
             raise ValueError(f"initial coherence must have shape ({nz},)")
     else:
-        sigma = np.zeros(nz, dtype=complex)
+        sigma = np.zeros(sources.shape[:-2] + (nz,), dtype=complex)
 
     snap_stride = settings.snapshot_stride or max(1, round(n_steps / 512))
     kspec_stride = settings.kspec_stride or max(1, round(n_steps / 512))
 
-    boundary_out = np.zeros((n_steps + 1, nch), dtype=complex)
+    boundary_out = np.zeros(sources.shape[:-2] + (n_steps + 1, nch), dtype=complex)
     boundary_in = np.zeros((n_steps + 1, nch), dtype=complex)
     coherence_norm = np.zeros(n_steps + 1)
     snapshots: list[tuple[FieldState, CoherenceState]] = []
@@ -221,19 +243,23 @@ def run(
     def record_step(m: int, i: int) -> None:
         c_full = cumint(sigma)
         boundary_in[m] = e_in_h[:, i]
-        boundary_out[m] = e_in_h[:, i] + kappa_h[:, i] * c_full[-1]
-        coherence_norm[m] = ens.n_density * np.trapezoid(np.abs(sigma) ** 2, z)
+        boundary_out[..., m, :] = sources[..., i] + kappa_h[:, i] * c_full[..., -1:]
+        total = sigma.sum(axis=0) if per_pulse else sigma
+        coherence_norm[m] = ens.n_density * np.trapezoid(np.abs(total) ** 2, z)
+        if not math.isfinite(coherence_norm[m]):
+            finite = np.abs(sigma[np.isfinite(sigma)])
+            amax = float(finite.max()) if finite.size else math.inf
+            raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
+        if per_pulse:
+            return  # no snapshots or k-spectra
         if m % snap_stride == 0 or m == n_steps:
             fields = fields_at(i, c_full)
             snapshots.append(
-                (FieldState(t=t_nodes[m], fields=fields), CoherenceState(t=t_nodes[m], sigma=sigma.copy()))
+                (FieldState(t=t_nodes[m], fields=fields), CoherenceState(t=t_nodes[m], sigma=total.copy()))
             )
-            if not np.all(np.isfinite(sigma)):
-                amax = float(np.nanmax(np.abs(sigma[np.isfinite(sigma)]))) if np.any(np.isfinite(sigma)) else math.inf
-                raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
         if m % kspec_stride == 0 or m == n_steps:
             fields = fields_at(i, c_full)
-            psi = _bright_polariton(fields, sigma, ens, omegas_h[:, i])
+            psi = _bright_polariton(fields, total, ens, omegas_h[:, i])
             kspec_t.append(float(t_nodes[m]))
             kspec_mag.append(np.abs(np.fft.fftshift(psi)))
 
@@ -257,23 +283,21 @@ def run(
             mismatch_applied = True
         record_step(m + 1, i2)
 
-    if not np.all(np.isfinite(sigma)):
-        raise NonFinite(step=n_steps, time=float(t_nodes[-1]), max_abs=math.inf)
-
     record = SimulationRecord(
         config=config,
         t=t_nodes,
         z=z,
-        boundary_out=boundary_out,
+        boundary_out=boundary_out.sum(axis=0) if per_pulse else boundary_out,
         boundary_in=boundary_in,
         snapshots=snapshots,
         k_spectra=KSpectrumHistory(
             t=np.array(kspec_t), k=np.fft.fftshift(kvec), magnitude=np.array(kspec_mag)
         ),
         window_energies={},
-        snapshot_stride=snap_stride,
-        kspec_stride=kspec_stride,
+        snapshot_stride=0 if per_pulse else snap_stride,
+        kspec_stride=0 if per_pulse else kspec_stride,
         coherence_norm=coherence_norm,
+        pulse_out=boundary_out if per_pulse else None,
     )
     record.window_energies = record.recompute_window_energies()
     return record
@@ -366,8 +390,6 @@ def k_centroid_track(
 
 
 def _centroid_crossings(track: Sequence[tuple[float, float]], window) -> list[float]:
-    times = [t for t, _ in track]
-    kbar = [k for _, k in track]
     crossings = []
     for (t0, k0), (t1, k1) in zip(track, track[1:]):
         if window[0] <= t1 and t0 <= window[1] and k0 * k1 < 0:

@@ -15,8 +15,11 @@ from gemsim.analysis import (
     pulse_energy,
     scan_both_ports,
     write_fringe_csv,
+    _sweep_energies,
 )
 from gemsim.errors import DegenerateFit, EmptyWindow
+from gemsim.scenarios import preset_family
+from gemsim.solver import run
 from conftest import FAST_PHASES, LIGHT
 
 
@@ -139,6 +142,39 @@ def test_both_ports_are_anti_phase(fd_family):
     dphi = abs(datasets["E1"].phi0 - datasets["E2"].phi0)
     assert abs(dphi - math.pi) < 0.05
     assert datasets["E2"].visibility > 0.95
+
+
+@pytest.mark.parametrize("family_fixture", ["fig2_family", "fd_family"])
+def test_basis_energies_match_direct_runs(family_fixture, request):
+    """One per-pulse solve gives every phase's window energies as w^H G w.
+
+    The error is measured against each window's largest energy over the
+    sweep: at a dark point the energy itself cancels to roundoff (1e-32 on
+    freq-domain E2 at pi), where no relative error is meaningful.
+    """
+    family = request.getfixturevalue(family_fixture)
+    assert family.phase_rows() == (1,)
+    [basis] = _sweep_energies(family, FAST_PHASES, [{}], LIGHT, workers=None)
+    direct = [run(family.config_for_phase(p), LIGHT).window_energies for p in FAST_PHASES]
+    for name in family.config_for_phase(0.0).windows:
+        scale = max(d[name] for d in direct)
+        errors = [abs(b[name] - d[name]) / scale for b, d in zip(basis, direct)]
+        assert max(errors) <= 1e-12, (name, errors)
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("time-domain", {"phase_knob": "coupling", "nz": 64, "probe_sigma": 0.5,
+                     "probe_center": 2.0, "tau1": 4.5, "tau2": 4.5}),
+    ("freq-domain", {"beat_note": True}),
+], ids=["coupling-knob", "beat-note"])
+def test_knobs_without_a_phase_row_run_every_phase(preset, overrides):
+    family = preset_family(preset, **overrides)
+    assert family.phase_rows() is None
+    phases = FAST_PHASES[::2]
+    scans = scan_both_ports(family, phases, settings=LIGHT, workers=2)
+    direct = [run(family.config_for_phase(p), LIGHT).window_energies for p in phases]
+    for port, ds in scans.items():
+        assert list(ds.energies) == [d[port] for d in direct]
 
 
 def test_time_domain_ports_are_anti_phase(fig2_fringes):

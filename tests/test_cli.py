@@ -96,6 +96,33 @@ def test_simulate_invalid_config_names_the_invariant(tmp_path, capsys):
     assert "Delta must be nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, field", [
+    ("grid", "nz", 64.5, "grid nz"),
+    ("windows", "E1", ["a", 3], "window E1"),
+], ids=["nz", "window"])
+def test_mistyped_config_field_exits_2(tmp_path, capsys, section, key, value, field):
+    from conftest import storage_config
+    from gemsim.model import save_config
+
+    path = tmp_path / "cfg.json"
+    save_config(storage_config(nz=64), path)
+    doc = json.loads(path.read_text())
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))
+    assert run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+def test_mistyped_preset_override_exits_2(tmp_path, capsys):
+    path = tmp_path / "overrides.json"
+    path.write_text(json.dumps({"nz": 64.5}))
+    assert run_cli(["simulate", "--preset", "freq-domain", "--config", str(path),
+                    "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "grid nz" in err and "Traceback" not in err
+
+
 def test_overflowing_pulse_amplitude_is_a_validation_failure(tmp_path, capsys):
     from conftest import storage_config
     from gemsim.model import save_config

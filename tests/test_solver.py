@@ -31,6 +31,7 @@ from gemsim.solver import (
     maxwell_residual,
     polariton_spectrum,
     run,
+    _time_grid,
 )
 from conftest import storage_config
 
@@ -177,6 +178,19 @@ def test_nonfinite_reports_step_and_magnitude():
     assert err.value.max_abs > 1.0
 
 
+@pytest.mark.parametrize("per_pulse", [False, True], ids=["default", "per-pulse"])
+def test_nonfinite_is_reported_at_the_step_it_happens(per_pulse):
+    config = storage_config(eta=100.0, nz=64, two_echo=False)
+    wild = replace(config, grid=GridSpec(64, 300, 30.0))
+    # no diagnostics strides inside the run: the check must not depend on them
+    sparse = SolverSettings(enforce_stability=False, snapshot_stride=10**6, kspec_stride=10**6)
+    with pytest.raises(NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
+        run(wild, sparse, per_pulse=per_pulse)
+    n_steps = len(_time_grid(wild)) - 1
+    assert 0 < err.value.step < n_steps
+    assert err.value.time < wild.grid.t_end
+
+
 def test_run_requires_matching_initial_coherence():
     config = storage_config()
     with pytest.raises(ValueError):
@@ -198,6 +212,8 @@ def test_record_round_trip(tmp_path):
     record = run(storage_config(), SolverSettings(snapshot_stride=400, kspec_stride=400))
     path = tmp_path / "record.npz"
     io.save_record(record, path)
+    with np.load(path) as data:  # pickle off: every array is plain data
+        assert all(data[name].dtype != object for name in data.files)
     loaded = io.load_record(path)
     assert np.array_equal(loaded.boundary_out, record.boundary_out)
     assert np.array_equal(loaded.t, record.t)
@@ -206,6 +222,36 @@ def test_record_round_trip(tmp_path):
     assert len(loaded.snapshots) == len(record.snapshots)
     assert np.array_equal(loaded.snapshots[-1][1].sigma, record.snapshots[-1][1].sigma)
     assert np.array_equal(loaded.k_spectra.magnitude, record.k_spectra.magnitude)
+
+
+def test_load_record_refuses_object_arrays(tmp_path):
+    record = run(storage_config(nz=64), SolverSettings(snapshot_stride=500, kspec_stride=500))
+    io.save_record(record, tmp_path / "record.npz")
+    with np.load(tmp_path / "record.npz") as data:
+        arrays = dict(data)
+    arrays["window_names"] = np.array(list(arrays["window_names"]), dtype=object)
+    np.savez(tmp_path / "pickled.npz", **arrays)
+    with pytest.raises(ValueError):
+        io.load_record(tmp_path / "pickled.npz")
+
+
+def test_per_pulse_rows_superpose_to_the_direct_run():
+    config = storage_config(nz=64)
+    probe = config.pulses[0]
+    two = replace(config, pulses=(probe, replace(probe, t0=1.6, amplitude=0.5j, label="second")))
+    direct = run(two)
+    basis = run(two, per_pulse=True)
+    assert basis.pulse_out.shape == (2, len(direct.t), 1)
+    assert basis.snapshots == [] and basis.k_spectra.magnitude.size == 0
+    assert np.array_equal(basis.boundary_out, basis.pulse_out.sum(axis=0))
+    scale = np.abs(direct.boundary_out).max()
+    assert np.allclose(basis.boundary_out, direct.boundary_out, rtol=0.0, atol=1e-13 * scale)
+    ones = np.ones(2)
+    for name, gram in basis.window_grams().items():
+        assert np.allclose(gram, np.conj(gram.T))
+        assert np.real(ones @ gram @ ones) == pytest.approx(direct.window_energies[name], rel=1e-12)
+    with pytest.raises(ValueError):
+        run(two, initial_coherence=np.zeros(64, dtype=complex), per_pulse=True)
 
 
 def test_csv_exports(tmp_path):
