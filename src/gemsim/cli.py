@@ -52,22 +52,9 @@ def _load_overrides(path: str | None) -> dict:
         return json.load(fh)
 
 
-def _resolve_config(args) -> ScenarioConfig:
-    """--preset with optional override keys, or a full config document."""
-    if args.preset:
-        overrides = _load_overrides(args.config)
-        family = scenarios.preset_family(args.preset, **overrides)
-        if hasattr(family, "params") and hasattr(family.params, "theta"):
-            return family.config_for_phase(family.params.theta)
-        return family.config_for_phase(family.params.phi)
-    if args.config:
-        return load_config(args.config)
-    raise ValueError("either --preset or --config is required")
-
-
-def _resolve_family(args):
-    overrides = _load_overrides(args.config)
-    return scenarios.preset_family(args.preset, **overrides)
+def _family(args):
+    """The --preset family, with --config as override keys."""
+    return scenarios.preset_family(args.preset, **_load_overrides(args.config))
 
 
 def _settings(args) -> SolverSettings:
@@ -76,7 +63,19 @@ def _settings(args) -> SolverSettings:
 
 def cmd_simulate(args) -> int:
     try:
-        config = _resolve_config(args)
+        if args.preset:
+            family = _family(args)
+            if isinstance(family, scenarios.TimeDomainFamily):
+                # calibration solves the bare config, which has the final grid,
+                # windows and ensemble: report its failures before those solves
+                bare = family.bare_config()
+                config = bare if not validate(bare).ok else family.config_for_phase(family.params.theta)
+            else:
+                config = family.config_for_phase(family.params.phi)
+        elif args.config:
+            config = load_config(args.config)
+        else:
+            raise ValueError("either --preset or --config is required")
     except (OSError, ValueError, KeyError, json.JSONDecodeError, GemSimError, TypeError) as exc:
         _err(f"cannot build configuration: {exc}")
         return EXIT_CONFIG
@@ -125,7 +124,7 @@ def _parse_range(spec: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     try:
-        family = _resolve_family(args)
+        family = _family(args)
         values = _parse_range(args.range)
         sha = config_sha256(family.config_for_phase(0.0))
     except (NonFinite, StabilityBound) as exc:  # from the calibration runs

@@ -7,6 +7,7 @@ locale independent), so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 import numpy as np
 
@@ -53,32 +54,36 @@ def write_boundary_csv(record: SimulationRecord, path) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _rows(*columns) -> str:
+    """CSV lines from equal-length columns of formatted values."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
 def write_snapshots_csv(record: SimulationRecord, path) -> None:
+    """One block of nz rows per snapshot, each written as soon as it is formatted."""
     nch = record.boundary_out.shape[1]
     header = ["t", "z"]
     for j in range(nch):
         header += [f"re_E{j}", f"im_E{j}"]
     header += ["re_sigma", "im_sigma"]
+    zs = list(map(repr, record.z.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_sha256={config_sha256(record.config)}\n")
         fh.write(",".join(header) + "\n")
         for fs, cs in record.snapshots:
-            for m, z in enumerate(record.z):
-                row = [_r(fs.t), _r(z)]
-                for j in range(nch):
-                    row += [_r(fs.fields[j, m].real), _r(fs.fields[j, m].imag)]
-                row += [_r(cs.sigma[m].real), _r(cs.sigma[m].imag)]
-                fh.write(",".join(row) + "\n")
+            parts = [*fs.fields, cs.sigma]
+            values = [map(repr, v.tolist()) for p in parts for v in (p.real, p.imag)]
+            fh.write(_rows(repeat(_r(fs.t)), zs, *values))
 
 
 def write_kspectra_csv(record: SimulationRecord, path) -> None:
     spec = record.k_spectra
+    ks = list(map(repr, spec.k.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_sha256={config_sha256(record.config)}\n")
         fh.write("t,k,abs_psi\n")
-        for i, t in enumerate(spec.t):
-            for k, mag in zip(spec.k, spec.magnitude[i]):
-                fh.write(f"{_r(t)},{_r(k)},{_r(mag)}\n")
+        for t, mags in zip(spec.t, spec.magnitude):
+            fh.write(_rows(repeat(_r(t)), ks, map(repr, mags.tolist())))
 
 
 def write_windows_json(record: SimulationRecord, path) -> None:

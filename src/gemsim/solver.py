@@ -15,6 +15,9 @@ Time stepping is classical fourth order Runge-Kutta; the z integral is a
 cumulative trapezoid, giving global error O(dt^4 + dz^2).  Piecewise
 constant controls (gradient switches, coupling steps, pulse support
 edges) are aligned with step boundaries so no step straddles a switch.
+The stages run in place in buffers allocated once per run, and the z
+integral of each new state serves both its boundary output and the next
+step's first stage, so a step takes four cumulative integrals.
 
 Energy bookkeeping uses the normalisation constant s = 1: the conserved
 quantity at gamma0 = 0 is N * integral |sigma|^2 dz plus the net boundary
@@ -60,9 +63,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Numerical knobs of a run.
+    """Numerical knobs of a run; time stepping is always classical RK4.
 
-    time_order        4 (classical RK4) or 2 (midpoint), for convergence studies
     snapshot_stride   record a full (field, coherence) snapshot every n steps
     kspec_stride      record |psi(k)| every n steps
     strides of None auto-select ~512 samples per run
@@ -70,7 +72,6 @@ class SolverSettings:
     enforce_stability raise StabilityBound when the dt bounds are violated
     """
 
-    time_order: int = 4
     snapshot_stride: Optional[int] = None
     kspec_stride: Optional[int] = None
     stark_enabled: bool = True
@@ -149,8 +150,6 @@ def run(
     settings = settings or SolverSettings()
     if settings.enforce_stability:
         _check_stability(config)
-    if settings.time_order not in (2, 4):
-        raise ValueError("time_order must be 2 or 4")
 
     ens = config.ensemble
     nz = config.grid.nz
@@ -201,21 +200,36 @@ def run(
     else:
         stark_h = np.zeros_like(w2_h)
 
+    # RK4 works in place in these buffers; c holds the z-integral of the state
+    # integrated last
     half_dz = 0.5 * dz
+    shape = sources.shape[:-2] + (nz,)
+    k1, k2, k3, k4, stage, c = (np.empty(shape, dtype=complex) for _ in range(6))
+    pair = np.empty(shape[:-1] + (nz - 1,), dtype=complex)
+    weights = np.full(nz, dz)  # trapezoid rule
+    weights[[0, -1]] *= 0.5
+    coef_at = [None, None]  # last (eta, stark) and its local coefficient
 
-    def cumint(sig: np.ndarray) -> np.ndarray:
-        out = np.empty_like(sig)
-        out[..., 0] = 0.0
-        np.cumsum((sig[..., 1:] + sig[..., :-1]) * half_dz, axis=-1, out=out[..., 1:])
-        return out
+    def cumint(sig: np.ndarray) -> None:
+        c[..., 0] = 0.0
+        np.add(sig[..., 1:], sig[..., :-1], out=pair)
+        np.multiply(pair, half_dz, out=pair)
+        pair.cumsum(axis=-1, out=c[..., 1:])
 
-    def rhs(sig: np.ndarray, i: int) -> np.ndarray:
-        c = cumint(sig)
-        return (
-            -(ens.gamma0 + 1j * (eta_h[i] * z + stark_h[i])) * sig
-            + drive_h[i]
-            - w2_h[i] * c
-        )
+    def rhs(sig: np.ndarray, i: int, out: np.ndarray) -> None:
+        """out = -(gamma0 + i(eta z + stark)) sig + drive - w2 c, with c the integral of sig."""
+        key = (eta_h[i], stark_h[i])
+        if coef_at[0] != key:
+            coef_at[:] = key, -(ens.gamma0 + 1j * (eta_h[i] * z + stark_h[i]))
+        np.multiply(coef_at[1], sig, out=out)
+        np.add(out, drive_h[i], out=out)
+        np.subtract(out, np.multiply(w2_h[i], c, out=c), out=out)
+
+    def advanced(h: float, k: np.ndarray) -> np.ndarray:
+        """Stage state sigma + h k, with its z-integral in c."""
+        np.add(sigma, np.multiply(h, k, out=stage), out=stage)
+        cumint(stage)
+        return stage
 
     if initial_coherence is not None:
         if per_pulse:
@@ -224,7 +238,7 @@ def run(
         if sigma.shape != (nz,):
             raise ValueError(f"initial coherence must have shape ({nz},)")
     else:
-        sigma = np.zeros(sources.shape[:-2] + (nz,), dtype=complex)
+        sigma = np.zeros(shape, dtype=complex)
 
     snap_stride = settings.snapshot_stride or max(1, round(n_steps / 512))
     kspec_stride = settings.kspec_stride or max(1, round(n_steps / 512))
@@ -237,15 +251,15 @@ def run(
     kspec_mag: list[np.ndarray] = []
     kvec = k_grid(nz, dz)
 
-    def fields_at(i: int, c_full: np.ndarray) -> np.ndarray:
-        return e_in_h[:, i][:, None] + kappa_h[:, i][:, None] * c_full[None, :]
+    def fields_at(i: int) -> np.ndarray:
+        return e_in_h[:, i][:, None] + kappa_h[:, i][:, None] * c[None, :]
 
     def record_step(m: int, i: int) -> None:
-        c_full = cumint(sigma)
+        cumint(sigma)  # also the next step's k1 integral
         boundary_in[m] = e_in_h[:, i]
-        boundary_out[..., m, :] = sources[..., i] + kappa_h[:, i] * c_full[..., -1:]
+        boundary_out[..., m, :] = sources[..., i] + kappa_h[:, i] * c[..., -1:]
         total = sigma.sum(axis=0) if per_pulse else sigma
-        coherence_norm[m] = ens.n_density * np.trapezoid(np.abs(total) ** 2, z)
+        coherence_norm[m] = ens.n_density * np.vdot(total, weights * total).real
         if not math.isfinite(coherence_norm[m]):
             finite = np.abs(sigma[np.isfinite(sigma)])
             amax = float(finite.max()) if finite.size else math.inf
@@ -253,13 +267,11 @@ def run(
         if per_pulse:
             return  # no snapshots or k-spectra
         if m % snap_stride == 0 or m == n_steps:
-            fields = fields_at(i, c_full)
             snapshots.append(
-                (FieldState(t=t_nodes[m], fields=fields), CoherenceState(t=t_nodes[m], sigma=total.copy()))
+                (FieldState(t=t_nodes[m], fields=fields_at(i)), CoherenceState(t=t_nodes[m], sigma=total.copy()))
             )
         if m % kspec_stride == 0 or m == n_steps:
-            fields = fields_at(i, c_full)
-            psi = _bright_polariton(fields, total, ens, omegas_h[:, i])
+            psi = _bright_polariton(fields_at(i), total, ens, omegas_h[:, i])
             kspec_t.append(float(t_nodes[m]))
             kspec_mag.append(np.abs(np.fft.fftshift(psi)))
 
@@ -269,17 +281,18 @@ def run(
     for m in range(n_steps):
         dt = t_nodes[m + 1] - t_nodes[m]
         i0, i1, i2 = 2 * m, 2 * m + 1, 2 * m + 2
-        if settings.time_order == 4:
-            k1 = rhs(sigma, i0)
-            k2 = rhs(sigma + 0.5 * dt * k1, i1)
-            k3 = rhs(sigma + 0.5 * dt * k2, i1)
-            k4 = rhs(sigma + dt * k3, i2)
-            sigma = sigma + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        else:
-            k1 = rhs(sigma, i0)
-            sigma = sigma + dt * rhs(sigma + 0.5 * dt * k1, i1)
+        rhs(sigma, i0, k1)
+        rhs(advanced(0.5 * dt, k1), i1, k2)
+        rhs(advanced(0.5 * dt, k2), i1, k3)
+        rhs(advanced(dt, k3), i2, k4)
+        # sigma += (dt / 6) (k1 + 2 (k2 + k3) + k4), in that order of operations
+        np.add(k2, k3, out=k2)
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k2)
+        np.add(k2, k4, out=k2)
+        np.add(sigma, np.multiply(dt / 6.0, k2, out=k2), out=sigma)
         if not mismatch_applied and t_nodes[m + 1] >= config.mismatch_time - 1e-12:
-            sigma = sigma * config.mode_mismatch
+            np.multiply(sigma, config.mode_mismatch, out=sigma)
             mismatch_applied = True
         record_step(m + 1, i2)
 

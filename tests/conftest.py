@@ -66,6 +66,9 @@ def storage_config(
     )
 
 
+# a fig2 variant with a coarser z grid, used wherever a full fig2 run is too slow
+FAST_FIG2 = {"nz": 256, "probe_sigma": 0.35, "tau1": 3.4, "tau2": 3.4}
+
 FAST_PHASES = [2.0 * math.pi * i / 12 for i in range(12)]
 
 

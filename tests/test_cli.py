@@ -9,6 +9,7 @@ import pytest
 
 from gemsim import oracle
 from gemsim.cli import main
+from conftest import FAST_FIG2
 
 
 def run_cli(args):
@@ -22,7 +23,7 @@ def run_cli(args):
 @pytest.fixture(scope="module")
 def fast_preset_overrides(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "overrides.json"
-    path.write_text(json.dumps({"nz": 256, "probe_sigma": 0.35, "tau1": 3.4, "tau2": 3.4}))
+    path.write_text(json.dumps(FAST_FIG2))
     return str(path)
 
 
@@ -75,6 +76,21 @@ def test_simulate_dry_run_writes_nothing(tmp_path, fast_preset_overrides, capsys
     assert code == 0
     assert "dry run" in capsys.readouterr().out
     assert not (out / "windows.json").exists()
+
+
+def test_invalid_preset_override_exits_before_calibrating(tmp_path, capsys, monkeypatch):
+    from gemsim import cli, scenarios, solver
+
+    def no_solves(*args, **kwargs):
+        raise RuntimeError("the configuration was not validated before solving")
+
+    for module in (cli, scenarios, solver):
+        monkeypatch.setattr(module, "run", no_solves)
+    path = tmp_path / "overrides.json"
+    path.write_text(json.dumps({"nz": 100}))
+    assert run_cli(["simulate", "--preset", "fig2", "--config", str(path), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert "nz must be a power of two" in err and "Traceback" not in err
 
 
 def test_simulate_malformed_config_exits_2(tmp_path, capsys):
