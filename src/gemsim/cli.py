@@ -21,6 +21,7 @@ from . import analysis, io, oracle, scenarios
 from .errors import GemSimError, NoRoot, NonFinite, StabilityBound
 from .model import (
     ScenarioConfig,
+    _j2c,
     config_from_dict,
     config_sha256,
     load_config,
@@ -57,6 +58,32 @@ def _family(args):
     return scenarios.preset_family(args.preset, **_load_overrides(args.config))
 
 
+def _preset_config(family, phase: float | None = None) -> ScenarioConfig:
+    """The family's config at `phase` (default: its own theta or phi).
+
+    A time-domain family's calibration solves its probe-only config, so that
+    config is returned instead when invalid: its failures come before solves.
+    """
+    if isinstance(family, scenarios.TimeDomainFamily):
+        bare = family.bare_config()
+        if not validate(bare).ok:
+            return bare
+        own = family.params.theta
+    else:
+        own = family.params.phi
+    return family.config_for_phase(own if phase is None else phase)
+
+
+def _is_valid(config: ScenarioConfig) -> bool:
+    """Validate, printing every warning and failure."""
+    report = validate(config)
+    for w in report.warnings:
+        _err(f"warning: {w}")
+    for failure in report.failures:
+        _err(f"invalid configuration: {failure}")
+    return report.ok
+
+
 def _settings(args) -> SolverSettings:
     return SolverSettings(snapshot_stride=args.snapshot_stride)
 
@@ -64,14 +91,7 @@ def _settings(args) -> SolverSettings:
 def cmd_simulate(args) -> int:
     try:
         if args.preset:
-            family = _family(args)
-            if isinstance(family, scenarios.TimeDomainFamily):
-                # calibration solves the bare config, which has the final grid,
-                # windows and ensemble: report its failures before those solves
-                bare = family.bare_config()
-                config = bare if not validate(bare).ok else family.config_for_phase(family.params.theta)
-            else:
-                config = family.config_for_phase(family.params.phi)
+            config = _preset_config(_family(args))
         elif args.config:
             config = load_config(args.config)
         else:
@@ -79,12 +99,7 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError, GemSimError, TypeError) as exc:
         _err(f"cannot build configuration: {exc}")
         return EXIT_CONFIG
-    report = validate(config)
-    for w in report.warnings:
-        _err(f"warning: {w}")
-    if not report.ok:
-        for failure in report.failures:
-            _err(f"invalid configuration: {failure}")
+    if not _is_valid(config):
         return EXIT_CONFIG
     if args.dry_run:
         print("configuration valid; dry run requested, no outputs written")
@@ -126,7 +141,10 @@ def cmd_sweep(args) -> int:
     try:
         family = _family(args)
         values = _parse_range(args.range)
-        sha = config_sha256(family.config_for_phase(0.0))
+        config = _preset_config(family, 0.0)
+        if not _is_valid(config):
+            return EXIT_CONFIG
+        sha = config_sha256(config)
     except (NonFinite, StabilityBound) as exc:  # from the calibration runs
         _err(f"solver error: {exc}")
         return EXIT_SOLVER
@@ -211,18 +229,12 @@ def _oracle_events(doc: dict):
     return parsed, holds
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    return complex(value[0], value[1])
-
-
 def cmd_oracle(args) -> int:
     try:
         with open(args.events, encoding="utf-8") as fh:
             doc = json.load(fh)
         events, holds = _oracle_events(doc)
-        pulses = [_as_complex(v) for v in doc.get("pulses", [])]
+        pulses = [_j2c(v) for v in doc.get("pulses", [])]
         gamma0 = float(doc.get("gamma0", 0.0))
         result: dict = {}
         if events:
@@ -236,7 +248,7 @@ def cmd_oracle(args) -> int:
             try:
                 beta2 = oracle.balance_coupling(
                     float(b["r1"]), float(b.get("gamma0", 0.0)), float(b.get("tau", 0.0)),
-                    abs(_as_complex(b.get("ep", 1.0))), abs(_as_complex(b.get("es", 1.0))),
+                    abs(_j2c(b.get("ep", 1.0))), abs(_j2c(b.get("es", 1.0))),
                 )
                 result["balance"] = {"beta2": beta2}
             except NoRoot as exc:

@@ -38,6 +38,8 @@ __all__ = [
     "KSpectrumHistory",
     "SimulationRecord",
     "validate",
+    "dt_bounds",
+    "dt_violations",
     "dimensionless_od",
     "config_to_dict",
     "config_from_dict",
@@ -323,6 +325,33 @@ def _pulse_is_finite(p: Pulse) -> bool:
         return False
 
 
+def dt_bounds(ens: EnsembleParams, max_eta: float, max_omega: float,
+              max_freq: float = 0.0) -> dict[str, float]:
+    """The documented stability bounds on the time step, by name.
+
+    gradient    dt < 0.1/(max|eta| L)
+    coupling    dt < 0.1 Delta/(g N Omega_max)
+    modulation  dt < 0.1/|f|, f the fastest coupling beat note
+    A bound whose rate is zero is left out; with Delta = 0 the coupling bound is 0.
+    """
+    rates = {
+        "gradient": max_eta * ens.length,
+        "coupling": ens.g * ens.n_density * max_omega / abs(ens.delta) if ens.delta else math.inf,
+        "modulation": max_freq,
+    }
+    return {name: 0.1 / rate for name, rate in rates.items() if rate > 0}
+
+
+def dt_violations(config: ScenarioConfig) -> list[str]:
+    """One message per dt bound that the config's grid step breaks."""
+    dt = config.grid.dt
+    freqs = [abs(ch.modulation.freq) for ch in config.coupling.channels if ch.modulation is not None]
+    bounds = dt_bounds(config.ensemble, config.gradient.max_abs_eta(),
+                       config.coupling.max_abs_omega(), max(freqs, default=0.0))
+    return [f"grid: dt={dt:.3g} violates the {name} bound dt < {bound:.3g}"
+            for name, bound in bounds.items() if dt >= bound]
+
+
 def validate(config: ScenarioConfig) -> ValidationReport:
     """Check every declared invariant; report all violations by name."""
     rep = ValidationReport()
@@ -386,26 +415,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     if grid.nt < 1 or grid.t_end <= 0:
         rep.failures.append("grid: nt >= 1 and t_end > 0 required")
     else:
-        dt = grid.dt
-        max_eta = config.gradient.max_abs_eta() if segs else 0.0
-        if max_eta > 0 and dt >= 0.1 / (max_eta * ens.length):
-            rep.failures.append(
-                f"grid: dt={dt:.3g} violates the gradient bound dt < 0.1/(max|eta| L) = "
-                f"{0.1 / (max_eta * ens.length):.3g}"
-            )
-        omega_max = config.coupling.max_abs_omega()
-        gno = ens.g * ens.n_density * omega_max
-        if gno > 0 and ens.delta != 0 and dt >= 0.1 * abs(ens.delta) / gno:
-            rep.failures.append(
-                f"grid: dt={dt:.3g} violates the coupling bound dt < 0.1 Delta/(g N Omega_max) = "
-                f"{0.1 * abs(ens.delta) / gno:.3g}"
-            )
-        for ci, ch in enumerate(config.coupling.channels):
-            if ch.modulation is not None and ch.modulation.freq != 0:
-                if dt >= 0.1 / abs(ch.modulation.freq):
-                    rep.failures.append(
-                        f"grid: dt={dt:.3g} violates the modulation bound for coupling channel {ci}"
-                    )
+        rep.failures += dt_violations(config)
 
     for name, (w0, w1) in config.windows.items():
         if not (0.0 <= w0 < w1 <= grid.t_end):
@@ -420,7 +430,10 @@ def validate(config: ScenarioConfig) -> ValidationReport:
 
     if not (0.0 <= config.mode_mismatch <= 1.0):
         rep.failures.append("mode_mismatch must lie in [0, 1]")
-    if config.mismatch_time is not None and not (0.0 <= config.mismatch_time <= grid.t_end):
+    if config.mismatch_time is None:
+        if config.mode_mismatch != 1.0:
+            rep.failures.append("mode_mismatch != 1 needs a mismatch_time at which it applies")
+    elif not (0.0 <= config.mismatch_time <= grid.t_end):
         rep.failures.append("mismatch_time must lie within [0, t_end]")
 
     # k-space diagnostics resolve spatial frequencies up to pi*(nz-1)/L

@@ -95,6 +95,21 @@ def reflectivity(beta: float) -> float:
     return 1.0 - transmissivity(beta)
 
 
+def _scatter(
+    a_stored: complex, b_in: complex, beta: float, theta: float, mu: float, r_sign: float
+) -> tuple[complex, complex]:
+    """One event: e_out = r_sign sqrt(R) mu a + e^{i theta} sqrt(T) b and
+    stored' = sqrt(T) a - r_sign e^{i theta} sqrt(R) mu b."""
+    t_amp = math.sqrt(transmissivity(beta))
+    r_amp = math.sqrt(reflectivity(beta))
+    phase = complex(math.cos(theta), math.sin(theta))
+    e_out = r_sign * r_amp * mu * a_stored + phase * t_amp * b_in
+    exchanged = phase * r_amp * mu * b_in
+    # adding instead of negating keeps the signs of zero components
+    stored = t_amp * a_stored - exchanged if r_sign > 0 else t_amp * a_stored + exchanged
+    return e_out, stored
+
+
 def interfere(
     a_stored: complex,
     b_in: complex,
@@ -103,12 +118,7 @@ def interfere(
     mu: float = 1.0,
 ) -> tuple[complex, complex]:
     """Scatter (stored, optical input) through one recall-side event."""
-    t_amp = math.sqrt(transmissivity(beta))
-    r_amp = math.sqrt(reflectivity(beta))
-    phase = complex(math.cos(theta), math.sin(theta))
-    e_out = r_amp * mu * a_stored + phase * t_amp * b_in
-    stored = t_amp * a_stored - phase * r_amp * mu * b_in
-    return e_out, stored
+    return _scatter(a_stored, b_in, beta, theta, mu, 1.0)
 
 
 def write(
@@ -119,12 +129,7 @@ def write(
     mu: float = 1.0,
 ) -> tuple[complex, complex]:
     """Scatter through one write-side event: the input is stored with +sqrt(R)."""
-    t_amp = math.sqrt(transmissivity(beta))
-    r_amp = math.sqrt(reflectivity(beta))
-    phase = complex(math.cos(theta), math.sin(theta))
-    e_out = -r_amp * mu * a_stored + phase * t_amp * b_in
-    stored = t_amp * a_stored + phase * r_amp * mu * b_in
-    return e_out, stored
+    return _scatter(a_stored, b_in, beta, theta, mu, -1.0)
 
 
 def predict_record(

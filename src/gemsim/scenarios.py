@@ -14,10 +14,13 @@ resonance sits mid-cell for a pulse whose carrier is eta*L/2 plus the
 light shift.  A probe written around t0 rephases at te1 = t0 + tau1 when
 the gradient flips at t0 + tau1/2; the echo carrier comes back reflected
 about the line centre, which the steering construction must match.  The
-default steering envelope is the time-reversed, conjugated copy of the
-bare echo mirrored about the kinematic rephasing time; this is the
-write-mode matched to the event and keeps the destructive phase at
-theta = pi.
+steering envelope is the time-reversed, conjugated copy of the bare echo
+mirrored about the kinematic rephasing time; this is the write-mode
+matched to the event and keeps the destructive phase at theta = pi.
+
+Grids: the time step is dt_factor times the tightest bound of
+model.dt_bounds at the family's phase-independent peak coupling and
+beat-note frequency, so every phase of a family shares one grid.
 
 Balancing: with the steering scaled so its transmitted energy equals the
 bare echo energy, the first-output fringe is balanced at any splitting;
@@ -48,6 +51,7 @@ from .model import (
     SampledPulse,
     ScenarioConfig,
     SimulationRecord,
+    dt_bounds,
     validate,
 )
 from .solver import SolverSettings, run
@@ -73,14 +77,10 @@ def run_scenario(config: ScenarioConfig, settings: SolverSettings | None = None)
     return run(config, settings)
 
 
-def _grid_for(t_end: float, eta: float, length: float, gn_omega_over_delta: float,
-              nz: int, dt_factor: float, extra_rate: float = 0.0) -> GridSpec:
-    bounds = [0.1 / (abs(eta) * length)]
-    if gn_omega_over_delta > 0:
-        bounds.append(0.1 / gn_omega_over_delta)
-    if extra_rate > 0:
-        bounds.append(0.1 / extra_rate)
-    dt = dt_factor * min(bounds)
+def _grid_for(t_end: float, ens: EnsembleParams, eta: float, omega_peak: float,
+              nz: int, dt_factor: float, mod_freq: float = 0.0) -> GridSpec:
+    """Grid whose step is dt_factor times the tightest dt bound."""
+    dt = dt_factor * min(dt_bounds(ens, abs(eta), omega_peak, mod_freq).values())
     return GridSpec(nz=nz, nt=int(math.ceil(t_end / dt)), t_end=t_end)
 
 
@@ -109,7 +109,6 @@ class TimeDomainParams:
     tau2: float = 10.0
     theta: float = math.pi
     phase_knob: str = "steering"       # "steering" | "coupling"
-    steering_shape: str = "echo_reversed"  # | "echo_copy" | "probe"
     steering_scale: Optional[float] = None  # None = arm-matched; else input-amplitude ratio
     mode_mismatch: float = 1.0
     nz: int = 512
@@ -199,11 +198,7 @@ class TimeDomainFamily:
     def _grid(self, power_factor: float = 1.0) -> GridSpec:
         p = self.params
         omega_peak = p.omega_write * max(1.0, p.event_factor * math.sqrt(power_factor))
-        return _grid_for(
-            self.t_end, p.eta, p.length,
-            p.g * p.n_density * omega_peak / abs(p.delta),
-            p.nz, p.dt_factor,
-        )
+        return _grid_for(self.t_end, self.ensemble(), p.eta, omega_peak, p.nz, p.dt_factor)
 
     def _assemble(
         self,
@@ -234,17 +229,13 @@ class TimeDomainFamily:
         """Probe only; used for dry-run calibration and two-echo storage."""
         return self._assemble((self._probe(),), power_factor)
 
-    def _solver_settings(self) -> SolverSettings:
-        return SolverSettings()
-
     # -- calibration --------------------------------------------------------
 
     def calibrate(self) -> _TdCalibration:
         """Dry runs fixing the steering waveform and the arm-matching scale."""
         if self._calibration is not None:
             return self._calibration
-        p = self.params
-        bare = run(self.bare_config(), self._solver_settings())
+        bare = run(self.bare_config())
         e1 = self.windows["E1"]
         mask = (bare.t >= e1[0]) & (bare.t <= e1[1])
         t_echo = bare.t[mask]
@@ -255,33 +246,17 @@ class TimeDomainFamily:
         def resample(times: np.ndarray) -> np.ndarray:
             return np.interp(times, t_echo, v_echo.real) + 1j * np.interp(times, t_echo, v_echo.imag)
 
-        def anchored(vals: np.ndarray) -> np.ndarray:
-            # theta = 0 means "in phase with the emerging echo at its centre",
-            # so re-anchor the copy's constant phase to the echo's own
-            v_ref = complex(resample(np.array([self.te1]))[0])
-            v_cen = complex(np.interp(self.te1, tt, vals.real) + 1j * np.interp(self.te1, tt, vals.imag))
-            if abs(v_ref) == 0.0 or abs(v_cen) == 0.0:
-                return vals
-            rot = (v_ref / abs(v_ref)) * (abs(v_cen) / v_cen)
-            return vals * rot
-
-        if p.steering_shape == "echo_reversed":
-            vals = anchored(np.conj(resample(2.0 * self.te1 - tt)))
-        elif p.steering_shape == "echo_copy":
-            vals = resample(tt)
-        elif p.steering_shape == "probe":
-            stark_evt = (p.event_factor * p.omega_write) ** 2 / p.delta if p.stark else 0.0
-            carrier = -(p.eta * p.length / 2.0) + stark_evt
-            ref = GaussianPulse(
-                t0=self.te1, sigma=p.probe_sigma, amplitude=p.probe_amplitude,
-                carrier=carrier, truncate=p.probe_truncate,
-            )
-            vals = anchored(ref.envelope(tt))
-        else:
-            raise ValueError(f"unknown steering shape {p.steering_shape!r}")
+        # the steering envelope is the time-reversed, conjugated echo mirrored
+        # about te1; theta = 0 means "in phase with the emerging echo at its
+        # centre", so its constant phase is re-anchored to the echo's own
+        vals = np.conj(resample(2.0 * self.te1 - tt))
+        v_ref = complex(resample(np.array([self.te1]))[0])
+        v_cen = complex(np.interp(self.te1, tt, vals.real) + 1j * np.interp(self.te1, tt, vals.imag))
+        if abs(v_ref) != 0.0 and abs(v_cen) != 0.0:
+            vals = vals * ((v_ref / abs(v_ref)) * (abs(v_cen) / v_cen))
 
         steer_only = self._assemble((SampledPulse(t=tt, values=vals, label="steering", channel=0),))
-        u_trans_raw = run(steer_only, self._solver_settings()).window_energies["E1"]
+        u_trans_raw = run(steer_only).window_energies["E1"]
         u_probe = self._probe().energy()
         self._calibration = _TdCalibration(
             steer_t=tt, steer_values=vals, u_echo=u_echo,
@@ -345,7 +320,7 @@ class TimeDomainFamily:
         best_f, best_e = base, math.inf
         for f in factors:
             fam = self.with_params(interference_factor=float(f))
-            rec = run(fam.config_for_phase(math.pi), self._solver_settings())
+            rec = run(fam.config_for_phase(math.pi))
             if rec.window_energies["E1"] < best_e:
                 best_e = rec.window_energies["E1"]
                 best_f = float(f)
@@ -383,7 +358,6 @@ class FrequencyDomainParams:
     tau: float = 10.0
     phi: float = math.pi
     beat_note: bool = False            # single-channel cross-validation mode
-    mode_mismatch: float = 1.0
     nz: int = 256
     dt_factor: float = 0.8
     stark: bool = True
@@ -452,7 +426,6 @@ class FrequencyDomainFamily:
                                   amplitude=p.steering_amplitude, carrier=carrier - sep,
                                   truncate=p.pulse_truncate, label="steering", channel=0)
                 )
-            extra_rate = sep
         else:
             # two exactly Raman-resonant channels; a switched-off steering arm
             # also switches off its coupling so the single-channel limit is exact
@@ -467,12 +440,10 @@ class FrequencyDomainFamily:
                 GaussianPulse(t0=p.pulse_center, sigma=p.pulse_sigma, amplitude=p.steering_amplitude,
                               carrier=carrier, truncate=p.pulse_truncate, label="steering", channel=1),
             ]
-            extra_rate = 0.0
 
         omega_peak = om * (2.0 if (p.beat_note and steering_on) else 1.0)
-        grid = _grid_for(self.t_end, p.eta, p.length,
-                         p.g * p.n_density * omega_peak / abs(p.delta),
-                         p.nz, p.dt_factor, extra_rate=extra_rate)
+        grid = _grid_for(self.t_end, ens, p.eta, omega_peak, p.nz, p.dt_factor,
+                         mod_freq=sep if p.beat_note else 0.0)
         return ScenarioConfig(
             ensemble=ens,
             gradient=GradientProfile((GradientSegment(0.0, p.eta), GradientSegment(self.tf, -p.eta))),
@@ -480,7 +451,6 @@ class FrequencyDomainFamily:
             pulses=tuple(pulses),
             grid=grid,
             windows=dict(self.windows),
-            mode_mismatch=p.mode_mismatch,
             metadata=dict(p.metadata),
         )
 

@@ -47,7 +47,7 @@ from .model import (
     KSpectrumHistory,
     ScenarioConfig,
     SimulationRecord,
-    validate,
+    dt_violations,
 )
 
 __all__ = [
@@ -69,7 +69,8 @@ class SolverSettings:
     kspec_stride      record |psi(k)| every n steps
     strides of None auto-select ~512 samples per run
     stark_enabled     include the light-shift term sum |Omega_c|^2/Delta
-    enforce_stability raise StabilityBound when the dt bounds are violated
+    enforce_stability raise StabilityBound when the grid step breaks a bound
+                      of model.dt_bounds (gradient, coupling, modulation)
     """
 
     snapshot_stride: Optional[int] = None
@@ -118,18 +119,9 @@ def _time_grid(config: ScenarioConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_stability(config: ScenarioConfig) -> None:
-    ens = config.ensemble
-    dt = config.grid.dt
-    max_eta = config.gradient.max_abs_eta()
-    if max_eta > 0 and dt >= 0.1 / (max_eta * ens.length):
-        raise StabilityBound(
-            f"dt={dt:.3g} >= 0.1/(max|eta| L)={0.1 / (max_eta * ens.length):.3g}"
-        )
-    gno = ens.g * ens.n_density * config.coupling.max_abs_omega()
-    if gno > 0 and dt >= 0.1 * abs(ens.delta) / gno:
-        raise StabilityBound(
-            f"dt={dt:.3g} >= 0.1 Delta/(g N Omega_max)={0.1 * abs(ens.delta) / gno:.3g}"
-        )
+    violations = dt_violations(config)
+    if violations:
+        raise StabilityBound("; ".join(violations))
 
 
 def run(

@@ -1,6 +1,7 @@
 """Fringe fitting, energies and sweep curves."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from gemsim.analysis import (
     pulse_energy,
     scan_both_ports,
     write_fringe_csv,
+    _solve_all,
     _sweep_energies,
 )
-from gemsim.errors import DegenerateFit, EmptyWindow
+from gemsim.errors import DegenerateFit, EmptyWindow, NonFinite
+from gemsim.model import GridSpec
 from gemsim.scenarios import preset_family
-from gemsim.solver import run
-from conftest import FAST_PHASES, LIGHT
+from gemsim.solver import SolverSettings, run
+from conftest import FAST_PHASES, LIGHT, storage_config
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +211,15 @@ def test_coupling_sweep_analytic_maxima_differ_between_ports():
     t2 = 1.0 / (1.0 + (a / b) ** 2)
     assert oracle.transmissivity(b1) == pytest.approx(t1, abs=2e-3)
     assert oracle.transmissivity(b2) == pytest.approx(t2, abs=2e-3)
+
+
+def test_nonfinite_in_a_pool_worker_reaches_the_caller():
+    config = storage_config(eta=100.0, nz=64, two_echo=False)
+    wild = replace(config, grid=GridSpec(64, 300, 30.0))
+    unchecked = SolverSettings(enforce_stability=False, snapshot_stride=10**6, kspec_stride=10**6)
+    with pytest.raises(NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
+        _solve_all([wild, wild], unchecked, False, workers=2)
+    assert err.value.step > 0
 
 
 def test_mismatch_curve_endpoints(fig2_family):

@@ -93,6 +93,35 @@ def test_invalid_preset_override_exits_before_calibrating(tmp_path, capsys, monk
     assert "nz must be a power of two" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("preset, overrides, message", [
+    ("freq-domain", {"nz": 100}, "nz must be a power of two"),
+    ("freq-domain", {"beat_note": True, "dt_factor": 2.0}, "coupling bound"),
+    ("freq-domain", {"mode_mismatch": 0.5}, "mode_mismatch"),
+    ("fig2", {"nz": 100}, "nz must be a power of two"),
+    ("fig2", {"steering_shape": "probe"}, "steering_shape"),
+], ids=["fd-nz", "fd-beat-note-dt", "fd-mode-mismatch", "fig2-nz", "fig2-steering-shape"])
+def test_invalid_preset_override_exits_2_from_both_commands(
+    tmp_path, capsys, monkeypatch, command, preset, overrides, message
+):
+    from gemsim import analysis, cli, scenarios, solver
+
+    def no_solves(*args, **kwargs):
+        raise RuntimeError("solved a configuration that does not validate")
+
+    for module in (analysis, cli, scenarios, solver):
+        monkeypatch.setattr(module, "run", no_solves)
+    path = tmp_path / "overrides.json"
+    path.write_text(json.dumps(overrides))
+    out = tmp_path / "out"
+    args = ["simulate"] if command == "simulate" else [
+        "sweep", "--kind", "phase", "--range", "0:6:6", "--workers", "1"]
+    assert run_cli(args + ["--preset", preset, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -21,6 +21,7 @@ from gemsim.model import (
     config_sha256,
     config_to_dict,
     dimensionless_od,
+    dt_bounds,
     load_config,
     save_config,
     validate,
@@ -92,6 +93,21 @@ def test_mode_mismatch_range():
     config = storage_config()
     report = validate(ScenarioConfig(**{**config.__dict__, "mode_mismatch": 1.2}))
     assert any("mode_mismatch" in f for f in report.failures)
+
+
+def test_mode_mismatch_needs_a_mismatch_time():
+    config = storage_config()
+    report = validate(ScenarioConfig(**{**config.__dict__, "mode_mismatch": 0.5}))
+    assert any("needs a mismatch_time" in f for f in report.failures)
+    assert validate(ScenarioConfig(**{**config.__dict__, "mode_mismatch": 0.5, "mismatch_time": 2.7})).ok
+
+
+def test_dt_bounds_are_named_and_skip_zero_rates():
+    ens = EnsembleParams(g=1.0, n_density=40.0, delta=-2.0, length=0.5)
+    bounds = dt_bounds(ens, max_eta=20.0, max_omega=0.5, max_freq=8.0)
+    assert bounds == pytest.approx({"gradient": 0.01, "coupling": 0.01, "modulation": 0.0125}, rel=1e-15)
+    assert set(dt_bounds(ens, max_eta=20.0, max_omega=0.0)) == {"gradient"}
+    assert dt_bounds(EnsembleParams(delta=0.0), max_eta=0.0, max_omega=0.5) == {"coupling": 0.0}
 
 
 def test_dimensionless_od_identity():

@@ -211,3 +211,22 @@ def test_preset_registry():
         preset_family("unknown")
     for name in ("fig2", "time-domain", "freq-domain"):
         assert preset_family(name) is not None
+
+
+@pytest.mark.parametrize("delta", [1.0, 2.0])
+@pytest.mark.parametrize("beat_note", [False, True], ids=["two-channel", "beat-note"])
+def test_freq_domain_phases_share_one_grid(beat_note, delta):
+    family = preset_family("freq-domain", beat_note=beat_note, delta=delta)
+    configs = [family.config_for_phase(2.0 * math.pi * i / 12) for i in range(12)]
+    assert len({c.grid for c in configs}) == 1
+    assert all(validate(c).ok for c in configs)
+
+
+def test_preset_grids_keep_their_step_counts(fig2_family, td_family):
+    nt = {
+        "fig2": fig2_family.config_for_phase(math.pi).grid.nt,
+        "time-domain": td_family.config_for_phase(math.pi).grid.nt,
+        "freq-domain": preset_family("freq-domain").config_for_phase(math.pi).grid.nt,
+        "beat-note": preset_family("freq-domain", beat_note=True).config_for_phase(math.pi).grid.nt,
+    }
+    assert nt == {"fig2": 12125, "time-domain": 14600, "freq-domain": 2775, "beat-note": 5550}

@@ -1,6 +1,7 @@
 """Integrator behaviour: propagation, storage, conservation, diagnostics."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -165,6 +166,27 @@ def test_stability_bound_raised():
     bad = replace(config, grid=GridSpec(config.grid.nz, config.grid.nt // 50, config.grid.t_end))
     with pytest.raises(StabilityBound):
         run(bad)
+
+
+def test_modulation_only_violation_is_refused_by_run():
+    from gemsim.scenarios import preset_family
+
+    config = preset_family("freq-domain", beat_note=True).config_for_phase(0.0)
+    [channel] = config.coupling.channels
+    # a faster beat note than the grid was sized for: 0.1/40 < dt = 0.004
+    faster = replace(channel, modulation=replace(channel.modulation, freq=-40.0))
+    bad = replace(config, coupling=CouplingSchedule((faster,)))
+    failures = validate(bad).failures
+    assert len(failures) == 1 and "modulation bound" in failures[0]
+    with pytest.raises(StabilityBound, match="modulation bound"):
+        run(bad)
+
+
+def test_nonfinite_survives_pickling():
+    err = pickle.loads(pickle.dumps(NonFinite(step=7, time=0.25, max_abs=1e300)))
+    assert isinstance(err, NonFinite)
+    assert (err.step, err.time, err.max_abs) == (7, 0.25, 1e300)
+    assert str(err) == str(NonFinite(step=7, time=0.25, max_abs=1e300))
 
 
 def test_nonfinite_reports_step_and_magnitude():
