@@ -26,6 +26,6 @@ from .scenarios import (
     preset_family,
     run_scenario,
 )
-from .solver import SolverSettings, crossing_phase, k_centroid_track, polariton_spectrum, run
+from .solver import crossing_phase, k_centroid_track, polariton_spectrum, run
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateFit, EmptyWindow
 from .model import ScenarioConfig
-from .solver import SolverSettings, run
+from .solver import run
 
 __all__ = [
     "FringeDataset",
@@ -101,30 +101,28 @@ def _check_port(port: str) -> None:
         raise ValueError("port must be 'E1' or 'E2'")
 
 
-def _solve(config: ScenarioConfig, settings: SolverSettings | None, per_pulse: bool) -> dict:
+def _solve(config: ScenarioConfig, per_pulse: bool) -> dict:
     """Window energies of a direct run, or window Gram matrices of a per-pulse run."""
-    record = run(config, settings, per_pulse=per_pulse)
+    record = run(config, stride=0, per_pulse=per_pulse)
     return record.window_grams() if per_pulse else record.window_energies
 
 
 def _solve_all(
     configs: Sequence[ScenarioConfig],
-    settings: SolverSettings | None,
     per_pulse: bool,
     workers: int | None,
 ) -> list[dict]:
     n = len(configs)
     if workers and workers > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            return list(pool.map(_solve, configs, [settings] * n, [per_pulse] * n))
-    return [_solve(c, settings, per_pulse) for c in configs]
+            return list(pool.map(_solve, configs, [per_pulse] * n))
+    return [_solve(c, per_pulse) for c in configs]
 
 
 def _sweep_energies(
     family,
     phases: Sequence[float],
     variants: Sequence[dict],
-    settings: SolverSettings | None,
     workers: int | None,
 ) -> list[list[dict[str, float]]]:
     """Window energies per variant (config_for_phase keywords) and per phase.
@@ -138,12 +136,12 @@ def _sweep_energies(
     rows = family.phase_rows()
     if rows is None:
         configs = [family.config_for_phase(p, **kw) for kw in variants for p in phases]
-        flat = _solve_all(configs, settings, False, workers)
+        flat = _solve_all(configs, False, workers)
         n = len(phases)
         return [flat[i * n:(i + 1) * n] for i in range(len(variants))]
     configs = [family.config_for_phase(0.0, **kw) for kw in variants]
     out = []
-    for config, grams in zip(configs, _solve_all(configs, settings, True, workers)):
+    for config, grams in zip(configs, _solve_all(configs, True, workers)):
         weights = np.ones(len(config.pulses), dtype=complex)
         energies = []
         for p in phases:
@@ -161,13 +159,13 @@ def _fit_ports(energies: Sequence[dict], phases: list[float],
     return {port: fit_fringe(phases, [e[port] for e in energies], port=port) for port in ports}
 
 
-def _scan(family, phases, ports, settings, workers) -> dict[str, FringeDataset]:
+def _scan(family, phases, ports, workers) -> dict[str, FringeDataset]:
     phases = list(phases)
     if len(phases) < 5:
         raise DegenerateFit("need at least five phase samples")
     for port in ports:
         _check_port(port)
-    [energies] = _sweep_energies(family, phases, [{}], settings, workers)
+    [energies] = _sweep_energies(family, phases, [{}], workers)
     return _fit_ports(energies, phases, ports)
 
 
@@ -175,7 +173,6 @@ def fringe_scan(
     family,
     phases: Sequence[float],
     port: str = "E1",
-    settings: SolverSettings | None = None,
     workers: int | None = None,
 ) -> FringeDataset:
     """Window energies at every phase and the port's fringe fit.
@@ -183,17 +180,16 @@ def fringe_scan(
     A family whose phase is a pulse-row factor needs one per-pulse solve
     for all phases; otherwise each phase is one run, spread over `workers`.
     """
-    return _scan(family, phases, (port,), settings, workers)[port]
+    return _scan(family, phases, (port,), workers)[port]
 
 
 def scan_both_ports(
     family,
     phases: Sequence[float],
-    settings: SolverSettings | None = None,
     workers: int | None = None,
 ) -> dict[str, FringeDataset]:
     """Phase scan shared by both output ports (one solve set for both)."""
-    return _scan(family, phases, PORTS, settings, workers)
+    return _scan(family, phases, PORTS, workers)
 
 
 def _default_phases(n: int = 12) -> list[float]:
@@ -204,7 +200,6 @@ def coupling_sweep(
     family,
     relative_powers: Sequence[float],
     phases: Sequence[float] | None = None,
-    settings: SolverSettings | None = None,
     workers: int | None = None,
 ) -> dict[str, list[tuple[float, float]]]:
     """Visibility of both ports vs event coupling power.
@@ -218,7 +213,7 @@ def coupling_sweep(
     variants = [{"power_factor": power} for power in relative_powers]
     curves: dict[str, list[tuple[float, float]]] = {port: [] for port in PORTS}
     for power, energies in zip(relative_powers,
-                               _sweep_energies(family, phases, variants, settings, workers)):
+                               _sweep_energies(family, phases, variants, workers)):
         for port, ds in _fit_ports(energies, phases, PORTS).items():
             curves[port].append((float(power), ds.visibility))
     return curves
@@ -229,7 +224,6 @@ def mismatch_curve(
     mus: Sequence[float],
     port: str = "E1",
     phases: Sequence[float] | None = None,
-    settings: SolverSettings | None = None,
     workers: int | None = None,
 ) -> list[tuple[float, float]]:
     """Visibility of one port vs the mode-overlap factor mu."""
@@ -238,7 +232,7 @@ def mismatch_curve(
     _check_port(port)
     phases = list(phases) if phases is not None else _default_phases()
     variants = [{"mu": mu} for mu in mus if mu != 0.0]
-    sweeps = iter(_sweep_energies(family, phases, variants, settings, workers))
+    sweeps = iter(_sweep_energies(family, phases, variants, workers))
     curve = []
     for mu in mus:
         if mu == 0.0:
@@ -254,7 +248,6 @@ def find_mu_for_visibility(
     target: float,
     bracket: tuple[float, float] = (0.15, 0.95),
     phases: Sequence[float] | None = None,
-    settings: SolverSettings | None = None,
     workers: int | None = None,
     xtol: float = 1e-3,
 ) -> float:
@@ -264,7 +257,7 @@ def find_mu_for_visibility(
     phases = list(phases) if phases is not None else _default_phases()
 
     def objective(mu: float) -> float:
-        [energies] = _sweep_energies(family, phases, [{"mu": mu}], settings, workers)
+        [energies] = _sweep_energies(family, phases, [{"mu": mu}], workers)
         return fit_fringe(phases, [e["E1"] for e in energies]).visibility - target
 
     return float(brentq(objective, bracket[0], bracket[1], xtol=xtol))

@@ -10,29 +10,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis, io, oracle, scenarios
 from .errors import GemSimError, NoRoot, NonFinite, StabilityBound
 from .model import (
     ScenarioConfig,
     _j2c,
-    config_from_dict,
     config_sha256,
     load_config,
     save_config,
     validate,
 )
-from .solver import SolverSettings, run
+from .solver import run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+# what a malformed document or override raises while a configuration is built
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ArithmeticError, GemSimError)
 
 
 def _err(msg: str) -> None:
@@ -84,11 +82,10 @@ def _is_valid(config: ScenarioConfig) -> bool:
     return report.ok
 
 
-def _settings(args) -> SolverSettings:
-    return SolverSettings(snapshot_stride=args.snapshot_stride)
-
-
 def cmd_simulate(args) -> int:
+    if (args.snapshot_stride or 0) < 0:
+        _err(f"--snapshot-stride must be >= 0, got {args.snapshot_stride}")
+        return EXIT_CONFIG
     try:
         if args.preset:
             config = _preset_config(_family(args))
@@ -96,7 +93,7 @@ def cmd_simulate(args) -> int:
             config = load_config(args.config)
         else:
             raise ValueError("either --preset or --config is required")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, GemSimError, TypeError) as exc:
+    except INPUT_ERRORS as exc:
         _err(f"cannot build configuration: {exc}")
         return EXIT_CONFIG
     if not _is_valid(config):
@@ -105,7 +102,7 @@ def cmd_simulate(args) -> int:
         print("configuration valid; dry run requested, no outputs written")
         return EXIT_OK
     try:
-        record = run(config, _settings(args))
+        record = run(config, stride=args.snapshot_stride)
     except (NonFinite, StabilityBound) as exc:
         _err(f"solver error: {exc}")
         return EXIT_SOLVER
@@ -148,7 +145,7 @@ def cmd_sweep(args) -> int:
     except (NonFinite, StabilityBound) as exc:  # from the calibration runs
         _err(f"solver error: {exc}")
         return EXIT_SOLVER
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, GemSimError, TypeError) as exc:
+    except INPUT_ERRORS as exc:
         _err(f"cannot build sweep: {exc}")
         return EXIT_CONFIG
     if args.kind in ("coupling", "mismatch") and not isinstance(family, scenarios.TimeDomainFamily):
@@ -204,11 +201,12 @@ def cmd_sweep(args) -> int:
 
 
 def _oracle_events(doc: dict):
-    events, holds = [], []
+    holds = []
     pending_hold = 0.0
-    seq = doc.get("events", [])
     parsed: list = []
-    for item in seq:
+    for i, item in enumerate(doc.get("events", [])):
+        if not isinstance(item, dict):
+            raise ValueError(f"event {i} must be an object, got {item!r}")
         kind = item.get("kind")
         if kind == "hold":
             if not parsed:
@@ -233,6 +231,8 @@ def cmd_oracle(args) -> int:
     try:
         with open(args.events, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("the document must be a JSON object")
         events, holds = _oracle_events(doc)
         pulses = [_j2c(v) for v in doc.get("pulses", [])]
         gamma0 = float(doc.get("gamma0", 0.0))
@@ -253,7 +253,7 @@ def cmd_oracle(args) -> int:
                 result["balance"] = {"beta2": beta2}
             except NoRoot as exc:
                 result["balance"] = {"no_solution": str(exc)}
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         _err(f"malformed event list: {exc}")
         return EXIT_CONFIG
     print(json.dumps(result, indent=2, sort_keys=True))
@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="full scenario JSON, or override keys for --preset")
     sim.add_argument("--out", help="output directory (default $GEMSIM_OUT or ./gemsim-out)")
     sim.add_argument("--dry-run", action="store_true", help="validate only, write nothing")
-    sim.add_argument("--snapshot-stride", type=int, default=None, help="steps between snapshots")
+    sim.add_argument("--snapshot-stride", type=int, default=None,
+                     help="steps between snapshots and k-spectra; 0 records none (default: ~512 of each)")
     sim.set_defaults(func=cmd_simulate)
 
     swp = sub.add_parser("sweep", help="phase/coupling/mismatch sweeps with fringe fits")

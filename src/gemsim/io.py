@@ -32,31 +32,23 @@ __all__ = [
 ]
 
 
-def _r(x) -> str:
-    return repr(float(x))
+def _rows(*columns) -> str:
+    """CSV lines from equal-length columns of formatted values."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def write_boundary_csv(record: SimulationRecord, path) -> None:
     nch = record.boundary_out.shape[1]
     header = ["t"]
+    columns = [record.t]
     for j in range(nch):
         header += [f"re_E{j}_out", f"im_E{j}_out", f"re_E{j}_in", f"im_E{j}_in"]
+        out, inp = record.boundary_out[:, j], record.boundary_in[:, j]
+        columns += [out.real, out.imag, inp.real, inp.imag]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_sha256={config_sha256(record.config)}\n")
         fh.write(",".join(header) + "\n")
-        for i, t in enumerate(record.t):
-            row = [_r(t)]
-            for j in range(nch):
-                row += [
-                    _r(record.boundary_out[i, j].real), _r(record.boundary_out[i, j].imag),
-                    _r(record.boundary_in[i, j].real), _r(record.boundary_in[i, j].imag),
-                ]
-            fh.write(",".join(row) + "\n")
-
-
-def _rows(*columns) -> str:
-    """CSV lines from equal-length columns of formatted values."""
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+        fh.write(_rows(*(map(repr, column.tolist()) for column in columns)))
 
 
 def write_snapshots_csv(record: SimulationRecord, path) -> None:
@@ -73,7 +65,7 @@ def write_snapshots_csv(record: SimulationRecord, path) -> None:
         for fs, cs in record.snapshots:
             parts = [*fs.fields, cs.sigma]
             values = [map(repr, v.tolist()) for p in parts for v in (p.real, p.imag)]
-            fh.write(_rows(repeat(_r(fs.t)), zs, *values))
+            fh.write(_rows(repeat(repr(float(fs.t))), zs, *values))
 
 
 def write_kspectra_csv(record: SimulationRecord, path) -> None:
@@ -83,7 +75,7 @@ def write_kspectra_csv(record: SimulationRecord, path) -> None:
         fh.write(f"# config_sha256={config_sha256(record.config)}\n")
         fh.write("t,k,abs_psi\n")
         for t, mags in zip(spec.t, spec.magnitude):
-            fh.write(_rows(repeat(_r(t)), ks, map(repr, mags.tolist())))
+            fh.write(_rows(repeat(repr(float(t))), ks, map(repr, mags.tolist())))
 
 
 def write_windows_json(record: SimulationRecord, path) -> None:

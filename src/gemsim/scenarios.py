@@ -54,7 +54,7 @@ from .model import (
     dt_bounds,
     validate,
 )
-from .solver import SolverSettings, run
+from .solver import run
 
 __all__ = [
     "TimeDomainParams",
@@ -69,12 +69,12 @@ __all__ = [
 ]
 
 
-def run_scenario(config: ScenarioConfig, settings: SolverSettings | None = None) -> SimulationRecord:
-    """Validate and run one scenario; solver errors propagate unchanged."""
+def run_scenario(config: ScenarioConfig) -> SimulationRecord:
+    """Validate and run one scenario for its energies and traces; solver errors propagate."""
     report = validate(config)
     if not report.ok:
         raise GemSimError(f"invalid scenario: {report}")
-    return run(config, settings)
+    return run(config, stride=0)
 
 
 def _grid_for(t_end: float, ens: EnsembleParams, eta: float, omega_peak: float,
@@ -113,7 +113,6 @@ class TimeDomainParams:
     mode_mismatch: float = 1.0
     nz: int = 512
     dt_factor: float = 0.8
-    stark: bool = True
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -188,8 +187,7 @@ class TimeDomainFamily:
 
     def _probe(self) -> GaussianPulse:
         p = self.params
-        stark = p.omega_write**2 / p.delta if p.stark else 0.0
-        carrier = p.eta * p.length / 2.0 + stark
+        carrier = p.eta * p.length / 2.0 + p.omega_write**2 / p.delta  # line centre plus light shift
         return GaussianPulse(
             t0=p.probe_center, sigma=p.probe_sigma, amplitude=p.probe_amplitude,
             carrier=carrier, truncate=p.probe_truncate, label="probe", channel=0,
@@ -235,7 +233,7 @@ class TimeDomainFamily:
         """Dry runs fixing the steering waveform and the arm-matching scale."""
         if self._calibration is not None:
             return self._calibration
-        bare = run(self.bare_config())
+        bare = run(self.bare_config(), stride=0)
         e1 = self.windows["E1"]
         mask = (bare.t >= e1[0]) & (bare.t <= e1[1])
         t_echo = bare.t[mask]
@@ -256,7 +254,7 @@ class TimeDomainFamily:
             vals = vals * ((v_ref / abs(v_ref)) * (abs(v_cen) / v_cen))
 
         steer_only = self._assemble((SampledPulse(t=tt, values=vals, label="steering", channel=0),))
-        u_trans_raw = run(steer_only).window_energies["E1"]
+        u_trans_raw = run(steer_only, stride=0).window_energies["E1"]
         u_probe = self._probe().energy()
         self._calibration = _TdCalibration(
             steer_t=tt, steer_values=vals, u_echo=u_echo,
@@ -320,7 +318,7 @@ class TimeDomainFamily:
         best_f, best_e = base, math.inf
         for f in factors:
             fam = self.with_params(interference_factor=float(f))
-            rec = run(fam.config_for_phase(math.pi))
+            rec = run(fam.config_for_phase(math.pi), stride=0)
             if rec.window_energies["E1"] < best_e:
                 best_e = rec.window_energies["E1"]
                 best_f = float(f)
@@ -360,7 +358,6 @@ class FrequencyDomainParams:
     beat_note: bool = False            # single-channel cross-validation mode
     nz: int = 256
     dt_factor: float = 0.8
-    stark: bool = True
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -401,8 +398,7 @@ class FrequencyDomainFamily:
         steering_on = p.steering_amplitude != 0
         om = p.omega
         n_active = (1 if not steering_on else 2)
-        stark = (n_active * om**2 / p.delta) if p.stark else 0.0
-        carrier = p.eta * p.length / 2.0 + stark
+        carrier = p.eta * p.length / 2.0 + n_active * om**2 / p.delta  # line centre plus light shift
         sep = 2.0 * math.pi * p.separation_mhz
         phase_c = complex(math.cos(phase), math.sin(phase))
 

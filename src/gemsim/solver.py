@@ -34,8 +34,7 @@ excluded from every check that involves the 1/k factor, because the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .model import (
 )
 
 __all__ = [
-    "SolverSettings",
     "run",
     "polariton_spectrum",
     "k_grid",
@@ -59,24 +57,6 @@ __all__ = [
     "crossing_phase",
     "maxwell_residual",
 ]
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Numerical knobs of a run; time stepping is always classical RK4.
-
-    snapshot_stride   record a full (field, coherence) snapshot every n steps
-    kspec_stride      record |psi(k)| every n steps
-    strides of None auto-select ~512 samples per run
-    stark_enabled     include the light-shift term sum |Omega_c|^2/Delta
-    enforce_stability raise StabilityBound when the grid step breaks a bound
-                      of model.dt_bounds (gradient, coupling, modulation)
-    """
-
-    snapshot_stride: Optional[int] = None
-    kspec_stride: Optional[int] = None
-    stark_enabled: bool = True
-    enforce_stability: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +106,16 @@ def _check_stability(config: ScenarioConfig) -> None:
 
 def run(
     config: ScenarioConfig,
-    settings: SolverSettings | None = None,
+    stride: int | None = None,
     initial_coherence: np.ndarray | None = None,
     per_pulse: bool = False,
 ) -> SimulationRecord:
-    """Integrate a validated scenario and return its full record.
+    """Integrate a validated scenario and return its record.
+
+    Raises StabilityBound when the grid step breaks a bound of
+    model.dt_bounds.  Window energies and boundary traces are always
+    recorded; a (field, coherence) snapshot and a |psi(k)| spectrum every
+    `stride` steps and at the last step: about 512 of each for None, none for 0.
 
     With per_pulse=True the coherence carries one row per pulse, each row
     driven by that pulse alone on the time grid of the whole scenario.  The
@@ -139,9 +124,7 @@ def run(
     linear in the boundary pulses, so the energy of any weighted
     superposition of the pulses follows from `record.window_grams()`.
     """
-    settings = settings or SolverSettings()
-    if settings.enforce_stability:
-        _check_stability(config)
+    _check_stability(config)
 
     ens = config.ensemble
     nz = config.grid.nz
@@ -187,10 +170,7 @@ def run(
     if per_pulse:
         drive_h = drive_h.T[:, :, None]  # one (rows, 1) column per stage
     w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * np.sum(np.abs(omegas_h) ** 2, axis=0)
-    if settings.stark_enabled:
-        stark_h = np.sum(np.abs(omegas_h) ** 2, axis=0) / ens.delta
-    else:
-        stark_h = np.zeros_like(w2_h)
+    stark_h = np.sum(np.abs(omegas_h) ** 2, axis=0) / ens.delta
 
     # RK4 works in place in these buffers; c holds the z-integral of the state
     # integrated last
@@ -232,8 +212,12 @@ def run(
     else:
         sigma = np.zeros(shape, dtype=complex)
 
-    snap_stride = settings.snapshot_stride or max(1, round(n_steps / 512))
-    kspec_stride = settings.kspec_stride or max(1, round(n_steps / 512))
+    if per_pulse:
+        stride = 0
+    elif stride is None:
+        stride = max(1, round(n_steps / 512))
+    elif stride < 0:
+        raise ValueError(f"stride must be >= 0, got {stride}")
 
     boundary_out = np.zeros(sources.shape[:-2] + (n_steps + 1, nch), dtype=complex)
     boundary_in = np.zeros((n_steps + 1, nch), dtype=complex)
@@ -242,9 +226,6 @@ def run(
     kspec_t: list[float] = []
     kspec_mag: list[np.ndarray] = []
     kvec = k_grid(nz, dz)
-
-    def fields_at(i: int) -> np.ndarray:
-        return e_in_h[:, i][:, None] + kappa_h[:, i][:, None] * c[None, :]
 
     def record_step(m: int, i: int) -> None:
         cumint(sigma)  # also the next step's k1 integral
@@ -256,14 +237,12 @@ def run(
             finite = np.abs(sigma[np.isfinite(sigma)])
             amax = float(finite.max()) if finite.size else math.inf
             raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
-        if per_pulse:
-            return  # no snapshots or k-spectra
-        if m % snap_stride == 0 or m == n_steps:
+        if stride and (m % stride == 0 or m == n_steps):
+            fields = e_in_h[:, i][:, None] + kappa_h[:, i][:, None] * c[None, :]
             snapshots.append(
-                (FieldState(t=t_nodes[m], fields=fields_at(i)), CoherenceState(t=t_nodes[m], sigma=total.copy()))
+                (FieldState(t=t_nodes[m], fields=fields), CoherenceState(t=t_nodes[m], sigma=total.copy()))
             )
-        if m % kspec_stride == 0 or m == n_steps:
-            psi = _bright_polariton(fields_at(i), total, ens, omegas_h[:, i])
+            psi = _bright_polariton(fields, total, ens, omegas_h[:, i])
             kspec_t.append(float(t_nodes[m]))
             kspec_mag.append(np.abs(np.fft.fftshift(psi)))
 
@@ -299,13 +278,18 @@ def run(
             t=np.array(kspec_t), k=np.fft.fftshift(kvec), magnitude=np.array(kspec_mag)
         ),
         window_energies={},
-        snapshot_stride=0 if per_pulse else snap_stride,
-        kspec_stride=0 if per_pulse else kspec_stride,
+        snapshot_stride=stride,
+        kspec_stride=stride,
         coherence_norm=coherence_norm,
         pulse_out=boundary_out if per_pulse else None,
     )
     record.window_energies = record.recompute_window_energies()
     return record
+
+
+def SolverSettings(snapshot_stride: int | None = None, kspec_stride: int | None = None) -> int | None:
+    """The `stride` of `run` under its former name, kept only for perfbench/run.py."""
+    return snapshot_stride
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ scoped so that scenario, analysis and acceptance tests reuse them.
 
 import math
 
-import numpy as np
 import pytest
 
 from gemsim.model import (
@@ -21,10 +20,8 @@ from gemsim.model import (
     ScenarioConfig,
 )
 from gemsim.scenarios import preset_family
-from gemsim.solver import SolverSettings, run
+from gemsim.solver import run
 from gemsim.analysis import scan_both_ports
-
-LIGHT = SolverSettings(snapshot_stride=10**6, kspec_stride=10**6)
 
 
 def storage_config(
@@ -81,7 +78,7 @@ def fig2_family():
 
 @pytest.fixture(scope="session")
 def fig2_fringes(fig2_family):
-    return scan_both_ports(fig2_family, FAST_PHASES, settings=LIGHT)
+    return scan_both_ports(fig2_family, FAST_PHASES)
 
 
 @pytest.fixture(scope="session")

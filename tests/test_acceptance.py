@@ -9,13 +9,12 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from gemsim import oracle
 from gemsim.analysis import fit_fringe, coupling_sweep, find_mu_for_visibility, mismatch_curve
 from gemsim.model import CouplingChannel, CouplingSchedule, CouplingSegment
-from gemsim.solver import SolverSettings, crossing_phase, k_centroid_track, run
-from conftest import FAST_PHASES, LIGHT, storage_config
+from gemsim.solver import crossing_phase, k_centroid_track, run
+from conftest import FAST_PHASES, storage_config
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -111,8 +110,8 @@ def test_criterion_4_time_domain_suppression(fig2_fringes):
 def test_criterion_5_frequency_domain_dark_state(fd_family):
     energies = {}
     for phi in FAST_PHASES:
-        energies[phi] = run(fd_family.config_for_phase(phi), LIGHT).window_energies
-    u_in = run(fd_family.config_for_phase(0.0), LIGHT).input_energy()
+        energies[phi] = run(fd_family.config_for_phase(phi)).window_energies
+    u_in = run(fd_family.config_for_phase(0.0)).input_energy()
     ds = fit_fringe(FAST_PHASES, [energies[p]["E2"] for p in FAST_PHASES], port="E2")
     sinusoidal = ds.residual_rms() <= 0.02 * (ds.offset + ds.amplitude)
     transmitted = energies[math.pi]["E1"] / u_in
@@ -192,14 +191,14 @@ def test_criterion_8_fringe_machinery(fig2_family, fig2_fringes, fd_family):
     fd_sets = {}
     for port in ("E1", "E2"):
         energies = [
-            run(fd_family.config_for_phase(p), LIGHT).window_energies[port]
+            run(fd_family.config_for_phase(p)).window_energies[port]
             for p in FAST_PHASES[::2]
         ]
         fd_sets[port] = fit_fringe(FAST_PHASES[::2], energies, port)
     dphi_fd = abs(abs(fd_sets["E1"].phi0 - fd_sets["E2"].phi0) - math.pi)
 
     powers = [0.02, 0.3, 1.0, 4.0, 60.0]
-    curves = coupling_sweep(fig2_family, powers, phases=FAST_PHASES[::2], settings=LIGHT)
+    curves = coupling_sweep(fig2_family, powers, phases=FAST_PHASES[::2])
     shape_ok = True
     for port, curve in curves.items():
         vis = [v for _, v in curve]
@@ -217,14 +216,14 @@ def test_criterion_8_fringe_machinery(fig2_family, fig2_fringes, fd_family):
 
 def test_criterion_9_mismatch_anchor(td_family):
     phases = FAST_PHASES[::2]
-    curve = mismatch_curve(td_family, [0.25, 0.55, 0.85], phases=phases, settings=LIGHT)
+    curve = mismatch_curve(td_family, [0.25, 0.55, 0.85], phases=phases)
     values = [v for _, v in curve]
     monotone = values[0] < values[1] < values[2]
     mu_star = find_mu_for_visibility(
-        td_family, 0.68, bracket=(0.3, 0.5), phases=phases, settings=LIGHT, xtol=2e-3
+        td_family, 0.68, bracket=(0.3, 0.5), phases=phases, xtol=2e-3
     )
     configs = [td_family.config_for_phase(p, mu=mu_star) for p in phases]
-    energies = [run(c, LIGHT).window_energies["E1"] for c in configs]
+    energies = [run(c).window_energies["E1"] for c in configs]
     v_at_star = fit_fringe(phases, energies).visibility
     ok = monotone and 0.0 < mu_star < 1.0 and abs(v_at_star - 0.68) <= 0.01
     _report(

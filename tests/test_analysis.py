@@ -1,14 +1,12 @@
 """Fringe fitting, energies and sweep curves."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gemsim import oracle
 from gemsim.analysis import (
-    FringeDataset,
     coupling_sweep,
     fit_fringe,
     fringe_scan,
@@ -20,10 +18,9 @@ from gemsim.analysis import (
     _sweep_energies,
 )
 from gemsim.errors import DegenerateFit, EmptyWindow, NonFinite
-from gemsim.model import GridSpec
 from gemsim.scenarios import preset_family
-from gemsim.solver import SolverSettings, run
-from conftest import FAST_PHASES, LIGHT, storage_config
+from gemsim.solver import run
+from conftest import FAST_PHASES, storage_config
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +128,7 @@ def test_fringe_csv_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_fringe_scan_with_worker_pool(fd_family):
-    ds = fringe_scan(fd_family, FAST_PHASES[::2], "E2", settings=LIGHT, workers=2)
+    ds = fringe_scan(fd_family, FAST_PHASES[::2], "E2", workers=2)
     assert ds.visibility > 0.95
 
 
@@ -141,7 +138,7 @@ def test_fringe_scan_needs_enough_phases(fd_family):
 
 
 def test_both_ports_are_anti_phase(fd_family):
-    datasets = scan_both_ports(fd_family, FAST_PHASES, settings=LIGHT)
+    datasets = scan_both_ports(fd_family, FAST_PHASES)
     dphi = abs(datasets["E1"].phi0 - datasets["E2"].phi0)
     assert abs(dphi - math.pi) < 0.05
     assert datasets["E2"].visibility > 0.95
@@ -157,8 +154,8 @@ def test_basis_energies_match_direct_runs(family_fixture, request):
     """
     family = request.getfixturevalue(family_fixture)
     assert family.phase_rows() == (1,)
-    [basis] = _sweep_energies(family, FAST_PHASES, [{}], LIGHT, workers=None)
-    direct = [run(family.config_for_phase(p), LIGHT).window_energies for p in FAST_PHASES]
+    [basis] = _sweep_energies(family, FAST_PHASES, [{}], workers=None)
+    direct = [run(family.config_for_phase(p)).window_energies for p in FAST_PHASES]
     for name in family.config_for_phase(0.0).windows:
         scale = max(d[name] for d in direct)
         errors = [abs(b[name] - d[name]) / scale for b, d in zip(basis, direct)]
@@ -174,8 +171,8 @@ def test_knobs_without_a_phase_row_run_every_phase(preset, overrides):
     family = preset_family(preset, **overrides)
     assert family.phase_rows() is None
     phases = FAST_PHASES[::2]
-    scans = scan_both_ports(family, phases, settings=LIGHT, workers=2)
-    direct = [run(family.config_for_phase(p), LIGHT).window_energies for p in phases]
+    scans = scan_both_ports(family, phases, workers=2)
+    direct = [run(family.config_for_phase(p)).window_energies for p in phases]
     for port, ds in scans.items():
         assert list(ds.energies) == [d[port] for d in direct]
 
@@ -214,17 +211,15 @@ def test_coupling_sweep_analytic_maxima_differ_between_ports():
 
 
 def test_nonfinite_in_a_pool_worker_reaches_the_caller():
-    config = storage_config(eta=100.0, nz=64, two_echo=False)
-    wild = replace(config, grid=GridSpec(64, 300, 30.0))
-    unchecked = SolverSettings(enforce_stability=False, snapshot_stride=10**6, kspec_stride=10**6)
+    wild = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
     with pytest.raises(NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
-        _solve_all([wild, wild], unchecked, False, workers=2)
+        _solve_all([wild, wild], False, workers=2)
     assert err.value.step > 0
 
 
 def test_mismatch_curve_endpoints(fig2_family):
     curve = mismatch_curve(
-        fig2_family, [0.0, 1.0], phases=FAST_PHASES[::2], settings=LIGHT
+        fig2_family, [0.0, 1.0], phases=FAST_PHASES[::2]
     )
     assert curve[0] == (0.0, 0.0)
     assert curve[1][1] > 0.99

@@ -1,15 +1,22 @@
 """Command-line behaviour: exit codes, outputs, determinism."""
 
+import copy
 import json
 import math
-import os
+import tempfile
+from dataclasses import asdict
+from functools import reduce
+from operator import getitem
+from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gemsim import oracle
 from gemsim.cli import main
-from conftest import FAST_FIG2
+from gemsim.model import config_to_dict
+from gemsim.scenarios import FrequencyDomainParams
+from conftest import FAST_FIG2, storage_config
 
 
 def run_cli(args):
@@ -189,7 +196,7 @@ def test_simulate_solver_error_exits_3(tmp_path, capsys, monkeypatch):
     from gemsim.errors import NonFinite
     from gemsim.model import save_config
 
-    def boom(config, settings=None, initial_coherence=None):
+    def boom(config, stride=None, initial_coherence=None):
         raise NonFinite(step=7, time=0.1, max_abs=1e12)
 
     monkeypatch.setattr(cli, "run", boom)
@@ -209,6 +216,104 @@ def test_env_var_default_out_dir(tmp_path, fast_preset_overrides, monkeypatch):
                     "--snapshot-stride", "2000"])
     assert code == 0
     assert (tmp_path / "from-env" / "windows.json").exists()
+
+
+def test_negative_snapshot_stride_exits_2(capsys):
+    assert run_cli(["simulate", "--preset", "freq-domain", "--dry-run", "--snapshot-stride", "-1"]) == 2
+    assert "--snapshot-stride must be >= 0" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# malformed documents
+# ---------------------------------------------------------------------------
+
+FULL = ["simulate", "--dry-run", "--config"]
+FREQ_OVERRIDES = ["simulate", "--dry-run", "--preset", "freq-domain", "--config"]
+
+
+def _full_doc(*path, value):
+    doc = config_to_dict(storage_config(nz=64))
+    *parents, key = path
+    reduce(getitem, parents, doc)[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (FULL, _full_doc("gradient", "segments", 1, "t_start", value="a"), "gradient segments 1 t_start"),
+    (FULL, _full_doc("ensemble", "delta", value="1"), "ensemble delta"),
+    (FULL, _full_doc("pulses", 0, "sigma", value=None), "pulses 0 sigma"),
+    (FULL, _full_doc("mode_mismatch", value="1"), "mode_mismatch"),
+    (FULL, _full_doc("ensemble", "gamma0", value=math.nan), "ensemble gamma0"),
+    (FULL, _full_doc("grid", "nz", value=2**1100), "grid nz"),
+    (FREQ_OVERRIDES, {"gamma0": "a"}, "ensemble gamma0"),
+    (FREQ_OVERRIDES, {"gamma0": None}, "ensemble gamma0"),
+    (FREQ_OVERRIDES, {"delta": 0}, "division by zero"),
+    (FREQ_OVERRIDES, {"dt_factor": 0}, "division by zero"),
+    (FREQ_OVERRIDES, {"tau": 1e308}, "infinity"),
+    (["oracle"], [1, 2], "JSON object"),
+    (["oracle"], {"events": [1]}, "event 0 must be an object"),
+    (["oracle"], {"pulses": [1e308], "events": [{"kind": "write", "beta": 0.3}]}, "range"),
+], ids=["t_start-str", "delta-str", "sigma-null", "mode_mismatch-str", "gamma0-nan", "nz-huge",
+        "fd-gamma0-str", "fd-gamma0-null", "fd-delta-0", "fd-dt_factor-0", "fd-tau-huge",
+        "oracle-list", "oracle-event-int", "oracle-energy-overflow"])
+def test_malformed_document_exits_2(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+README_ORACLE = {
+    "pulses": [1.0, 1.0],
+    "gamma0": 0.0,
+    "events": [
+        {"kind": "write", "beta": 0.3},
+        {"kind": "hold", "tau": 5.0},
+        {"kind": "interfere", "beta": 0.1103, "theta": 3.14159, "mu": 1.0},
+        {"kind": "hold", "tau": 5.0},
+        {"kind": "read", "beta": 0.3},
+    ],
+    "balance": {"r1": 0.757, "gamma0": 0.0, "tau": 0.0, "ep": 1.0, "es": 1.0},
+}
+BASE_DOCUMENTS = [
+    (FULL, config_to_dict(storage_config(nz=64))),
+    (FREQ_OVERRIDES, asdict(FrequencyDomainParams())),
+    (["oracle"], README_ORACLE),
+]
+REPLACEMENTS = ["a", None, True, [1, 2], {"a": 1}, math.nan, math.inf, -math.inf, 1e308, -1e308, 0, -1]
+
+
+def _paths(node, path=()):
+    """Every path below the root: object keys and array indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A base document with one value replaced or one object key deleted."""
+    argv, doc = draw(st.sampled_from(BASE_DOCUMENTS))
+    doc = copy.deepcopy(doc)
+    *parents, key = draw(st.sampled_from(list(_paths(doc))))
+    parent = reduce(getitem, parents, doc)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(st.sampled_from(REPLACEMENTS))
+    return argv, doc
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_keep_the_exit_code_contract(case):
+    argv, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + [str(path)]) in (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from gemsim.model import (
     GridSpec,
     SampledPulse,
     ScenarioConfig,
-    config_from_dict,
     config_sha256,
     config_to_dict,
     dimensionless_od,

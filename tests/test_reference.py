@@ -23,14 +23,12 @@ from gemsim.model import (
     config_sha256,
 )
 from gemsim.scenarios import preset_family
-from gemsim.solver import SolverSettings, _bright_polariton, _check_stability, _time_grid, k_grid, run
+from gemsim.solver import _bright_polariton, _check_stability, _time_grid, k_grid, run
 from conftest import FAST_FIG2, storage_config
 
 
-def reference_run(config, settings=None, initial_coherence=None, per_pulse=False):
-    settings = settings or SolverSettings()
-    if settings.enforce_stability:
-        _check_stability(config)
+def reference_run(config, stride=None, initial_coherence=None, per_pulse=False):
+    _check_stability(config)
 
     ens = config.ensemble
     nz = config.grid.nz
@@ -70,10 +68,7 @@ def reference_run(config, settings=None, initial_coherence=None, per_pulse=False
     if per_pulse:
         drive_h = drive_h.T[:, :, None]
     w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * np.sum(np.abs(omegas_h) ** 2, axis=0)
-    if settings.stark_enabled:
-        stark_h = np.sum(np.abs(omegas_h) ** 2, axis=0) / ens.delta
-    else:
-        stark_h = np.zeros_like(w2_h)
+    stark_h = np.sum(np.abs(omegas_h) ** 2, axis=0) / ens.delta
 
     half_dz = 0.5 * dz
 
@@ -96,8 +91,7 @@ def reference_run(config, settings=None, initial_coherence=None, per_pulse=False
     else:
         sigma = np.zeros(sources.shape[:-2] + (nz,), dtype=complex)
 
-    snap_stride = settings.snapshot_stride or max(1, round(n_steps / 512))
-    kspec_stride = settings.kspec_stride or max(1, round(n_steps / 512))
+    snap_stride = kspec_stride = stride or max(1, round(n_steps / 512))
 
     boundary_out = np.zeros(sources.shape[:-2] + (n_steps + 1, nch), dtype=complex)
     boundary_in = np.zeros((n_steps + 1, nch), dtype=complex)
@@ -182,7 +176,7 @@ def _decaying_mismatch_from_initial_coherence():
     config = replace(storage_config(gamma0=0.3, nz=64), mode_mismatch=0.6, mismatch_time=3.0)
     z = np.linspace(0.0, 1.0, 64)
     sigma0 = 0.2 * np.exp(-((z - 0.5) / 0.1) ** 2 + 3j * z)
-    return config, {"initial_coherence": sigma0, "settings": SolverSettings(stark_enabled=False)}
+    return config, {"initial_coherence": sigma0}
 
 
 @pytest.mark.parametrize("scenario", [
@@ -216,6 +210,24 @@ def test_step_loop_matches_the_allocating_reference(scenario):
 
 def _r(x):
     return repr(float(x))
+
+
+def reference_write_boundary_csv(record, path):
+    nch = record.boundary_out.shape[1]
+    header = ["t"]
+    for j in range(nch):
+        header += [f"re_E{j}_out", f"im_E{j}_out", f"re_E{j}_in", f"im_E{j}_in"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# config_sha256={config_sha256(record.config)}\n")
+        fh.write(",".join(header) + "\n")
+        for i, t in enumerate(record.t):
+            row = [_r(t)]
+            for j in range(nch):
+                row += [
+                    _r(record.boundary_out[i, j].real), _r(record.boundary_out[i, j].imag),
+                    _r(record.boundary_in[i, j].real), _r(record.boundary_in[i, j].imag),
+                ]
+            fh.write(",".join(row) + "\n")
 
 
 def reference_write_snapshots_csv(record, path):
@@ -275,20 +287,24 @@ def _hand_set_record(n_channels):
         for t in times[:n_snap]
     ]
     spectra = KSpectrumHistory(t=np.array(times), k=_values(rng, (nz,)), magnitude=np.abs(_values(rng, (3, nz))))
+    # boundary parts are set directly: re + 1j*im would turn -0.0 into 0.0
+    n_t = SPECIAL.size
+    out, inp = (np.empty((n_t, n_channels), dtype=complex) for _ in range(2))
+    for part in (out.real, out.imag, inp.real, inp.imag):
+        part[...] = _values(rng, (n_t, n_channels))
     return SimulationRecord(
-        config=config, t=np.array(times), z=z,
-        boundary_out=np.zeros((3, n_channels), dtype=complex),
-        boundary_in=np.zeros((3, n_channels), dtype=complex),
+        config=config, t=_values(rng, (n_t,)), z=z, boundary_out=out, boundary_in=inp,
         snapshots=snapshots, k_spectra=spectra, window_energies={},
-        snapshot_stride=1, kspec_stride=1, coherence_norm=np.zeros(3),
+        snapshot_stride=1, kspec_stride=1, coherence_norm=np.zeros(n_t),
     )
 
 
 @pytest.mark.parametrize("n_channels", [1, 2])
 @pytest.mark.parametrize("writer, reference", [
+    (io.write_boundary_csv, reference_write_boundary_csv),
     (io.write_snapshots_csv, reference_write_snapshots_csv),
     (io.write_kspectra_csv, reference_write_kspectra_csv),
-], ids=["snapshots", "kspectra"])
+], ids=["boundary", "snapshots", "kspectra"])
 def test_csv_writers_match_the_per_scalar_reference(tmp_path, writer, reference, n_channels):
     record = _hand_set_record(n_channels)
     writer(record, tmp_path / "new.csv")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gemsim.errors import GemSimError, SeparationTooSmall
-from gemsim.model import CouplingSchedule, ScenarioConfig, validate
+from gemsim.model import CouplingSchedule, validate
 from gemsim.scenarios import (
     FrequencyDomainFamily,
     FrequencyDomainParams,
@@ -18,8 +18,7 @@ from gemsim.scenarios import (
     preset_family,
     run_scenario,
 )
-from gemsim.solver import SolverSettings, run
-from conftest import LIGHT
+from gemsim.solver import run
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +53,8 @@ def test_zero_steering_reduces_to_two_echo_storage(fig2_family):
     fam0._calibration = fig2_family._calibration
     config = fam0.config_for_phase(0.7)
     bare = fig2_family.bare_config()
-    rec_a = run(config, LIGHT)
-    rec_b = run(bare, LIGHT)
+    rec_a = run(config)
+    rec_b = run(bare)
     assert np.allclose(rec_a.boundary_out, rec_b.boundary_out, atol=1e-14)
 
 
@@ -70,7 +69,7 @@ def test_fig2_preset_suppresses_and_reroutes(fig2_fringes):
 def test_bare_two_echo_energies_match_oracle_product(fig2_family):
     from gemsim import oracle
 
-    record = run(fig2_family.bare_config(), LIGHT)
+    record = run(fig2_family.bare_config())
     u_in = record.input_energy()
     p = fig2_family.params
     beta1 = p.beta_write
@@ -138,8 +137,8 @@ def test_separation_guard():
 
 
 def test_dark_state_transmits_and_bright_state_stores(fd_family):
-    rec0 = run(fd_family.config_for_phase(0.0), LIGHT)
-    rec_pi = run(fd_family.config_for_phase(math.pi), LIGHT)
+    rec0 = run(fd_family.config_for_phase(0.0))
+    rec_pi = run(fd_family.config_for_phase(math.pi))
     u = rec0.input_energy()
     assert rec_pi.window_energies["E1"] >= 0.9 * u
     assert rec_pi.window_energies["E2"] <= 0.1 * rec0.window_energies["E2"]
@@ -148,7 +147,7 @@ def test_dark_state_transmits_and_bright_state_stores(fd_family):
 
 def test_swap_symmetry(fd_family):
     fam = fd_family.with_params(steering_amplitude=0.6)
-    rec_a = run(fam.config_for_phase(0.7), LIGHT)
+    rec_a = run(fam.config_for_phase(0.7))
     swapped = fam.config_for_phase(-0.7)
     probe, steer = swapped.pulses
     swapped = replace(
@@ -158,7 +157,7 @@ def test_swap_symmetry(fd_family):
             replace(probe, label="steering"),
         ),
     )
-    rec_b = run(swapped, LIGHT)
+    rec_b = run(swapped)
     for name in rec_a.window_energies:
         assert rec_a.window_energies[name] == pytest.approx(
             rec_b.window_energies[name], rel=1e-9
@@ -173,8 +172,8 @@ def test_zero_steering_amplitude_is_bitwise_single_channel(fd_family):
         coupling=CouplingSchedule((config.coupling.channels[0],)),
         pulses=(config.pulses[0],),
     )
-    rec_two = run(config, LIGHT)
-    rec_one = run(single, LIGHT)
+    rec_two = run(config)
+    rec_one = run(single)
     assert np.array_equal(rec_two.boundary_out[:, 0], rec_one.boundary_out[:, 0])
     assert np.all(rec_two.boundary_out[:, 1] == 0)
     assert rec_two.window_energies["E2"] == rec_one.window_energies["E2"]
@@ -183,8 +182,8 @@ def test_zero_steering_amplitude_is_bitwise_single_channel(fd_family):
 def test_beat_note_mode_agrees_with_channel_reduction(fd_family):
     beat = fd_family.with_params(beat_note=True)
     for phi in (0.0, 0.5 * math.pi, math.pi):
-        e_two = run(fd_family.config_for_phase(phi), LIGHT).window_energies
-        e_beat = run(beat.config_for_phase(phi), LIGHT).window_energies
+        e_two = run(fd_family.config_for_phase(phi)).window_energies
+        e_beat = run(beat.config_for_phase(phi)).window_energies
         u = 2 * fd_family.config_for_phase(phi).pulses[0].energy()
         assert e_beat["E2"] == pytest.approx(e_two["E2"], abs=0.05 * u)
         assert e_beat["E1"] == pytest.approx(e_two["E1"], abs=0.05 * u)
@@ -202,7 +201,7 @@ def test_run_scenario_rejects_invalid_config():
 
 
 def test_run_scenario_smoke(fd_family):
-    record = run_scenario(fd_family.config_for_phase(math.pi), LIGHT)
+    record = run_scenario(fd_family.config_for_phase(math.pi))
     assert set(record.window_energies) == {"E1", "E2"}
 
 

@@ -16,16 +16,12 @@ from gemsim.model import (
     CouplingSegment,
     EnsembleParams,
     FieldState,
-    GaussianPulse,
     GradientProfile,
     GradientSegment,
     GridSpec,
-    SampledPulse,
-    ScenarioConfig,
     validate,
 )
 from gemsim.solver import (
-    SolverSettings,
     crossing_phase,
     k_centroid_track,
     k_grid,
@@ -190,24 +186,20 @@ def test_nonfinite_survives_pickling():
 
 
 def test_nonfinite_reports_step_and_magnitude():
-    config = storage_config(eta=100.0, nz=64, two_echo=False)
-    # far beyond the RK4 imaginary-axis stability limit (eta*L*dt = 10), with
-    # enough steps for the written coherence to amplify past overflow
-    wild = replace(config, grid=GridSpec(64, 300, 30.0))
+    # an input so strong that the coherence norm N |sigma|^2 overflows
+    wild = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
     with pytest.raises(NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
-        run(wild, SolverSettings(enforce_stability=False, snapshot_stride=1))
+        run(wild, stride=1)
     assert err.value.step > 0
     assert err.value.max_abs > 1.0
 
 
 @pytest.mark.parametrize("per_pulse", [False, True], ids=["default", "per-pulse"])
 def test_nonfinite_is_reported_at_the_step_it_happens(per_pulse):
-    config = storage_config(eta=100.0, nz=64, two_echo=False)
-    wild = replace(config, grid=GridSpec(64, 300, 30.0))
+    wild = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
     # no diagnostics strides inside the run: the check must not depend on them
-    sparse = SolverSettings(enforce_stability=False, snapshot_stride=10**6, kspec_stride=10**6)
     with pytest.raises(NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
-        run(wild, sparse, per_pulse=per_pulse)
+        run(wild, stride=10**6, per_pulse=per_pulse)
     n_steps = len(_time_grid(wild)) - 1
     assert 0 < err.value.step < n_steps
     assert err.value.time < wild.grid.t_end
@@ -230,8 +222,24 @@ def test_window_energies_are_recomputable():
     assert record.kspec_stride >= 1
 
 
+def test_stride_sets_what_a_run_records():
+    config = storage_config(nz=64)
+    bare = run(config, stride=0)
+    assert bare.snapshots == [] and bare.k_spectra.magnitude.size == 0
+    assert (bare.snapshot_stride, bare.kspec_stride) == (0, 0)
+    sampled = run(config, stride=500)
+    n_steps = len(sampled.t) - 1
+    expected = [m for m in range(n_steps + 1) if m % 500 == 0 or m == n_steps]
+    assert [fs.t for fs, _ in sampled.snapshots] == list(sampled.t[expected])
+    assert np.array_equal(sampled.k_spectra.t, sampled.t[expected])
+    assert np.array_equal(bare.boundary_out, sampled.boundary_out)
+    assert bare.window_energies == sampled.window_energies
+    with pytest.raises(ValueError):
+        run(config, stride=-1)
+
+
 def test_record_round_trip(tmp_path):
-    record = run(storage_config(), SolverSettings(snapshot_stride=400, kspec_stride=400))
+    record = run(storage_config(), stride=400)
     path = tmp_path / "record.npz"
     io.save_record(record, path)
     with np.load(path) as data:  # pickle off: every array is plain data
@@ -247,7 +255,7 @@ def test_record_round_trip(tmp_path):
 
 
 def test_load_record_refuses_object_arrays(tmp_path):
-    record = run(storage_config(nz=64), SolverSettings(snapshot_stride=500, kspec_stride=500))
+    record = run(storage_config(nz=64), stride=500)
     io.save_record(record, tmp_path / "record.npz")
     with np.load(tmp_path / "record.npz") as data:
         arrays = dict(data)
@@ -277,7 +285,7 @@ def test_per_pulse_rows_superpose_to_the_direct_run():
 
 
 def test_csv_exports(tmp_path):
-    record = run(storage_config(nz=64, dt_factor=0.8), SolverSettings(snapshot_stride=500, kspec_stride=500))
+    record = run(storage_config(nz=64, dt_factor=0.8), stride=500)
     io.write_boundary_csv(record, tmp_path / "b.csv")
     io.write_snapshots_csv(record, tmp_path / "s.csv")
     io.write_kspectra_csv(record, tmp_path / "k.csv")
