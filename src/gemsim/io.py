@@ -90,11 +90,15 @@ def write_windows_json(record: SimulationRecord, path) -> None:
 
 
 def save_record(record: SimulationRecord, path) -> None:
-    """Binary round-trip format (single npz)."""
+    """Binary round-trip format: a single npz, stored uncompressed.
+
+    Complex doubles barely compress, so compression would cost far more
+    time than the few bytes it saves.
+    """
     snap_t = np.array([fs.t for fs, _ in record.snapshots])
     snap_fields = np.array([fs.fields for fs, _ in record.snapshots])
     snap_sigma = np.array([cs.sigma for _, cs in record.snapshots])
-    np.savez_compressed(
+    np.savez(
         path,
         config_json=canonical_json(config_to_dict(record.config)),
         config_sha256=config_sha256(record.config),

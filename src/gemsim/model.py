@@ -319,28 +319,35 @@ _NUMBER_KINDS = {"float": ("real number", numbers.Real), "complex": ("complex nu
                  "int": ("integer", numbers.Integral)}
 
 
+def _is_finite(value, kind) -> bool:
+    try:
+        return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(abs(value))
+    except OverflowError:
+        return False
+
+
 def _number_failures(obj, where: str = "") -> list[str]:
     """A message per number field of obj, or of a dataclass it holds, that is not a finite number.
 
     A field's kind is its annotation: float, complex or int, with None allowed
     where Optional.  A complex counts as finite when its modulus does, so no
-    later abs() can overflow.
+    later abs() can overflow.  Named windows must be pairs of finite reals.
     """
     out = []
     for f in fields(obj):
         value, name = getattr(obj, f.name), f"{where} {f.name}".lstrip()
         label, kind = _NUMBER_KINDS.get(f.type.removeprefix("Optional[").rstrip("]"), (None, None))
-        if kind is None:
+        if f.type == "dict[str, tuple[float, float]]":
+            for key, bounds in value.items():
+                if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
+                        and all(_is_finite(b, numbers.Real) for b in bounds)):
+                    out.append(f"{name} {key} must be a pair of finite real numbers, got {bounds!r}")
+        elif kind is None:
             for i, item in enumerate(value) if isinstance(value, tuple) else [(None, value)]:
                 if is_dataclass(item):
                     out += _number_failures(item, name if i is None else f"{name} {i}")
-        elif value is not None or not f.type.startswith("Optional"):
-            try:
-                ok = isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(abs(value))
-            except OverflowError:
-                ok = False
-            if not ok:
-                out.append(f"{name} must be a finite {label}, got {value!r}")
+        elif (value is not None or not f.type.startswith("Optional")) and not _is_finite(value, kind):
+            out.append(f"{name} must be a finite {label}, got {value!r}")
     return out
 
 

@@ -138,7 +138,6 @@ class _TdCalibration:
     u_echo: float
     u_trans_raw: float
     u_probe: float
-    te1: float
 
 
 class TimeDomainFamily:
@@ -230,11 +229,14 @@ class TimeDomainFamily:
     # -- calibration --------------------------------------------------------
 
     def calibrate(self) -> _TdCalibration:
-        """Dry runs fixing the steering waveform and the arm-matching scale."""
+        """Dry runs fixing the steering waveform and the arm-matching scale.
+
+        Both read only the first echo window, so they stop where it closes.
+        """
         if self._calibration is not None:
             return self._calibration
-        bare = run(self.bare_config(), stride=0)
         e1 = self.windows["E1"]
+        bare = run(self.bare_config(), stride=0, until=e1[1])
         mask = (bare.t >= e1[0]) & (bare.t <= e1[1])
         t_echo = bare.t[mask]
         v_echo = bare.boundary_out[mask, 0]
@@ -254,11 +256,11 @@ class TimeDomainFamily:
             vals = vals * ((v_ref / abs(v_ref)) * (abs(v_cen) / v_cen))
 
         steer_only = self._assemble((SampledPulse(t=tt, values=vals, label="steering", channel=0),))
-        u_trans_raw = run(steer_only, stride=0).window_energies["E1"]
+        u_trans_raw = run(steer_only, stride=0, until=e1[1]).window_energies["E1"]
         u_probe = self._probe().energy()
         self._calibration = _TdCalibration(
             steer_t=tt, steer_values=vals, u_echo=u_echo,
-            u_trans_raw=u_trans_raw, u_probe=u_probe, te1=self.te1,
+            u_trans_raw=u_trans_raw, u_probe=u_probe,
         )
         return self._calibration
 
@@ -311,14 +313,15 @@ class TimeDomainFamily:
         """One-dimensional search of the event factor minimising E1(theta=pi).
 
         Starts from the analytic balance and scans a bracket on the solver
-        output; returns a family pinned to the best factor found.
+        output, each solve stopping where E1 closes; returns a family pinned
+        to the best factor found.
         """
         base = self.params.event_factor
         factors = base * (1.0 + span * np.linspace(-1.0, 1.0, n_points))
         best_f, best_e = base, math.inf
         for f in factors:
             fam = self.with_params(interference_factor=float(f))
-            rec = run(fam.config_for_phase(math.pi), stride=0)
+            rec = run(fam.config_for_phase(math.pi), stride=0, until=self.windows["E1"][1])
             if rec.window_energies["E1"] < best_e:
                 best_e = rec.window_energies["E1"]
                 best_f = float(f)

@@ -19,6 +19,12 @@ The stages run in place in buffers allocated once per run, and the z
 integral of each new state serves both its boundary output and the next
 step's first stage, so a step takes four cumulative integrals.
 
+Only the steps a result depends on are integrated.  From zero coherence, a
+step none of whose stages sees a nonzero source leaves the state exactly
++0, so the loop starts at the first step with a live source stage; the
+record of the silent lead-in is the zeros it was allocated with.  A run can
+also stop early, at the first node at or after a caller's `until` time.
+
 Energy bookkeeping uses the normalisation constant s = 1: the conserved
 quantity at gamma0 = 0 is N * integral |sigma|^2 dz plus the net boundary
 flux integral of sum_j |E_j|^2 (influx at z=0 minus outflux at z=L).
@@ -109,6 +115,7 @@ def run(
     stride: int | None = None,
     initial_coherence: np.ndarray | None = None,
     per_pulse: bool = False,
+    until: float | None = None,
 ) -> SimulationRecord:
     """Integrate a validated scenario and return its record.
 
@@ -116,6 +123,12 @@ def run(
     model.dt_bounds.  Window energies and boundary traces are always
     recorded; a (field, coherence) snapshot and a |psi(k)| spectrum every
     `stride` steps and at the last step: about 512 of each for None, none for 0.
+
+    With `until` in (0, t_end] the run stops at the first node at or after
+    it: the record's times, traces and coherence norm end there, and window
+    energies are taken over the nodes it has.  Without an initial coherence
+    the steps before the first nonzero source are not integrated, since they
+    leave the state at zero; the record is the same as if they were.
 
     With per_pulse=True the coherence carries one row per pulse, each row
     driven by that pulse alone on the time grid of the whole scenario.  The
@@ -133,6 +146,10 @@ def run(
     nch = config.n_channels
 
     t_nodes = _time_grid(config)
+    if until is not None:
+        if not (math.isfinite(until) and 0.0 < until <= config.grid.t_end):
+            raise ValueError(f"until must lie in (0, t_end={config.grid.t_end}], got {until}")
+        t_nodes = t_nodes[: min(int(np.searchsorted(t_nodes, until)), len(t_nodes) - 1) + 1]
     n_steps = len(t_nodes) - 1
 
     # stage-time grid: nodes interleaved with midpoints
@@ -227,6 +244,10 @@ def run(
     kspec_mag: list[np.ndarray] = []
     kvec = k_grid(nz, dz)
 
+    def due(m: int) -> bool:
+        """Whether step m records a snapshot and a k-spectrum."""
+        return bool(stride) and (m % stride == 0 or m == n_steps)
+
     def record_step(m: int, i: int) -> None:
         cumint(sigma)  # also the next step's k1 integral
         boundary_in[m] = e_in_h[:, i]
@@ -237,7 +258,7 @@ def run(
             finite = np.abs(sigma[np.isfinite(sigma)])
             amax = float(finite.max()) if finite.size else math.inf
             raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
-        if stride and (m % stride == 0 or m == n_steps):
+        if due(m):
             fields = e_in_h[:, i][:, None] + kappa_h[:, i][:, None] * c[None, :]
             snapshots.append(
                 (FieldState(t=t_nodes[m], fields=fields), CoherenceState(t=t_nodes[m], sigma=total.copy()))
@@ -246,10 +267,21 @@ def run(
             kspec_t.append(float(t_nodes[m]))
             kspec_mag.append(np.abs(np.fft.fftshift(psi)))
 
+    # from zero coherence, steps before m0 see no source and keep sigma (and
+    # its integral c) at +0: each stage is +-0 and +0 + (-0) = +0
+    m0 = 0
+    if initial_coherence is None:
+        live = np.flatnonzero(sources.reshape(-1, sources.shape[-1]).any(axis=0))
+        m0 = max(0, (int(live[0]) - 1) // 2) if live.size else n_steps
     record_step(0, 0)
+    for m in range(1, m0 + 1):
+        if due(m):
+            record_step(m, 2 * m)
     mismatch_applied = config.mismatch_time is None or config.mode_mismatch == 1.0
+    if not mismatch_applied and m0 > 0 and t_nodes[m0] >= config.mismatch_time - 1e-12:
+        mismatch_applied = True  # a skipped step applied it, to a zero state
 
-    for m in range(n_steps):
+    for m in range(m0, n_steps):
         dt = t_nodes[m + 1] - t_nodes[m]
         i0, i1, i2 = 2 * m, 2 * m + 1, 2 * m + 2
         rhs(sigma, i0, k1)

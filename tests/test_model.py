@@ -1,10 +1,12 @@
 """Core types: validation, units, serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gemsim.errors import GemSimError
 from gemsim.model import (
     CouplingChannel,
     CouplingModulation,
@@ -25,6 +27,7 @@ from gemsim.model import (
     save_config,
     validate,
 )
+from gemsim.scenarios import run_scenario
 from conftest import storage_config
 
 
@@ -86,6 +89,14 @@ def test_window_overlap_rejected():
     windows = {"a": (0.0, 2.0), "b": (1.5, 3.0)}
     report = validate(ScenarioConfig(**{**config.__dict__, "windows": windows}))
     assert any("overlap" in f for f in report.failures)
+
+
+def test_window_bound_that_is_not_a_number_is_named():
+    config = replace(storage_config(nz=64), windows={"E1": ("a", 3.0)})
+    report = validate(config)
+    assert report.failures == ["windows E1 must be a pair of finite real numbers, got ('a', 3.0)"]
+    with pytest.raises(GemSimError, match="windows E1"):
+        run_scenario(config)
 
 
 def test_mode_mismatch_range():

@@ -179,9 +179,19 @@ def _decaying_mismatch_from_initial_coherence():
     return config, {"initial_coherence": sigma0}
 
 
+def _mismatch_before_a_late_pulse():
+    # the pulse enters at 0.7, well after mu applies: the skipped lead-in must
+    # count as having applied it, and snapshots every 50 steps fall inside it
+    config = storage_config(nz=64)
+    probe = replace(config.pulses[0], t0=1.5, sigma=0.2)
+    return replace(config, pulses=(probe,), mode_mismatch=0.6, mismatch_time=0.4), {"stride": 50}
+
+
 @pytest.mark.parametrize("scenario", [
     _fast_fig2, _freq_domain_per_pulse, _beat_note, _decaying_mismatch_from_initial_coherence,
-], ids=["fast-fig2", "freq-domain-per-pulse", "beat-note", "mismatch-initial-coherence"])
+    _mismatch_before_a_late_pulse,
+], ids=["fast-fig2", "freq-domain-per-pulse", "beat-note", "mismatch-initial-coherence",
+        "mismatch-before-late-pulse"])
 def test_step_loop_matches_the_allocating_reference(scenario):
     config, kwargs = scenario()
     new, ref = run(config, **kwargs), reference_run(config, **kwargs)

@@ -18,7 +18,9 @@ from gemsim.scenarios import (
     preset_family,
     run_scenario,
 )
-from gemsim.solver import run
+from gemsim import scenarios
+from gemsim.solver import _time_grid, run
+from conftest import FAST_FIG2
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +102,25 @@ def test_coupling_phase_knob_maps_onto_steering_phase(fig2_family):
     steer = config.pulses[1]
     base = fig2_family.config_for_phase(0.0).pulses[1]
     assert np.allclose(steer.values, base.values)
+
+
+def test_calibration_stopping_at_e1_matches_full_length_solves(monkeypatch):
+    calibrated = preset_family("fig2", **FAST_FIG2).calibrate()
+    lengths = []
+
+    def full_length(config, stride=None, until=None):
+        record = run(config, stride=stride)
+        lengths.append((len(record.t), len(_time_grid(config))))
+        return record
+
+    monkeypatch.setattr(scenarios, "run", full_length)
+    family = preset_family("fig2", **FAST_FIG2)
+    reference = family.calibrate()
+    assert len(lengths) == 2 and all(n == n_full for n, n_full in lengths)
+    assert calibrated.u_echo == reference.u_echo
+    assert calibrated.u_trans_raw == reference.u_trans_raw
+    assert np.array_equal(calibrated.steer_t, reference.steer_t)
+    assert np.array_equal(calibrated.steer_values, reference.steer_values)
 
 
 def test_refine_balance_stays_near_analytic_optimum():

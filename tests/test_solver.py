@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from gemsim.solver import (
     run,
     _time_grid,
 )
+from gemsim.scenarios import preset_family
 from conftest import storage_config
 
 
@@ -238,12 +240,37 @@ def test_stride_sets_what_a_run_records():
         run(config, stride=-1)
 
 
+@pytest.mark.parametrize("config, per_pulse", [
+    (storage_config(nz=64), False),
+    (preset_family("freq-domain").config_for_phase(0.4), True),
+], ids=["storage", "freq-domain-per-pulse"])
+def test_run_until_keeps_the_prefix_of_the_full_run(config, per_pulse):
+    until = config.windows["E1"][1]
+    full = run(config, stride=0, per_pulse=per_pulse)
+    short = run(config, stride=0, per_pulse=per_pulse, until=until)
+    n = len(short.t) - 1
+    assert short.t[n] >= until > short.t[n - 1]
+    assert n < len(full.t) - 1
+    assert np.array_equal(short.t, full.t[: n + 1])
+    assert np.array_equal(short.boundary_out, full.boundary_out[: n + 1])
+    assert np.array_equal(short.boundary_in, full.boundary_in[: n + 1])
+    assert np.array_equal(short.coherence_norm, full.coherence_norm[: n + 1])
+    if per_pulse:
+        assert np.array_equal(short.pulse_out, full.pulse_out[:, : n + 1])
+    assert short.window_energies["E1"] == full.window_energies["E1"]
+    for bad in (math.nan, 0.0, config.grid.t_end * 1.01):
+        with pytest.raises(ValueError, match="until"):
+            run(config, stride=0, per_pulse=per_pulse, until=bad)
+
+
 def test_record_round_trip(tmp_path):
     record = run(storage_config(), stride=400)
     path = tmp_path / "record.npz"
     io.save_record(record, path)
     with np.load(path) as data:  # pickle off: every array is plain data
         assert all(data[name].dtype != object for name in data.files)
+    with zipfile.ZipFile(path) as archive:
+        assert all(member.compress_type == zipfile.ZIP_STORED for member in archive.infolist())
     loaded = io.load_record(path)
     assert np.array_equal(loaded.boundary_out, record.boundary_out)
     assert np.array_equal(loaded.t, record.t)
