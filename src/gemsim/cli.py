@@ -110,11 +110,11 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     sha = config_sha256(config)
     save_config(config, out / "config.json")
-    io.write_boundary_csv(record, out / "boundary.csv")
-    io.write_snapshots_csv(record, out / "snapshots.csv")
-    io.write_kspectra_csv(record, out / "kspectra.csv")
-    io.write_windows_json(record, out / "windows.json")
-    io.save_record(record, out / "record.npz")
+    io.write_boundary_csv(record, out / "boundary.csv", sha)
+    io.write_snapshots_csv(record, out / "snapshots.csv", sha)
+    io.write_kspectra_csv(record, out / "kspectra.csv", sha)
+    io.write_windows_json(record, out / "windows.json", sha)
+    io.save_record(record, out / "record.npz", sha)
     print(f"wrote {out}/[config.json boundary.csv snapshots.csv kspectra.csv windows.json record.npz]")
     print(f"config sha256: {sha}")
     for name, energy in sorted(record.window_energies.items()):

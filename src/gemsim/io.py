@@ -18,7 +18,6 @@ from .model import (
     SimulationRecord,
     canonical_json,
     config_from_dict,
-    config_sha256,
     config_to_dict,
 )
 
@@ -37,7 +36,7 @@ def _rows(*columns) -> str:
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
-def write_boundary_csv(record: SimulationRecord, path) -> None:
+def write_boundary_csv(record: SimulationRecord, path, config_hash: str) -> None:
     nch = record.boundary_out.shape[1]
     header = ["t"]
     columns = [record.t]
@@ -46,12 +45,12 @@ def write_boundary_csv(record: SimulationRecord, path) -> None:
         out, inp = record.boundary_out[:, j], record.boundary_in[:, j]
         columns += [out.real, out.imag, inp.real, inp.imag]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_sha256={config_sha256(record.config)}\n")
+        fh.write(f"# config_sha256={config_hash}\n")
         fh.write(",".join(header) + "\n")
         fh.write(_rows(*(map(repr, column.tolist()) for column in columns)))
 
 
-def write_snapshots_csv(record: SimulationRecord, path) -> None:
+def write_snapshots_csv(record: SimulationRecord, path, config_hash: str) -> None:
     """One block of nz rows per snapshot, each written as soon as it is formatted."""
     nch = record.boundary_out.shape[1]
     header = ["t", "z"]
@@ -60,7 +59,7 @@ def write_snapshots_csv(record: SimulationRecord, path) -> None:
     header += ["re_sigma", "im_sigma"]
     zs = list(map(repr, record.z.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_sha256={config_sha256(record.config)}\n")
+        fh.write(f"# config_sha256={config_hash}\n")
         fh.write(",".join(header) + "\n")
         for fs, cs in record.snapshots:
             parts = [*fs.fields, cs.sigma]
@@ -68,19 +67,19 @@ def write_snapshots_csv(record: SimulationRecord, path) -> None:
             fh.write(_rows(repeat(repr(float(fs.t))), zs, *values))
 
 
-def write_kspectra_csv(record: SimulationRecord, path) -> None:
+def write_kspectra_csv(record: SimulationRecord, path, config_hash: str) -> None:
     spec = record.k_spectra
     ks = list(map(repr, spec.k.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_sha256={config_sha256(record.config)}\n")
+        fh.write(f"# config_sha256={config_hash}\n")
         fh.write("t,k,abs_psi\n")
         for t, mags in zip(spec.t, spec.magnitude):
             fh.write(_rows(repeat(repr(float(t))), ks, map(repr, mags.tolist())))
 
 
-def write_windows_json(record: SimulationRecord, path) -> None:
+def write_windows_json(record: SimulationRecord, path, config_hash: str) -> None:
     doc = {
-        "config_sha256": config_sha256(record.config),
+        "config_sha256": config_hash,
         "window_energies": {k: float(v) for k, v in sorted(record.window_energies.items())},
         "input_energy": record.input_energy(),
     }
@@ -89,7 +88,7 @@ def write_windows_json(record: SimulationRecord, path) -> None:
         fh.write("\n")
 
 
-def save_record(record: SimulationRecord, path) -> None:
+def save_record(record: SimulationRecord, path, config_hash: str) -> None:
     """Binary round-trip format: a single npz, stored uncompressed.
 
     Complex doubles barely compress, so compression would cost far more
@@ -101,7 +100,7 @@ def save_record(record: SimulationRecord, path) -> None:
     np.savez(
         path,
         config_json=canonical_json(config_to_dict(record.config)),
-        config_sha256=config_sha256(record.config),
+        config_sha256=config_hash,
         t=record.t,
         z=record.z,
         boundary_out=record.boundary_out,

@@ -15,14 +15,17 @@ Time stepping is classical fourth order Runge-Kutta; the z integral is a
 cumulative trapezoid, giving global error O(dt^4 + dz^2).  Piecewise
 constant controls (gradient switches, coupling steps, pulse support
 edges) are aligned with step boundaries so no step straddles a switch.
-The stages run in place in buffers allocated once per run, and the z
-integral of each new state serves both its boundary output and the next
-step's first stage, so a step takes four cumulative integrals.
+The stages run in place in buffers and views made once per run: a step
+allocates nothing and makes 39 numpy calls, plus a drive add in each stage
+where some pulse is on.  The z integral of each new state serves both its
+boundary output and the next step's first stage, so a step takes four
+cumulative integrals; its value at z = L is kept per node, and the boundary
+traces are built from those after the loop.
 
 Only the steps a result depends on are integrated.  From zero coherence, a
-step none of whose stages sees a nonzero source leaves the state exactly
-+0, so the loop starts at the first step with a live source stage; the
-record of the silent lead-in is the zeros it was allocated with.  A run can
+step none of whose stages sees a nonzero drive leaves the state exactly +0,
+so the loop starts at the first step with a driven stage; the coherence
+norm of the silent lead-in is the zeros it was allocated with.  A run can
 also stop early, at the first node at or after a caller's `until` time.
 
 Energy bookkeeping uses the normalisation constant s = 1: the conserved
@@ -127,7 +130,7 @@ def run(
     With `until` in (0, t_end] the run stops at the first node at or after
     it: the record's times, traces and coherence norm end there, and window
     energies are taken over the nodes it has.  Without an initial coherence
-    the steps before the first nonzero source are not integrated, since they
+    the steps before the first nonzero drive are not integrated, since they
     leave the state at zero; the record is the same as if they were.
 
     With per_pulse=True the coherence carries one row per pulse, each row
@@ -182,43 +185,17 @@ def run(
         sources = e_in_h
 
     g_over_delta = ens.g / ens.delta
-    kappa_h = 1j * ens.g * ens.n_density * np.conj(omegas_h) / ens.delta  # field source coeffs
+    # field source coefficients, needed only at the nodes
+    kappa = 1j * ens.g * ens.n_density * np.conj(omegas_h[:, 0::2]) / ens.delta
     drive_h = 1j * g_over_delta * np.sum(omegas_h * sources, axis=-2)  # ([rows,] 2*n_steps+1)
+    # stages with a nonzero drive; adding a +-0 drive could flip only the sign
+    # of a zero, and tests/test_reference.py checks that no recorded bit shows it
+    driven = drive_h.reshape(-1, 2 * n_steps + 1).any(axis=0)
     if per_pulse:
         drive_h = drive_h.T[:, :, None]  # one (rows, 1) column per stage
     w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * np.sum(np.abs(omegas_h) ** 2, axis=0)
+    w2_h = w2_h.astype(complex)
     stark_h = np.sum(np.abs(omegas_h) ** 2, axis=0) / ens.delta
-
-    # RK4 works in place in these buffers; c holds the z-integral of the state
-    # integrated last
-    half_dz = 0.5 * dz
-    shape = sources.shape[:-2] + (nz,)
-    k1, k2, k3, k4, stage, c = (np.empty(shape, dtype=complex) for _ in range(6))
-    pair = np.empty(shape[:-1] + (nz - 1,), dtype=complex)
-    weights = np.full(nz, dz)  # trapezoid rule
-    weights[[0, -1]] *= 0.5
-    coef_at = [None, None]  # last (eta, stark) and its local coefficient
-
-    def cumint(sig: np.ndarray) -> None:
-        c[..., 0] = 0.0
-        np.add(sig[..., 1:], sig[..., :-1], out=pair)
-        np.multiply(pair, half_dz, out=pair)
-        pair.cumsum(axis=-1, out=c[..., 1:])
-
-    def rhs(sig: np.ndarray, i: int, out: np.ndarray) -> None:
-        """out = -(gamma0 + i(eta z + stark)) sig + drive - w2 c, with c the integral of sig."""
-        key = (eta_h[i], stark_h[i])
-        if coef_at[0] != key:
-            coef_at[:] = key, -(ens.gamma0 + 1j * (eta_h[i] * z + stark_h[i]))
-        np.multiply(coef_at[1], sig, out=out)
-        np.add(out, drive_h[i], out=out)
-        np.subtract(out, np.multiply(w2_h[i], c, out=c), out=out)
-
-    def advanced(h: float, k: np.ndarray) -> np.ndarray:
-        """Stage state sigma + h k, with its z-integral in c."""
-        np.add(sigma, np.multiply(h, k, out=stage), out=stage)
-        cumint(stage)
-        return stage
 
     if initial_coherence is not None:
         if per_pulse:
@@ -227,7 +204,7 @@ def run(
         if sigma.shape != (nz,):
             raise ValueError(f"initial coherence must have shape ({nz},)")
     else:
-        sigma = np.zeros(shape, dtype=complex)
+        sigma = np.zeros(sources.shape[:-2] + (nz,), dtype=complex)
 
     if per_pulse:
         stride = 0
@@ -236,8 +213,37 @@ def run(
     elif stride < 0:
         raise ValueError(f"stride must be >= 0, got {stride}")
 
-    boundary_out = np.zeros(sources.shape[:-2] + (n_steps + 1, nch), dtype=complex)
-    boundary_in = np.zeros((n_steps + 1, nch), dtype=complex)
+    # RK4 works in place in these buffers and views; c holds the z-integral of
+    # the state integrated last, and w2 >= 0 keeps c[..., 0] at +0.  w2 and the
+    # real scalars are made complex once, as numpy would cast them at each call.
+    half_dz = complex(0.5 * dz)
+    k1, k2, k3, k4, stage, c = (np.empty_like(sigma) for _ in range(6))
+    c[..., 0] = 0.0
+    c_tail = c[..., 1:]
+    pair = np.empty_like(sigma[..., 1:])
+    sigma_hi, sigma_lo, stage_hi, stage_lo = sigma[..., 1:], sigma[..., :-1], stage[..., 1:], stage[..., :-1]
+    weights = np.full(nz, complex(dz))  # trapezoid rule
+    weights[[0, -1]] *= 0.5
+    total = np.empty(nz, dtype=complex) if per_pulse else sigma  # sum of the rows
+    weighted = np.empty(nz, dtype=complex)  # weights * total
+    # the local coefficient is rebuilt at the first visit of a stage whose
+    # (eta, stark) differs from the stage before, and of the first stage run
+    changed = np.ones(2 * n_steps + 1, dtype=bool)
+    changed[1:] = (eta_h[1:] != eta_h[:-1]) | (stark_h[1:] != stark_h[:-1])
+    coef_at = [-1, None]  # stage and local coefficient built last
+    z_rows = np.broadcast_to(z, sigma.shape)  # the coefficient has the state's shape
+
+    def rhs(sig: np.ndarray, i: int, out: np.ndarray) -> None:
+        """out = -(gamma0 + i(eta z + stark)) sig + drive - w2 c, with c the integral of sig."""
+        if changed[i] and coef_at[0] != i:
+            coef_at[:] = i, -(ens.gamma0 + 1j * (eta_h[i] * z_rows + stark_h[i]))
+        np.multiply(coef_at[1], sig, out=out)
+        if driven[i]:
+            np.add(out, drive_h[i], out=out)
+        np.subtract(out, np.multiply(w2_h[i], c, out=c), out=out)
+
+    # c[..., -1] per node, made into the boundary output after the loop
+    boundary_out = np.zeros(sigma.shape[:-1] + (n_steps + 1, nch), dtype=complex)
     coherence_norm = np.zeros(n_steps + 1)
     snapshots: list[tuple[FieldState, CoherenceState]] = []
     kspec_t: list[float] = []
@@ -248,18 +254,23 @@ def run(
         """Whether step m records a snapshot and a k-spectrum."""
         return bool(stride) and (m % stride == 0 or m == n_steps)
 
-    def record_step(m: int, i: int) -> None:
-        cumint(sigma)  # also the next step's k1 integral
-        boundary_in[m] = e_in_h[:, i]
-        boundary_out[..., m, :] = sources[..., i] + kappa_h[:, i] * c[..., -1:]
-        total = sigma.sum(axis=0) if per_pulse else sigma
-        coherence_norm[m] = ens.n_density * np.vdot(total, weights * total).real
-        if not math.isfinite(coherence_norm[m]):
+    def record_step(m: int) -> None:
+        # the z-integral of the state, which is also the next step's k1 integral
+        np.add(sigma_hi, sigma_lo, out=pair)
+        np.multiply(pair, half_dz, out=pair)
+        np.add.accumulate(pair, axis=-1, out=c_tail)
+        boundary_out[..., m, :] = c[..., -1:]
+        if per_pulse:
+            np.add.reduce(sigma, axis=0, out=total)
+        np.multiply(weights, total, out=weighted)
+        norm = coherence_norm[m] = ens.n_density * np.vdot(total, weighted).real
+        if not math.isfinite(norm):
             finite = np.abs(sigma[np.isfinite(sigma)])
             amax = float(finite.max()) if finite.size else math.inf
             raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
         if due(m):
-            fields = e_in_h[:, i][:, None] + kappa_h[:, i][:, None] * c[None, :]
+            i = 2 * m
+            fields = e_in_h[:, i][:, None] + kappa[:, m][:, None] * c[None, :]
             snapshots.append(
                 (FieldState(t=t_nodes[m], fields=fields), CoherenceState(t=t_nodes[m], sigma=total.copy()))
             )
@@ -267,37 +278,49 @@ def run(
             kspec_t.append(float(t_nodes[m]))
             kspec_mag.append(np.abs(np.fft.fftshift(psi)))
 
-    # from zero coherence, steps before m0 see no source and keep sigma (and
+    # from zero coherence, steps before m0 see no drive and keep sigma (and
     # its integral c) at +0: each stage is +-0 and +0 + (-0) = +0
     m0 = 0
     if initial_coherence is None:
-        live = np.flatnonzero(sources.reshape(-1, sources.shape[-1]).any(axis=0))
+        live = np.flatnonzero(driven)
         m0 = max(0, (int(live[0]) - 1) // 2) if live.size else n_steps
-    record_step(0, 0)
+    changed[2 * m0] = True
+    record_step(0)
     for m in range(1, m0 + 1):
         if due(m):
-            record_step(m, 2 * m)
+            record_step(m)
     mismatch_applied = config.mismatch_time is None or config.mode_mismatch == 1.0
     if not mismatch_applied and m0 > 0 and t_nodes[m0] >= config.mismatch_time - 1e-12:
         mismatch_applied = True  # a skipped step applied it, to a zero state
 
     for m in range(m0, n_steps):
         dt = t_nodes[m + 1] - t_nodes[m]
-        i0, i1, i2 = 2 * m, 2 * m + 1, 2 * m + 2
-        rhs(sigma, i0, k1)
-        rhs(advanced(0.5 * dt, k1), i1, k2)
-        rhs(advanced(0.5 * dt, k2), i1, k3)
-        rhs(advanced(dt, k3), i2, k4)
+        half, full = complex(0.5 * dt), complex(dt)
+        i = 2 * m
+        rhs(sigma, i, k1)
+        for h, k_in, j, k_out in ((half, k1, i + 1, k2), (half, k2, i + 1, k3), (full, k3, i + 2, k4)):
+            # the stage state sigma + h k_in, and its z-integral in c
+            np.add(sigma, np.multiply(h, k_in, out=stage), out=stage)
+            np.add(stage_hi, stage_lo, out=pair)
+            np.multiply(pair, half_dz, out=pair)
+            np.add.accumulate(pair, axis=-1, out=c_tail)
+            rhs(stage, j, k_out)
         # sigma += (dt / 6) (k1 + 2 (k2 + k3) + k4), in that order of operations
         np.add(k2, k3, out=k2)
-        np.multiply(2.0, k2, out=k2)
+        np.multiply(2.0 + 0j, k2, out=k2)
         np.add(k1, k2, out=k2)
         np.add(k2, k4, out=k2)
-        np.add(sigma, np.multiply(dt / 6.0, k2, out=k2), out=sigma)
+        np.add(sigma, np.multiply(complex(dt / 6.0), k2, out=k2), out=sigma)
         if not mismatch_applied and t_nodes[m + 1] >= config.mismatch_time - 1e-12:
             np.multiply(sigma, config.mode_mismatch, out=sigma)
             mismatch_applied = True
-        record_step(m + 1, i2)
+        record_step(m + 1)
+
+    # E_j(t, L) = E_j(t, 0) + kappa_j(t) integral_0^L sigma dz, in place
+    # (a + b == b + a to the bit); a skipped lead-in has zero source and integral
+    boundary_in = np.ascontiguousarray(e_in_h[:, 0::2].T)
+    np.multiply(kappa.T, boundary_out, out=boundary_out)
+    np.add(boundary_out, np.swapaxes(sources[..., 0::2], -1, -2), out=boundary_out)
 
     record = SimulationRecord(
         config=config,

@@ -9,12 +9,13 @@ from functools import reduce
 from operator import getitem
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gemsim import oracle
 from gemsim.cli import main
-from gemsim.model import config_to_dict
+from gemsim.model import config_sha256, config_to_dict, load_config
 from gemsim.scenarios import FrequencyDomainParams
 from conftest import FAST_FIG2, storage_config
 
@@ -46,9 +47,14 @@ def test_simulate_preset_writes_outputs(tmp_path, fast_preset_overrides, capsys)
         assert (out / name).exists()
     windows = json.loads((out / "windows.json").read_text())
     assert {"E1", "E2", "input"} <= set(windows["window_energies"])
-    assert len(windows["config_sha256"]) == 64
-    banner = capsys.readouterr().out
-    assert windows["config_sha256"] in banner
+    sha = windows["config_sha256"]
+    assert sha == config_sha256(load_config(out / "config.json"))
+    assert sha in capsys.readouterr().out
+    for name in ("boundary.csv", "snapshots.csv", "kspectra.csv"):
+        with open(out / name, encoding="utf-8") as fh:
+            assert fh.readline() == f"# config_sha256={sha}\n"
+    with np.load(out / "record.npz") as data:
+        assert str(data["config_sha256"]) == sha
 
 
 def test_simulate_outputs_are_byte_identical(tmp_path, fast_preset_overrides):

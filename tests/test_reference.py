@@ -3,7 +3,8 @@
 `reference_run` is the allocating RK4 loop that `solver.run` replaced, and
 `reference_write_*` the per-scalar CSV writers that `io` replaced.  The
 current code performs the same floating-point operations in the same order,
-so every recorded array must be equal to the bit and every file equal to the
+so every recorded array must be equal to the bit, sign of zero included (a
+flip of 0.0 to -0.0 would change the CSVs), and every file equal to the
 byte.  The one exception is the coherence norm, now a weighted dot product
 instead of `np.trapezoid`: it may differ in the last bits.
 """
@@ -172,6 +173,12 @@ def _beat_note():
     return preset_family("freq-domain", nz=128, beat_note=True).config_for_phase(0.7), {}
 
 
+def _beat_note_per_pulse():
+    # two pulse rows but one channel: the boundary outputs broadcast rows
+    # against channels
+    return preset_family("freq-domain", nz=128, beat_note=True).config_for_phase(0.7), {"per_pulse": True}
+
+
 def _decaying_mismatch_from_initial_coherence():
     config = replace(storage_config(gamma0=0.3, nz=64), mode_mismatch=0.6, mismatch_time=3.0)
     z = np.linspace(0.0, 1.0, 64)
@@ -187,27 +194,38 @@ def _mismatch_before_a_late_pulse():
     return replace(config, pulses=(probe,), mode_mismatch=0.6, mismatch_time=0.4), {"stride": 50}
 
 
+def _wiped_by_mu_zero():
+    # mu = 0 leaves -0.0 parts in the state, and no drive follows it
+    return replace(storage_config(nz=64), mode_mismatch=0.0, mismatch_time=3.0), {"stride": 50}
+
+
+def _same_bits(a, b):
+    """Equal bit patterns: unlike np.array_equal, tells +0.0 from -0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.mark.parametrize("scenario", [
-    _fast_fig2, _freq_domain_per_pulse, _beat_note, _decaying_mismatch_from_initial_coherence,
-    _mismatch_before_a_late_pulse,
-], ids=["fast-fig2", "freq-domain-per-pulse", "beat-note", "mismatch-initial-coherence",
-        "mismatch-before-late-pulse"])
+    _fast_fig2, _freq_domain_per_pulse, _beat_note, _beat_note_per_pulse,
+    _decaying_mismatch_from_initial_coherence, _mismatch_before_a_late_pulse, _wiped_by_mu_zero,
+], ids=["fast-fig2", "freq-domain-per-pulse", "beat-note", "beat-note-per-pulse",
+        "mismatch-initial-coherence", "mismatch-before-late-pulse", "wiped-by-mu-zero"])
 def test_step_loop_matches_the_allocating_reference(scenario):
     config, kwargs = scenario()
     new, ref = run(config, **kwargs), reference_run(config, **kwargs)
-    assert np.array_equal(new.t, ref.t)
-    assert np.array_equal(new.boundary_out, ref.boundary_out)
-    assert np.array_equal(new.boundary_in, ref.boundary_in)
+    assert _same_bits(new.t, ref.t)
+    assert _same_bits(new.boundary_out, ref.boundary_out)
+    assert _same_bits(new.boundary_in, ref.boundary_in)
     if kwargs.get("per_pulse"):
-        assert np.array_equal(new.pulse_out, ref.pulse_out)
+        assert _same_bits(new.pulse_out, ref.pulse_out)
     else:
         assert len(new.snapshots) == len(ref.snapshots) > 0
         for (fs_new, cs_new), (fs_ref, cs_ref) in zip(new.snapshots, ref.snapshots):
             assert fs_new.t == fs_ref.t
-            assert np.array_equal(fs_new.fields, fs_ref.fields)
-            assert np.array_equal(cs_new.sigma, cs_ref.sigma)
-        assert np.array_equal(new.k_spectra.t, ref.k_spectra.t)
-        assert np.array_equal(new.k_spectra.magnitude, ref.k_spectra.magnitude)
+            assert _same_bits(fs_new.fields, fs_ref.fields)
+            assert _same_bits(cs_new.sigma, cs_ref.sigma)
+        assert _same_bits(new.k_spectra.t, ref.k_spectra.t)
+        assert _same_bits(new.k_spectra.magnitude, ref.k_spectra.magnitude)
     assert new.window_energies == ref.window_energies
     scale = np.max(ref.coherence_norm)
     assert scale > 0
@@ -317,7 +335,7 @@ def _hand_set_record(n_channels):
 ], ids=["boundary", "snapshots", "kspectra"])
 def test_csv_writers_match_the_per_scalar_reference(tmp_path, writer, reference, n_channels):
     record = _hand_set_record(n_channels)
-    writer(record, tmp_path / "new.csv")
+    writer(record, tmp_path / "new.csv", config_sha256(record.config))
     reference(record, tmp_path / "ref.csv")
     written = (tmp_path / "new.csv").read_bytes()
     assert written == (tmp_path / "ref.csv").read_bytes()

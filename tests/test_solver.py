@@ -20,6 +20,7 @@ from gemsim.model import (
     GradientProfile,
     GradientSegment,
     GridSpec,
+    config_sha256,
     validate,
 )
 from gemsim.solver import (
@@ -266,7 +267,7 @@ def test_run_until_keeps_the_prefix_of_the_full_run(config, per_pulse):
 def test_record_round_trip(tmp_path):
     record = run(storage_config(), stride=400)
     path = tmp_path / "record.npz"
-    io.save_record(record, path)
+    io.save_record(record, path, config_sha256(record.config))
     with np.load(path) as data:  # pickle off: every array is plain data
         assert all(data[name].dtype != object for name in data.files)
     with zipfile.ZipFile(path) as archive:
@@ -283,7 +284,7 @@ def test_record_round_trip(tmp_path):
 
 def test_load_record_refuses_object_arrays(tmp_path):
     record = run(storage_config(nz=64), stride=500)
-    io.save_record(record, tmp_path / "record.npz")
+    io.save_record(record, tmp_path / "record.npz", config_sha256(record.config))
     with np.load(tmp_path / "record.npz") as data:
         arrays = dict(data)
     arrays["window_names"] = np.array(list(arrays["window_names"]), dtype=object)
@@ -313,11 +314,12 @@ def test_per_pulse_rows_superpose_to_the_direct_run():
 
 def test_csv_exports(tmp_path):
     record = run(storage_config(nz=64, dt_factor=0.8), stride=500)
-    io.write_boundary_csv(record, tmp_path / "b.csv")
-    io.write_snapshots_csv(record, tmp_path / "s.csv")
-    io.write_kspectra_csv(record, tmp_path / "k.csv")
+    sha = config_sha256(record.config)
+    io.write_boundary_csv(record, tmp_path / "b.csv", sha)
+    io.write_snapshots_csv(record, tmp_path / "s.csv", sha)
+    io.write_kspectra_csv(record, tmp_path / "k.csv", sha)
     top, header = (tmp_path / "s.csv").read_text().splitlines()[:2]
-    assert top.startswith("# config_sha256=")
+    assert top == f"# config_sha256={sha}"
     assert header == "t,z,re_E0,im_E0,re_sigma,im_sigma"
     lines = (tmp_path / "b.csv").read_text().splitlines()
     assert len(lines) == len(record.t) + 2
