@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -129,15 +130,20 @@ def _parse_range(spec: str) -> list[float]:
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("range count must be >= 1")
-    if count == 1:
-        return [start]
-    return [start + (stop - start) * i / (count - 1) for i in range(count)]
+    values = [start] if count == 1 else [start + (stop - start) * i / (count - 1) for i in range(count)]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"range values must be finite, got {spec!r}")
+    return values
 
 
 def cmd_sweep(args) -> int:
     try:
         family = _family(args)
         values = _parse_range(args.range)
+        if args.kind == "coupling" and any(v <= 0 for v in values):
+            raise ValueError("relative powers must be positive")
+        if args.kind == "mismatch" and any(not 0.0 <= v <= 1.0 for v in values):
+            raise ValueError("mu values must lie in [0, 1]")
         config = _preset_config(family, 0.0)
         if not _is_valid(config):
             return EXIT_CONFIG

@@ -2,12 +2,19 @@
 
 All numeric CSV output uses Python float repr (shortest round-trip,
 locale independent), so identical runs produce byte-identical files.
+`repr` holds the GIL, so the snapshot and k-spectrum writers each fork one
+child for half their blocks, and join it before they return.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
+import multiprocessing
+import os
+import sys
+import threading
+from contextlib import suppress
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -36,6 +43,52 @@ def _rows(*columns) -> str:
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
+def _write_part(part: str, texts) -> None:
+    """The child's half; an OSError exits with its errno, without a traceback."""
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.writelines(texts)
+    except OSError as exc:
+        sys.exit(exc.errno or 1)
+
+
+def _write_blocks(path, head: str, blocks, fmt) -> None:
+    """Write `head`, then `fmt(block)` for each block, to `path`.
+
+    A forked child writes the second half of the blocks to a part file that
+    is appended once it is joined, so the bytes are those of one loop.  The
+    child is joined (terminated first on an error here) and the part file
+    removed on every exit path.  Fewer than two blocks, or a process with
+    other threads (fork copies the locks they hold but not the threads),
+    are written here alone.
+    """
+    # the split needs fork, and a sendfile that writes to a regular file: Linux
+    alone = sys.platform != "linux" or threading.active_count() > 1 or len(blocks) < 2
+    split = len(blocks) if alone else len(blocks) // 2
+    part, child = f"{os.fspath(path)}.part", None
+    if not alone:
+        child = multiprocessing.get_context("fork").Process(target=_write_part, args=(part, map(fmt, blocks[split:])))
+        child.start()
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chain([head], map(fmt, blocks[:split])))
+        if child is not None:
+            child.join()
+            code = child.exitcode  # the child's errno, or minus the signal that ended it
+            if code:
+                raise OSError(code, os.strerror(code) if code > 0 else f"killed by signal {-code}", part)
+            with open(part, "rb") as src, open(path, "r+b") as dst:  # sendfile fails on O_APPEND
+                dst.seek(0, os.SEEK_END)
+                while os.sendfile(dst.fileno(), src.fileno(), None, 1 << 30):
+                    pass
+    finally:
+        if child is not None:
+            child.terminate()
+            child.join()
+            with suppress(FileNotFoundError, IsADirectoryError):  # not made, or not ours
+                os.unlink(part)
+
+
 def write_boundary_csv(record: SimulationRecord, path, config_hash: str) -> None:
     nch = record.boundary_out.shape[1]
     header = ["t"]
@@ -51,30 +104,31 @@ def write_boundary_csv(record: SimulationRecord, path, config_hash: str) -> None
 
 
 def write_snapshots_csv(record: SimulationRecord, path, config_hash: str) -> None:
-    """One block of nz rows per snapshot, each written as soon as it is formatted."""
+    """One block of nz rows per snapshot, split between two processes."""
     nch = record.boundary_out.shape[1]
     header = ["t", "z"]
     for j in range(nch):
         header += [f"re_E{j}", f"im_E{j}"]
     header += ["re_sigma", "im_sigma"]
     zs = list(map(repr, record.z.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_sha256={config_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for fs, cs in record.snapshots:
-            parts = [*fs.fields, cs.sigma]
-            values = [map(repr, v.tolist()) for p in parts for v in (p.real, p.imag)]
-            fh.write(_rows(repeat(repr(float(fs.t))), zs, *values))
+
+    def block(snapshot) -> str:
+        fs, cs = snapshot
+        values = [map(repr, v.tolist()) for p in (*fs.fields, cs.sigma) for v in (p.real, p.imag)]
+        return _rows(repeat(repr(float(fs.t))), zs, *values)
+
+    head = f"# config_sha256={config_hash}\n" + ",".join(header) + "\n"
+    _write_blocks(path, head, record.snapshots, block)
 
 
 def write_kspectra_csv(record: SimulationRecord, path, config_hash: str) -> None:
     spec = record.k_spectra
     ks = list(map(repr, spec.k.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_sha256={config_hash}\n")
-        fh.write("t,k,abs_psi\n")
-        for t, mags in zip(spec.t, spec.magnitude):
-            fh.write(_rows(repeat(repr(float(t))), ks, map(repr, mags.tolist())))
+
+    def block(i: int) -> str:
+        return _rows(repeat(repr(float(spec.t[i]))), ks, map(repr, spec.magnitude[i].tolist()))
+
+    _write_blocks(path, f"# config_sha256={config_hash}\nt,k,abs_psi\n", range(len(spec.t)), block)
 
 
 def write_windows_json(record: SimulationRecord, path, config_hash: str) -> None:

@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict
 from functools import reduce
@@ -66,6 +69,22 @@ def test_simulate_outputs_are_byte_identical(tmp_path, fast_preset_overrides):
         ]) == 0
     for name in ("config.json", "boundary.csv", "snapshots.csv", "kspectra.csv", "windows.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_forked_writers_print_stdout_once(tmp_path, fast_preset_overrides):
+    """The CSV writers fork; buffered stdout must not be written twice."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gemsim.cli", "simulate", "--preset", "fig2", "--config", fast_preset_overrides,
+         "--out", str(tmp_path / "run"), "--snapshot-stride", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("config sha256:") == 1
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "boundary.csv", "config.json", "kspectra.csv", "record.npz", "snapshots.csv", "windows.json"]
 
 
 def test_simulate_full_config_document(tmp_path):
@@ -391,6 +410,25 @@ def test_mismatch_sweep_includes_zero(tmp_path, fast_preset_overrides):
 def test_bad_range_exits_2(capsys):
     assert run_cli(["sweep", "--kind", "phase", "--range", "0:1", "--preset", "fig2"]) == 2
     assert "start:stop:count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, spec, message", [
+    ("coupling", "0:1:3", "relative powers must be positive"),
+    ("mismatch", "0.5:1.5:3", "mu values must lie in [0, 1]"),
+    ("phase", "0:inf:6", "range values must be finite"),
+    ("phase", "0:1e308:6", "range values must be finite"),
+], ids=["coupling-zero-power", "mismatch-above-one", "phase-inf", "phase-overflow"])
+def test_sweep_values_outside_the_kind_domain_exit_2_before_solving(capsys, monkeypatch, kind, spec, message):
+    from gemsim import analysis, cli, scenarios, solver
+
+    def no_solves(*args, **kwargs):
+        raise RuntimeError("the sweep values were not checked before solving")
+
+    for module in (analysis, cli, scenarios, solver):
+        monkeypatch.setattr(module, "run", no_solves)
+    assert run_cli(["sweep", "--kind", kind, "--range", spec, "--preset", "fig2"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_mismatch_sweep_rejected_for_freq_domain(capsys):

@@ -6,10 +6,18 @@ current code performs the same floating-point operations in the same order,
 so every recorded array must be equal to the bit, sign of zero included (a
 flip of 0.0 to -0.0 would change the CSVs), and every file equal to the
 byte.  The one exception is the coherence norm, now a weighted dot product
-instead of `np.trapezoid`: it may differ in the last bits.
+instead of `np.trapezoid`: it may differ in the last bits.  The snapshot and
+k-spectrum writers split their blocks with a forked child; they are checked
+at every kind of split and on the failure paths of either side.
 """
 
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -293,7 +301,7 @@ SPECIAL = np.array([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e16,
 def _values(rng, shape):
     """Random values over many decades with the special ones at the front."""
     flat = rng.standard_normal(math.prod(shape)) * 10.0 ** rng.uniform(-320, 300, math.prod(shape))
-    flat[: SPECIAL.size] = SPECIAL
+    flat[: SPECIAL.size] = SPECIAL[: flat.size]
     return flat.reshape(shape)
 
 
@@ -301,20 +309,21 @@ def _complex(rng, shape):
     return _values(rng, shape) + 1j * _values(rng, shape)[..., ::-1]
 
 
-def _hand_set_record(n_channels):
+def _hand_set_record(n_channels, n_snap=3):
     rng = np.random.default_rng(n_channels)
-    nz, n_snap = 16, 3
+    nz = 16
     config = storage_config(nz=nz)
     if n_channels == 2:
         config = preset_family("freq-domain").config_for_phase(0.0)
     z = np.concatenate([[-0.0, 5e-324, 1e16], np.linspace(0.1, 1.0, nz - 3)])
-    times = [0.0, -0.0, 1e16]
+    times = [0.0, -0.0, 1e16][:n_snap]
     snapshots = [
         (FieldState(t=np.float64(t), fields=_complex(rng, (n_channels, nz))),
          CoherenceState(t=np.float64(t), sigma=_complex(rng, (nz,))))
-        for t in times[:n_snap]
+        for t in times
     ]
-    spectra = KSpectrumHistory(t=np.array(times), k=_values(rng, (nz,)), magnitude=np.abs(_values(rng, (3, nz))))
+    spectra = KSpectrumHistory(t=np.array(times), k=_values(rng, (nz,)),
+                               magnitude=np.abs(_values(rng, (n_snap, nz))))
     # boundary parts are set directly: re + 1j*im would turn -0.0 into 0.0
     n_t = SPECIAL.size
     out, inp = (np.empty((n_t, n_channels), dtype=complex) for _ in range(2))
@@ -340,3 +349,90 @@ def test_csv_writers_match_the_per_scalar_reference(tmp_path, writer, reference,
     written = (tmp_path / "new.csv").read_bytes()
     assert written == (tmp_path / "ref.csv").read_bytes()
     assert b",-0.0," in written and b"5e-324" in written and b"1e+16" in written
+
+
+def _nothing_left_behind(directory):
+    assert not list(directory.glob("*.part"))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n_blocks", [0, 1, 2, 3], ids=["empty", "single", "even", "odd"])
+@pytest.mark.parametrize("writer, reference", [
+    (io.write_snapshots_csv, reference_write_snapshots_csv),
+    (io.write_kspectra_csv, reference_write_kspectra_csv),
+], ids=["snapshots", "kspectra"])
+def test_split_writers_match_the_reference_at_every_split(tmp_path, writer, reference, n_blocks):
+    """The forked child writes the second half of the blocks: none, or one or two."""
+    record = _hand_set_record(1, n_blocks)
+    writer(record, tmp_path / "new.csv", config_sha256(record.config))
+    _nothing_left_behind(tmp_path)
+    reference(record, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+needs_split = pytest.mark.skipif(sys.platform != "linux", reason="the writers split their blocks only on Linux")
+
+
+def test_a_process_with_other_threads_does_not_fork(tmp_path, monkeypatch):
+    def no_fork(method):
+        raise AssertionError(f"{method} child started while another thread runs")
+
+    monkeypatch.setattr(io.multiprocessing, "get_context", no_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        record = _hand_set_record(1)
+        io.write_snapshots_csv(record, tmp_path / "new.csv", config_sha256(record.config))
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    reference_write_snapshots_csv(record, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@needs_split
+def test_a_child_that_cannot_write_raises_naming_its_file(tmp_path):
+    part = tmp_path / "new.csv.part"
+    part.mkdir()  # the child's open fails; the directory is not the writer's to remove
+    with pytest.raises(OSError, match=r"new\.csv\.part"):
+        io.write_snapshots_csv(_hand_set_record(1), tmp_path / "new.csv", "x")
+    assert multiprocessing.active_children() == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "new.csv.part"] and part.is_dir()
+
+
+@needs_split
+def test_a_child_that_fails_after_opening_its_part_raises(tmp_path, monkeypatch):
+    parent, rows = os.getpid(), io._rows
+
+    def rows_failing_in_the_child(*columns):
+        if os.getpid() != parent:
+            raise RuntimeError("formatter failed in the child")
+        return rows(*columns)
+
+    monkeypatch.setattr(io, "_rows", rows_failing_in_the_child)
+    with pytest.raises(OSError, match=r"new\.csv\.part"):
+        io.write_snapshots_csv(_hand_set_record(1), tmp_path / "new.csv", "x")
+    _nothing_left_behind(tmp_path)
+
+
+@needs_split
+def test_a_failing_parent_half_terminates_and_joins_the_child(tmp_path, monkeypatch):
+    parent, children, rows = os.getpid(), [], io._rows
+
+    def rows_failing_in_the_parent(*columns):
+        if os.getpid() != parent:
+            time.sleep(60)  # the child is still busy when the parent fails
+            return rows(*columns)
+        children.extend(multiprocessing.active_children())
+        raise RuntimeError("formatter failed")
+
+    monkeypatch.setattr(io, "_rows", rows_failing_in_the_parent)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        io.write_snapshots_csv(_hand_set_record(1), tmp_path / "new.csv", "x")
+    [child] = children
+    assert child.exitcode == -signal.SIGTERM  # ended by terminate, and already reaped
+    assert time.perf_counter() - start < 30
+    _nothing_left_behind(tmp_path)
