@@ -5,10 +5,14 @@ least squares on the regressors (1, cos phi, sin phi) at unit frequency:
 I(phi) = A + B cos(phi - phi0).  Visibility is B/A, which equals
 (Imax - Imin)/(Imax + Imin) for an exact sinusoid and is invariant under
 a global energy rescale of the dataset.
+
+Where a family's phase and mode overlap mu are weights on pulse rows
+(pulse_weights), every (phase, mu) energy is w^H G w on one per-pulse solve.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -17,13 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFit, EmptyWindow
+from .errors import DegenerateFit, NoRoot
 from .model import ScenarioConfig
 from .solver import run
 
 __all__ = [
     "FringeDataset",
-    "pulse_energy",
     "fit_fringe",
     "fringe_scan",
     "coupling_sweep",
@@ -31,20 +34,6 @@ __all__ = [
     "find_mu_for_visibility",
     "write_fringe_csv",
 ]
-
-
-def pulse_energy(t: np.ndarray, trace: np.ndarray, window: tuple[float, float]) -> float:
-    """Integral of |trace|^2 over the window, trapezoidal rule on the grid."""
-    t = np.asarray(t, dtype=float)
-    trace = np.asarray(trace)
-    w0, w1 = window
-    if w0 < t[0] or w1 > t[-1] or w0 >= w1:
-        raise EmptyWindow(f"window {window} not inside the trace span ({t[0]}, {t[-1]})")
-    mask = (t >= w0) & (t <= w1)
-    if mask.sum() < 2:
-        raise EmptyWindow(f"window {window} contains fewer than two samples")
-    power = np.abs(trace[mask]) ** 2
-    return float(np.trapezoid(power, t[mask]))
 
 
 @dataclass
@@ -119,6 +108,14 @@ def _solve_all(
     return [_solve(c, per_pulse) for c in configs]
 
 
+def _weighted(family, grams: dict, phases: Sequence[float],
+              mu: float = 1.0) -> list[dict[str, float]]:
+    """Window energies w^H G w of a per-pulse basis, with the family's weights."""
+    weights = [family.pulse_weights(p, mu) for p in phases]
+    return [{name: float(np.real(np.conj(w[name]) @ gram @ w[name])) for name, gram in grams.items()}
+            for w in weights]
+
+
 def _sweep_energies(
     family,
     phases: Sequence[float],
@@ -127,31 +124,27 @@ def _sweep_energies(
 ) -> list[list[dict[str, float]]]:
     """Window energies per variant (config_for_phase keywords) and per phase.
 
-    When the family's phase is a factor e^{i phase} on some pulse rows, each
-    variant costs one per-pulse solve at phase 0 and every phase's energies
-    are w^H G w with w_r = e^{i phase} on those rows and 1 elsewhere.
+    When the family has pulse weights, each variant costs one per-pulse
+    solve at phase 0 and every phase's energies are w^H G w with them.
     Otherwise every (variant, phase) pair is run directly.  Independent
     solves share a process pool of `workers`.
     """
-    rows = family.phase_rows()
-    if rows is None:
+    if family.pulse_weights(0.0) is None:
         configs = [family.config_for_phase(p, **kw) for kw in variants for p in phases]
         flat = _solve_all(configs, False, workers)
         n = len(phases)
         return [flat[i * n:(i + 1) * n] for i in range(len(variants))]
     configs = [family.config_for_phase(0.0, **kw) for kw in variants]
-    out = []
-    for config, grams in zip(configs, _solve_all(configs, True, workers)):
-        weights = np.ones(len(config.pulses), dtype=complex)
-        energies = []
-        for p in phases:
-            weights[list(rows)] = complex(math.cos(p), math.sin(p))
-            energies.append({
-                name: float(np.real(np.conj(weights) @ gram @ weights))
-                for name, gram in grams.items()
-            })
-        out.append(energies)
-    return out
+    return [_weighted(family, grams, phases) for grams in _solve_all(configs, True, workers)]
+
+
+def _energies_of_mu(family, phases: list[float], workers: int | None):
+    """Window energies per phase as a function of mu: one solve, or direct runs per call."""
+    if family.pulse_weights(0.0) is None:
+        return lambda mu: _solve_all([family.config_for_phase(p, mu=mu) for p in phases],
+                                     False, workers)
+    grams = _solve(family.config_for_phase(0.0, mu=1.0), True)
+    return lambda mu: _weighted(family, grams, phases, mu)
 
 
 def _fit_ports(energies: Sequence[dict], phases: list[float],
@@ -211,12 +204,9 @@ def coupling_sweep(
         raise ValueError("relative powers must be positive")
     phases = list(phases) if phases is not None else _default_phases()
     variants = [{"power_factor": power} for power in relative_powers]
-    curves: dict[str, list[tuple[float, float]]] = {port: [] for port in PORTS}
-    for power, energies in zip(relative_powers,
-                               _sweep_energies(family, phases, variants, workers)):
-        for port, ds in _fit_ports(energies, phases, PORTS).items():
-            curves[port].append((float(power), ds.visibility))
-    return curves
+    fits = [_fit_ports(e, phases, PORTS) for e in _sweep_energies(family, phases, variants, workers)]
+    return {port: [(float(power), fit[port].visibility) for power, fit in zip(relative_powers, fits)]
+            for port in PORTS}
 
 
 def mismatch_curve(
@@ -226,21 +216,18 @@ def mismatch_curve(
     phases: Sequence[float] | None = None,
     workers: int | None = None,
 ) -> list[tuple[float, float]]:
-    """Visibility of one port vs the mode-overlap factor mu."""
+    """Visibility of one port vs the mode-overlap factor mu.
+
+    With pulse weights every mu shares one per-pulse solve.
+    """
     if any(not 0.0 <= m <= 1.0 for m in mus):
         raise ValueError("mu values must lie in [0, 1]")
     _check_port(port)
     phases = list(phases) if phases is not None else _default_phases()
-    variants = [{"mu": mu} for mu in mus if mu != 0.0]
-    sweeps = iter(_sweep_energies(family, phases, variants, workers))
-    curve = []
-    for mu in mus:
-        if mu == 0.0:
-            curve.append((0.0, 0.0))  # no overlap: the fringe amplitude vanishes
-            continue
-        energies = [e[port] for e in next(sweeps)]
-        curve.append((float(mu), fit_fringe(phases, energies, port=port).visibility))
-    return curve
+    energies = _energies_of_mu(family, phases, workers) if any(mus) else None
+    return [(0.0, 0.0) if mu == 0.0  # no overlap: the fringe amplitude vanishes
+            else (float(mu), fit_fringe(phases, [e[port] for e in energies(mu)], port=port).visibility)
+            for mu in mus]
 
 
 def find_mu_for_visibility(
@@ -251,15 +238,23 @@ def find_mu_for_visibility(
     workers: int | None = None,
     xtol: float = 1e-3,
 ) -> float:
-    """Invert visibility(mu) = target for the port-E1 fringe by root finding."""
+    """Invert visibility(mu) = target for the port-E1 fringe by root finding.
+
+    NoRoot when the visibilities at the bracket's ends do not enclose it.
+    """
     from scipy.optimize import brentq
 
     phases = list(phases) if phases is not None else _default_phases()
+    energies = _energies_of_mu(family, phases, workers)
 
+    @functools.cache
     def objective(mu: float) -> float:
-        [energies] = _sweep_energies(family, phases, [{"mu": mu}], workers)
-        return fit_fringe(phases, [e["E1"] for e in energies]).visibility - target
+        return fit_fringe(phases, [e["E1"] for e in energies(mu)]).visibility - target
 
+    lo, hi = objective(bracket[0]), objective(bracket[1])
+    if lo * hi > 0.0:
+        raise NoRoot(f"target visibility {target} is outside [{min(lo, hi) + target:.6g}, "
+                     f"{max(lo, hi) + target:.6g}], the range across mu in {tuple(bracket)}")
     return float(brentq(objective, bracket[0], bracket[1], xtol=xtol))
 
 

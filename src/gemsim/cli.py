@@ -108,14 +108,18 @@ def cmd_simulate(args) -> int:
         _err(f"solver error: {exc}")
         return EXIT_SOLVER
 
-    out = _out_dir(args)
     sha = config_sha256(config)
-    save_config(config, out / "config.json")
-    io.write_boundary_csv(record, out / "boundary.csv", sha)
-    io.write_snapshots_csv(record, out / "snapshots.csv", sha)
-    io.write_kspectra_csv(record, out / "kspectra.csv", sha)
-    io.write_windows_json(record, out / "windows.json", sha)
-    io.save_record(record, out / "record.npz", sha)
+    try:
+        out = _out_dir(args)
+        save_config(config, out / "config.json")
+        io.write_boundary_csv(record, out / "boundary.csv", sha)
+        io.write_snapshots_csv(record, out / "snapshots.csv", sha)
+        io.write_kspectra_csv(record, out / "kspectra.csv", sha)
+        io.write_windows_json(record, out / "windows.json", sha)
+        io.save_record(record, out / "record.npz", sha)
+    except OSError as exc:
+        _err(f"cannot write outputs: {exc}")
+        return EXIT_CONFIG
     print(f"wrote {out}/[config.json boundary.csv snapshots.csv kspectra.csv windows.json record.npz]")
     print(f"config sha256: {sha}")
     for name, energy in sorted(record.window_energies.items()):
@@ -134,6 +138,12 @@ def _parse_range(spec: str) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"range values must be finite, got {spec!r}")
     return values
+
+
+def _write_curve(path: Path, sha: str, header: str, points) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# config_sha256={sha}\n{header}\n")
+        fh.writelines(f"{x!r},{y!r}\n" for x, y in points)
 
 
 def cmd_sweep(args) -> int:
@@ -158,10 +168,10 @@ def cmd_sweep(args) -> int:
         _err(f"{args.kind} sweeps are defined for the time-domain presets")
         return EXIT_CONFIG
 
-    out = _out_dir(args)
     workers = args.workers
     summary: dict = {"kind": args.kind, "config_sha256": sha, "preset": args.preset}
     try:
+        out = _out_dir(args)
         if args.kind == "phase":
             datasets = analysis.scan_both_ports(family, values, workers=workers)
             for port, ds in datasets.items():
@@ -177,30 +187,21 @@ def cmd_sweep(args) -> int:
         elif args.kind == "coupling":
             curves = analysis.coupling_sweep(family, values, workers=workers)
             for port, curve in curves.items():
-                with open(out / f"coupling_{port}.csv", "w", encoding="utf-8") as fh:
-                    fh.write(f"# config_sha256={sha}\n")
-                    fh.write("relative_power,visibility\n")
-                    for power, vis in curve:
-                        fh.write(f"{power!r},{vis!r}\n")
+                _write_curve(out / f"coupling_{port}.csv", sha, "relative_power,visibility", curve)
             summary["curves"] = {port: [[p, v] for p, v in curve] for port, curve in curves.items()}
         else:  # mismatch
             curve = analysis.mismatch_curve(family, values, workers=workers)
-            with open(out / "mismatch_E1.csv", "w", encoding="utf-8") as fh:
-                fh.write(f"# config_sha256={sha}\n")
-                fh.write("mu,visibility\n")
-                for mu, vis in curve:
-                    fh.write(f"{mu!r},{vis!r}\n")
+            _write_curve(out / "mismatch_E1.csv", sha, "mu,visibility", curve)
             summary["curve"] = [[m, v] for m, v in curve]
+        with open(out / "summary.json", "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except (NonFinite, StabilityBound) as exc:
         _err(f"solver error: {exc}")
         return EXIT_SOLVER
-    except GemSimError as exc:
+    except (GemSimError, OSError) as exc:  # OSError: an output that cannot be written
         _err(f"sweep failed: {exc}")
         return EXIT_CONFIG
-
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(f"wrote sweep outputs to {out}")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
@@ -290,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--config", help="override keys for the preset")
     swp.add_argument("--out", help="output directory (default $GEMSIM_OUT or ./gemsim-out)")
     swp.add_argument("--workers", type=int, default=os.cpu_count(),
-                     help="worker processes for independent solves: coupling and mismatch "
-                          "points, per-phase fallback runs (default: number of processors)")
+                     help="worker processes for independent solves: coupling points and "
+                          "the per-phase runs of the fallback knobs (default: number of processors)")
     swp.set_defaults(func=cmd_sweep)
 
     orc = sub.add_parser("oracle", help="predicted energies for a beamsplitter event list")

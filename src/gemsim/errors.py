@@ -38,15 +38,12 @@ class ZeroGradient(GemSimError):
 
 
 class NoRoot(GemSimError):
-    """The balance equation has no solution for any positive optical depth."""
+    """A root search has no solution: the balance equation at any positive
+    optical depth, or a target visibility across a mode-overlap bracket."""
 
 
 class SeparationTooSmall(GemSimError):
     """Channel frequency separation does not exceed the memory bandwidth."""
-
-
-class EmptyWindow(GemSimError):
-    """A detection window contains no samples of the trace."""
 
 
 class DegenerateFit(GemSimError):

@@ -137,7 +137,6 @@ class _TdCalibration:
     steer_values: np.ndarray  # raw echo-matched copy, unit theta, unscaled
     u_echo: float
     u_trans_raw: float
-    u_probe: float
 
 
 class TimeDomainFamily:
@@ -257,19 +256,10 @@ class TimeDomainFamily:
 
         steer_only = self._assemble((SampledPulse(t=tt, values=vals, label="steering", channel=0),))
         u_trans_raw = run(steer_only, stride=0, until=e1[1]).window_energies["E1"]
-        u_probe = self._probe().energy()
         self._calibration = _TdCalibration(
-            steer_t=tt, steer_values=vals, u_echo=u_echo,
-            u_trans_raw=u_trans_raw, u_probe=u_probe,
+            steer_t=tt, steer_values=vals, u_echo=u_echo, u_trans_raw=u_trans_raw,
         )
         return self._calibration
-
-    def _steering_pulse(self, theta: float, scale: float) -> SampledPulse:
-        cal = self.calibrate()
-        phase = complex(math.cos(theta), math.sin(theta))
-        return SampledPulse(
-            t=cal.steer_t, values=cal.steer_values * (scale * phase), label="steering", channel=0
-        )
 
     def steering_scale(self) -> float:
         """Amplitude factor applied to the raw echo copy."""
@@ -281,26 +271,38 @@ class TimeDomainFamily:
         u_raw = float(np.trapezoid(np.abs(cal.steer_values) ** 2, cal.steer_t))
         if u_raw == 0.0:
             raise GemSimError("degenerate steering waveform")
-        return self.params.steering_scale * math.sqrt(cal.u_probe / u_raw)
+        return self.params.steering_scale * math.sqrt(self._probe().energy() / u_raw)
 
     # -- public family surface ----------------------------------------------
 
     def config_for_phase(self, phase: float, power_factor: float = 1.0,
                          mu: float | None = None) -> ScenarioConfig:
-        if self.params.phase_knob == "coupling":
-            steer = self._steering_pulse(0.0, self.steering_scale())
-            return self._assemble((self._probe(), steer), power_factor, coupling_phase=phase, mu=mu)
-        steer = self._steering_pulse(phase, self.steering_scale())
-        return self._assemble((self._probe(), steer), power_factor, mu=mu)
+        on_coupling = self.params.phase_knob == "coupling"
+        theta = 0.0 if on_coupling else phase
+        scale = self.steering_scale() * complex(math.cos(theta), math.sin(theta))
+        cal = self.calibrate()
+        steer = SampledPulse(t=cal.steer_t, values=cal.steer_values * scale, label="steering", channel=0)
+        return self._assemble((self._probe(), steer), power_factor,
+                              coupling_phase=phase if on_coupling else 0.0, mu=mu)
 
-    def phase_rows(self) -> tuple[int, ...] | None:
-        """Pulse rows that carry the swept phase as a factor e^{i phase}.
+    def pulse_weights(self, phase: float, mu: float = 1.0) -> dict[str, np.ndarray] | None:
+        """Per-window weights on the (probe, steering) rows of a per-pulse basis.
 
-        With the steering knob that is the steering pulse; with the coupling
-        knob the phase sits on the event-era coupling, not on a pulse, so
-        there is no such row (None).
+        The steering row carries e^{i phase}.  The overlap mu scales the probe
+        row from mismatch_time, where E1 and the steering support start after
+        the probe's has ended: in windows starting there or later, and a window
+        straddling it is refused.  The coupling knob has no weights (None).
         """
-        return None if self.params.phase_knob == "coupling" else (1,)
+        if self.params.phase_knob == "coupling":
+            return None
+        t_mis = self.windows["E1"][0]
+        steer = complex(math.cos(phase), math.sin(phase))
+        weights = {}
+        for name, (w0, w1) in self.windows.items():
+            if mu != 1.0 and w0 < t_mis <= w1:
+                raise GemSimError(f"window {name} {(w0, w1)} straddles the mismatch time {t_mis}")
+            weights[name] = np.array([mu if w0 >= t_mis else 1.0, steer])
+        return weights
 
     def with_params(self, **changes) -> "TimeDomainFamily":
         return TimeDomainFamily(replace(self.params, **changes))
@@ -316,16 +318,14 @@ class TimeDomainFamily:
         output, each solve stopping where E1 closes; returns a family pinned
         to the best factor found.
         """
+        def dark_energy(factor: float) -> float:
+            fam = self.with_params(interference_factor=factor)
+            rec = run(fam.config_for_phase(math.pi), stride=0, until=self.windows["E1"][1])
+            return rec.window_energies["E1"]
+
         base = self.params.event_factor
         factors = base * (1.0 + span * np.linspace(-1.0, 1.0, n_points))
-        best_f, best_e = base, math.inf
-        for f in factors:
-            fam = self.with_params(interference_factor=float(f))
-            rec = run(fam.config_for_phase(math.pi), stride=0, until=self.windows["E1"][1])
-            if rec.window_energies["E1"] < best_e:
-                best_e = rec.window_energies["E1"]
-                best_f = float(f)
-        return self.with_params(interference_factor=best_f)
+        return self.with_params(interference_factor=min(map(float, factors), key=dark_energy))
 
 
 def build_time_domain(params: TimeDomainParams | None = None) -> ScenarioConfig:
@@ -453,16 +453,20 @@ class FrequencyDomainFamily:
             metadata=dict(p.metadata),
         )
 
-    def phase_rows(self) -> tuple[int, ...] | None:
-        """Pulse rows that carry the swept phase as a factor e^{i phase}.
+    def pulse_weights(self, phase: float, mu: float = 1.0) -> dict[str, np.ndarray] | None:
+        """Per-window weights on the (probe, steering) rows of a per-pulse basis.
 
         The phase of coupling channel 1 is a gauge: |Omega| does not depend on
         it, and rotating channel 1's field by e^{-i phi} moves it onto the
         steering pulse, which leaves every channel's output energy unchanged.
         The beat-note mode puts the phase on a coupling modulation that
-        changes |Omega(t)|, so it has no such row (None).
+        changes |Omega(t)|, so it has no such weights (None).  The scheme has
+        no mode-overlap factor: mu must be 1.
         """
-        return None if self.params.beat_note else (1,)
+        if mu != 1.0:
+            raise ValueError("the frequency-domain family has no mode-overlap factor")
+        steer = complex(math.cos(phase), math.sin(phase))
+        return None if self.params.beat_note else dict.fromkeys(self.windows, np.array([1.0, steer]))
 
     def with_params(self, **changes) -> "FrequencyDomainFamily":
         return FrequencyDomainFamily(replace(self.params, **changes))

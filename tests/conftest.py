@@ -77,6 +77,13 @@ def fig2_family():
 
 
 @pytest.fixture(scope="session")
+def fast_fig2_family():
+    fam = preset_family("fig2", **FAST_FIG2)
+    fam.calibrate()
+    return fam
+
+
+@pytest.fixture(scope="session")
 def fig2_fringes(fig2_family):
     return scan_both_ports(fig2_family, FAST_PHASES)
 

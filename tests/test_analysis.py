@@ -8,49 +8,19 @@ import pytest
 from gemsim import oracle
 from gemsim.analysis import (
     coupling_sweep,
+    find_mu_for_visibility,
     fit_fringe,
     fringe_scan,
     mismatch_curve,
-    pulse_energy,
     scan_both_ports,
     write_fringe_csv,
     _solve_all,
     _sweep_energies,
 )
-from gemsim.errors import DegenerateFit, EmptyWindow, NonFinite
+from gemsim.errors import DegenerateFit, GemSimError, NonFinite, NoRoot
 from gemsim.scenarios import preset_family
 from gemsim.solver import run
-from conftest import FAST_PHASES, storage_config
-
-
-# ---------------------------------------------------------------------------
-# pulse energy
-# ---------------------------------------------------------------------------
-
-def test_constant_trace_energy():
-    t = np.linspace(0.0, 4.0, 401)
-    assert pulse_energy(t, np.ones_like(t), (1.0, 3.0)) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_zero_trace_energy():
-    t = np.linspace(0.0, 4.0, 101)
-    assert pulse_energy(t, np.zeros_like(t), (0.5, 2.5)) == 0.0
-
-
-def test_gaussian_energy_matches_closed_form():
-    t = np.linspace(0.0, 20.0, 20001)
-    sigma, amp = 1.3, 0.8
-    trace = amp * np.exp(-0.5 * ((t - 10.0) / sigma) ** 2) * np.exp(1j * 5.0 * t)
-    expected = abs(amp) ** 2 * sigma * math.sqrt(math.pi)
-    assert pulse_energy(t, trace, (0.0, 20.0)) == pytest.approx(expected, rel=1e-4)
-
-
-def test_empty_window_raises():
-    t = np.linspace(0.0, 4.0, 101)
-    with pytest.raises(EmptyWindow):
-        pulse_energy(t, np.ones_like(t), (4.5, 5.0))
-    with pytest.raises(EmptyWindow):
-        pulse_energy(t, np.ones_like(t), (2.0, 2.0))
+from conftest import FAST_FIG2, FAST_PHASES, storage_config
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +114,27 @@ def test_both_ports_are_anti_phase(fd_family):
     assert datasets["E2"].visibility > 0.95
 
 
-@pytest.mark.parametrize("family_fixture", ["fig2_family", "fd_family"])
-def test_basis_energies_match_direct_runs(family_fixture, request):
-    """One per-pulse solve gives every phase's window energies as w^H G w.
+@pytest.mark.parametrize("family_fixture, variants, phases", [
+    ("fig2_family", [{}], FAST_PHASES),
+    ("fd_family", [{}], FAST_PHASES),
+    ("fast_fig2_family", [{"mu": 0.3}, {"mu": 0.7}], [0.0, 1.0, math.pi]),
+    ("td_family", [{"mu": 0.3}, {"mu": 0.7}], [0.0, 1.0, math.pi]),
+], ids=["fig2_family", "fd_family", "fast_fig2_family-mu", "td_family-mu"])
+def test_basis_energies_match_direct_runs(family_fixture, variants, phases, request):
+    """One per-pulse solve gives every (mu, phase) window energy as w^H G w.
 
     The error is measured against each window's largest energy over the
     sweep: at a dark point the energy itself cancels to roundoff (1e-32 on
     freq-domain E2 at pi), where no relative error is meaningful.
     """
     family = request.getfixturevalue(family_fixture)
-    assert family.phase_rows() == (1,)
-    [basis] = _sweep_energies(family, FAST_PHASES, [{}], workers=None)
-    direct = [run(family.config_for_phase(p)).window_energies for p in FAST_PHASES]
-    for name in family.config_for_phase(0.0).windows:
-        scale = max(d[name] for d in direct)
-        errors = [abs(b[name] - d[name]) / scale for b, d in zip(basis, direct)]
-        assert max(errors) <= 1e-12, (name, errors)
+    assert family.pulse_weights(0.0) is not None
+    for kw, basis in zip(variants, _sweep_energies(family, phases, variants, workers=None)):
+        direct = [run(family.config_for_phase(p, **kw)).window_energies for p in phases]
+        for name in family.windows:
+            scale = max(d[name] for d in direct)
+            errors = [abs(b[name] - d[name]) / scale for b, d in zip(basis, direct)]
+            assert max(errors) <= 1e-12, (kw, name, errors)
 
 
 @pytest.mark.parametrize("preset, overrides", [
@@ -169,7 +144,7 @@ def test_basis_energies_match_direct_runs(family_fixture, request):
 ], ids=["coupling-knob", "beat-note"])
 def test_knobs_without_a_phase_row_run_every_phase(preset, overrides):
     family = preset_family(preset, **overrides)
-    assert family.phase_rows() is None
+    assert family.pulse_weights(0.0) is None
     phases = FAST_PHASES[::2]
     scans = scan_both_ports(family, phases, workers=2)
     direct = [run(family.config_for_phase(p)).window_energies for p in phases]
@@ -223,6 +198,43 @@ def test_mismatch_curve_endpoints(fig2_family):
     )
     assert curve[0] == (0.0, 0.0)
     assert curve[1][1] > 0.99
+
+
+def test_mu_sweeps_solve_one_basis(fast_fig2_family, monkeypatch):
+    from gemsim import analysis
+
+    calls = []
+
+    def counted(config, **kwargs):
+        calls.append(kwargs)
+        return run(config, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", counted)
+    phases = FAST_PHASES[::2]
+    curve = mismatch_curve(fast_fig2_family, [0.3, 0.6, 0.9], phases=phases, workers=2)
+    assert len(calls) == 1 and calls[0]["per_pulse"]
+    mu = find_mu_for_visibility(fast_fig2_family, curve[1][1], bracket=(0.3, 0.9),
+                                phases=phases, xtol=1e-6)
+    assert len(calls) == 2
+    assert mu == pytest.approx(0.6, abs=1e-5)
+
+
+def test_mu_weights_scale_the_probe_after_the_mismatch_time():
+    family = preset_family("fig2", **FAST_FIG2)
+    weights = family.pulse_weights(1.0, 0.5)
+    assert [weights[name][0] for name in ("input", "E1", "E2")] == [1.0, 0.5, 0.5]
+    assert all(w[1] == complex(math.cos(1.0), math.sin(1.0)) for w in weights.values())
+    t_mis = family.windows["E1"][0]
+    for straddling in ((t_mis - 0.5, t_mis + 0.5), (0.0, t_mis)):
+        family.windows["late"] = straddling
+        assert family.pulse_weights(1.0) is not None  # mu = 1 scales nothing
+        with pytest.raises(GemSimError, match="straddles the mismatch time"):
+            family.pulse_weights(1.0, 0.5)
+
+
+def test_find_mu_refuses_an_unbracketed_target(fast_fig2_family):
+    with pytest.raises(NoRoot, match=r"target visibility 0.1 is outside \[0\.\d+, 0\.9\d+\]"):
+        find_mu_for_visibility(fast_fig2_family, 0.1, bracket=(0.3, 0.9), phases=FAST_PHASES[::2])
 
 
 def test_mismatch_requires_unit_interval(fig2_family):

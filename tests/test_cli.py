@@ -243,6 +243,23 @@ def test_env_var_default_out_dir(tmp_path, fast_preset_overrides, monkeypatch):
     assert (tmp_path / "from-env" / "windows.json").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("blocker", ["file-as-parent", "directory-as-output"])
+def test_unusable_out_exits_2(tmp_path, capsys, command, blocker):
+    args = (["simulate", "--snapshot-stride", "0"] if command == "simulate"
+            else ["sweep", "--kind", "phase", "--range", "0:6:6", "--workers", "1"])
+    if blocker == "file-as-parent":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+    else:
+        out = tmp_path / "out"
+        (out / ("snapshots.csv" if command == "simulate" else "fringe_E1.csv")).mkdir(parents=True)
+    assert run_cli(args + ["--preset", "freq-domain", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    prefix = "gemsim: cannot write outputs: " if command == "simulate" else "gemsim: sweep failed: "
+    assert err.startswith(prefix) and str(out) in err and "Traceback" not in err
+
+
 def test_negative_snapshot_stride_exits_2(capsys):
     assert run_cli(["simulate", "--preset", "freq-domain", "--dry-run", "--snapshot-stride", "-1"]) == 2
     assert "--snapshot-stride must be >= 0" in capsys.readouterr().err
