@@ -8,6 +8,8 @@ a global energy rescale of the dataset.
 
 Where a family's phase and mode overlap mu are weights on pulse rows
 (pulse_weights), every (phase, mu) energy is w^H G w on one per-pulse solve.
+Only the frequency-domain beat note, whose phase changes |Omega(t)|, runs
+each phase directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFit, NoRoot
+from .errors import DegenerateFit, GemSimError, NoRoot
 from .model import ScenarioConfig
 from .solver import run
 
@@ -126,8 +128,8 @@ def _sweep_energies(
 
     When the family has pulse weights, each variant costs one per-pulse
     solve at phase 0 and every phase's energies are w^H G w with them.
-    Otherwise every (variant, phase) pair is run directly.  Independent
-    solves share a process pool of `workers`.
+    Otherwise (the beat note) every (variant, phase) pair is run directly.
+    Independent solves share a process pool of `workers`.
     """
     if family.pulse_weights(0.0) is None:
         configs = [family.config_for_phase(p, **kw) for kw in variants for p in phases]
@@ -138,13 +140,12 @@ def _sweep_energies(
     return [_weighted(family, grams, phases) for grams in _solve_all(configs, True, workers)]
 
 
-def _energies_of_mu(family, phases: list[float], workers: int | None):
-    """Window energies per phase as a function of mu: one solve, or direct runs per call."""
-    if family.pulse_weights(0.0) is None:
-        return lambda mu: _solve_all([family.config_for_phase(p, mu=mu) for p in phases],
-                                     False, workers)
-    grams = _solve(family.config_for_phase(0.0, mu=1.0), True)
-    return lambda mu: _weighted(family, grams, phases, mu)
+def _energies_of_mu(family, phases: list[float]):
+    """Window energies per phase as a function of mu, from one per-pulse solve at the first call."""
+    if not hasattr(family.params, "mode_mismatch"):
+        raise GemSimError(f"{type(family).__name__} has no mode-overlap factor mu to sweep")
+    grams = functools.cache(lambda: _solve(family.config_for_phase(0.0, mu=1.0), True))
+    return lambda mu: _weighted(family, grams(), phases, mu)
 
 
 def _fit_ports(energies: Sequence[dict], phases: list[float],
@@ -214,17 +215,13 @@ def mismatch_curve(
     mus: Sequence[float],
     port: str = "E1",
     phases: Sequence[float] | None = None,
-    workers: int | None = None,
 ) -> list[tuple[float, float]]:
-    """Visibility of one port vs the mode-overlap factor mu.
-
-    With pulse weights every mu shares one per-pulse solve.
-    """
+    """Visibility of one port vs the mode-overlap factor mu; every mu shares one per-pulse solve."""
     if any(not 0.0 <= m <= 1.0 for m in mus):
         raise ValueError("mu values must lie in [0, 1]")
     _check_port(port)
     phases = list(phases) if phases is not None else _default_phases()
-    energies = _energies_of_mu(family, phases, workers) if any(mus) else None
+    energies = _energies_of_mu(family, phases)
     return [(0.0, 0.0) if mu == 0.0  # no overlap: the fringe amplitude vanishes
             else (float(mu), fit_fringe(phases, [e[port] for e in energies(mu)], port=port).visibility)
             for mu in mus]
@@ -235,7 +232,6 @@ def find_mu_for_visibility(
     target: float,
     bracket: tuple[float, float] = (0.15, 0.95),
     phases: Sequence[float] | None = None,
-    workers: int | None = None,
     xtol: float = 1e-3,
 ) -> float:
     """Invert visibility(mu) = target for the port-E1 fringe by root finding.
@@ -245,7 +241,7 @@ def find_mu_for_visibility(
     from scipy.optimize import brentq
 
     phases = list(phases) if phases is not None else _default_phases()
-    energies = _energies_of_mu(family, phases, workers)
+    energies = _energies_of_mu(family, phases)
 
     @functools.cache
     def objective(mu: float) -> float:

@@ -30,6 +30,7 @@ from .solver import run
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+SIMULATE_OUTPUTS = "config.json boundary.csv snapshots.csv kspectra.csv windows.json record.npz".split()
 # what a malformed document or override raises while a configuration is built
 INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ArithmeticError, GemSimError)
 
@@ -39,8 +40,7 @@ def _err(msg: str) -> None:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("GEMSIM_OUT") or "gemsim-out"
-    path = Path(out)
+    path = Path(args.out or os.environ.get("GEMSIM_OUT") or "gemsim-out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -111,6 +111,9 @@ def cmd_simulate(args) -> int:
     sha = config_sha256(config)
     try:
         out = _out_dir(args)
+        for path in (out / name for name in SIMULATE_OUTPUTS):  # all of them, before the first write
+            if path.is_dir() or not os.access(path if path.exists() else out, os.W_OK):
+                raise OSError(f"{path} is a directory or not writable")
         save_config(config, out / "config.json")
         io.write_boundary_csv(record, out / "boundary.csv", sha)
         io.write_snapshots_csv(record, out / "snapshots.csv", sha)
@@ -120,7 +123,7 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         _err(f"cannot write outputs: {exc}")
         return EXIT_CONFIG
-    print(f"wrote {out}/[config.json boundary.csv snapshots.csv kspectra.csv windows.json record.npz]")
+    print(f"wrote {out}/[{' '.join(SIMULATE_OUTPUTS)}]")
     print(f"config sha256: {sha}")
     for name, energy in sorted(record.window_energies.items()):
         print(f"  {name}: {energy!r}")
@@ -168,12 +171,11 @@ def cmd_sweep(args) -> int:
         _err(f"{args.kind} sweeps are defined for the time-domain presets")
         return EXIT_CONFIG
 
-    workers = args.workers
     summary: dict = {"kind": args.kind, "config_sha256": sha, "preset": args.preset}
     try:
         out = _out_dir(args)
         if args.kind == "phase":
-            datasets = analysis.scan_both_ports(family, values, workers=workers)
+            datasets = analysis.scan_both_ports(family, values, workers=args.workers)
             for port, ds in datasets.items():
                 analysis.write_fringe_csv(ds, out / f"fringe_{port}.csv", out / f"fringe_{port}.json",
                                           config_hash=sha)
@@ -185,12 +187,12 @@ def cmd_sweep(args) -> int:
             dphi = abs(datasets["E1"].phi0 - datasets["E2"].phi0)
             summary["phi0_difference"] = dphi
         elif args.kind == "coupling":
-            curves = analysis.coupling_sweep(family, values, workers=workers)
+            curves = analysis.coupling_sweep(family, values, workers=args.workers)
             for port, curve in curves.items():
                 _write_curve(out / f"coupling_{port}.csv", sha, "relative_power,visibility", curve)
             summary["curves"] = {port: [[p, v] for p, v in curve] for port, curve in curves.items()}
         else:  # mismatch
-            curve = analysis.mismatch_curve(family, values, workers=workers)
+            curve = analysis.mismatch_curve(family, values)
             _write_curve(out / "mismatch_E1.csv", sha, "mu,visibility", curve)
             summary["curve"] = [[m, v] for m, v in curve]
         with open(out / "summary.json", "w", encoding="utf-8") as fh:
@@ -291,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--config", help="override keys for the preset")
     swp.add_argument("--out", help="output directory (default $GEMSIM_OUT or ./gemsim-out)")
     swp.add_argument("--workers", type=int, default=os.cpu_count(),
-                     help="worker processes for independent solves: coupling points and "
-                          "the per-phase runs of the fallback knobs (default: number of processors)")
+                     help="worker processes for independent solves: the points of a coupling sweep "
+                          "and the per-phase runs of a beat-note phase sweep (default: number of "
+                          "processors)")
     swp.set_defaults(func=cmd_sweep)
 
     orc = sub.add_parser("oracle", help="predicted energies for a beamsplitter event list")

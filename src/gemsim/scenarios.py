@@ -135,8 +135,13 @@ class TimeDomainParams:
 class _TdCalibration:
     steer_t: np.ndarray
     steer_values: np.ndarray  # raw echo-matched copy, unit theta, unscaled
-    u_echo: float
-    u_trans_raw: float
+    t_e1: np.ndarray          # E1 nodes of both dry runs and of the full config
+    echo: np.ndarray          # bare output on t_e1: the probe row
+    trans: np.ndarray         # steering-only output on t_e1: the raw steering row
+
+    def e1_energy(self, trace: np.ndarray) -> float:
+        """E1 of an output trace on t_e1, by the trapezoid of the window energies."""
+        return float(np.trapezoid(np.abs(trace) ** 2, self.t_e1))
 
 
 class TimeDomainFamily:
@@ -221,25 +226,28 @@ class TimeDomainFamily:
             metadata=dict(p.metadata),
         )
 
-    def bare_config(self, power_factor: float = 1.0) -> ScenarioConfig:
+    def bare_config(self) -> ScenarioConfig:
         """Probe only; used for dry-run calibration and two-echo storage."""
-        return self._assemble((self._probe(),), power_factor)
+        return self._assemble((self._probe(),))
 
     # -- calibration --------------------------------------------------------
 
     def calibrate(self) -> _TdCalibration:
         """Dry runs fixing the steering waveform and the arm-matching scale.
 
-        Both read only the first echo window, so they stop where it closes.
+        Both read only the first echo window, so they stop where it closes, and
+        keep their outputs there: the probe and raw steering rows on E1's nodes.
         """
         if self._calibration is not None:
             return self._calibration
         e1 = self.windows["E1"]
-        bare = run(self.bare_config(), stride=0, until=e1[1])
-        mask = (bare.t >= e1[0]) & (bare.t <= e1[1])
-        t_echo = bare.t[mask]
-        v_echo = bare.boundary_out[mask, 0]
-        u_echo = bare.window_energies["E1"]
+
+        def e1_output(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+            record = run(config, stride=0, until=e1[1])
+            mask = (record.t >= e1[0]) & (record.t <= e1[1])
+            return record.t[mask], record.boundary_out[mask, 0]
+
+        t_echo, v_echo = e1_output(self.bare_config())
         tt = np.linspace(t_echo[0], t_echo[-1], len(t_echo))
 
         def resample(times: np.ndarray) -> np.ndarray:
@@ -254,20 +262,18 @@ class TimeDomainFamily:
         if abs(v_ref) != 0.0 and abs(v_cen) != 0.0:
             vals = vals * ((v_ref / abs(v_ref)) * (abs(v_cen) / v_cen))
 
-        steer_only = self._assemble((SampledPulse(t=tt, values=vals, label="steering", channel=0),))
-        u_trans_raw = run(steer_only, stride=0, until=e1[1]).window_energies["E1"]
-        self._calibration = _TdCalibration(
-            steer_t=tt, steer_values=vals, u_echo=u_echo, u_trans_raw=u_trans_raw,
-        )
+        _, trans = e1_output(self._assemble((SampledPulse(t=tt, values=vals, label="steering", channel=0),)))
+        self._calibration = _TdCalibration(steer_t=tt, steer_values=vals, t_e1=t_echo, echo=v_echo, trans=trans)
         return self._calibration
 
     def steering_scale(self) -> float:
         """Amplitude factor applied to the raw echo copy."""
         cal = self.calibrate()
         if self.params.steering_scale is None:
-            if cal.u_trans_raw == 0.0:
+            u_trans = cal.e1_energy(cal.trans)
+            if u_trans == 0.0:
                 raise GemSimError("steering calibration found no transmitted energy")
-            return math.sqrt(cal.u_echo / cal.u_trans_raw)
+            return math.sqrt(cal.e1_energy(cal.echo) / u_trans)
         u_raw = float(np.trapezoid(np.abs(cal.steer_values) ** 2, cal.steer_t))
         if u_raw == 0.0:
             raise GemSimError("degenerate steering waveform")
@@ -291,10 +297,11 @@ class TimeDomainFamily:
         The steering row carries e^{i phase}.  The overlap mu scales the probe
         row from mismatch_time, where E1 and the steering support start after
         the probe's has ended: in windows starting there or later, and a window
-        straddling it is refused.  The coupling knob has no weights (None).
+        straddling it is refused.  The coupling knob has the same weights: its
+        event-era phase e^{i phi} multiplies the coherence the steering writes
+        and conjugates only the probe's E1 read-out, so E1 = |e^{-i phi} mu a +
+        b|^2 = |mu a + e^{i phi} b|^2, and E2 = |mu a + e^{i phi} b|^2.
         """
-        if self.params.phase_knob == "coupling":
-            return None
         t_mis = self.windows["E1"][0]
         steer = complex(math.cos(phase), math.sin(phase))
         weights = {}
@@ -314,14 +321,14 @@ class TimeDomainFamily:
     def refine_balance(self, span: float = 0.12, n_points: int = 7) -> "TimeDomainFamily":
         """One-dimensional search of the event factor minimising E1(theta=pi).
 
-        Starts from the analytic balance and scans a bracket on the solver
-        output, each solve stopping where E1 closes; returns a family pinned
-        to the best factor found.
+        Starts from the analytic balance and scans a bracket of factors, each
+        costing only its two calibration solves: E1(theta=pi) is the energy of
+        echo - scale * trans; returns a family pinned to the best factor found.
         """
         def dark_energy(factor: float) -> float:
             fam = self.with_params(interference_factor=factor)
-            rec = run(fam.config_for_phase(math.pi), stride=0, until=self.windows["E1"][1])
-            return rec.window_energies["E1"]
+            cal = fam.calibrate()
+            return cal.e1_energy(cal.echo - fam.steering_scale() * cal.trans)
 
         base = self.params.event_factor
         factors = base * (1.0 + span * np.linspace(-1.0, 1.0, n_points))
@@ -405,6 +412,12 @@ class FrequencyDomainFamily:
         sep = 2.0 * math.pi * p.separation_mhz
         phase_c = complex(math.cos(phase), math.sin(phase))
 
+        def pulse(amplitude: float, detuning: float, label: str, channel: int) -> GaussianPulse:
+            return GaussianPulse(t0=p.pulse_center, sigma=p.pulse_sigma, amplitude=amplitude,
+                                 carrier=carrier - detuning, truncate=p.pulse_truncate, label=label,
+                                 channel=channel)
+
+        pulses = [pulse(p.probe_amplitude, 0.0, "probe", 0)]
         if p.beat_note:
             # one optical channel: steering rides at +sep on the field and the
             # second coupling tone at -sep, so their pairing is stationary
@@ -415,16 +428,8 @@ class FrequencyDomainFamily:
                     if steering_on else None,
                 ),
             )
-            pulses = [
-                GaussianPulse(t0=p.pulse_center, sigma=p.pulse_sigma, amplitude=p.probe_amplitude,
-                              carrier=carrier, truncate=p.pulse_truncate, label="probe", channel=0),
-            ]
             if steering_on:
-                pulses.append(
-                    GaussianPulse(t0=p.pulse_center, sigma=p.pulse_sigma,
-                                  amplitude=p.steering_amplitude, carrier=carrier - sep,
-                                  truncate=p.pulse_truncate, label="steering", channel=0)
-                )
+                pulses.append(pulse(p.steering_amplitude, sep, "steering", 0))
         else:
             # two exactly Raman-resonant channels; a switched-off steering arm
             # also switches off its coupling so the single-channel limit is exact
@@ -433,12 +438,7 @@ class FrequencyDomainFamily:
                 CouplingChannel(segments=(CouplingSegment(0.0, om),)),
                 CouplingChannel(segments=(CouplingSegment(0.0, ch1_omega),), raman_offset=sep),
             )
-            pulses = [
-                GaussianPulse(t0=p.pulse_center, sigma=p.pulse_sigma, amplitude=p.probe_amplitude,
-                              carrier=carrier, truncate=p.pulse_truncate, label="probe", channel=0),
-                GaussianPulse(t0=p.pulse_center, sigma=p.pulse_sigma, amplitude=p.steering_amplitude,
-                              carrier=carrier, truncate=p.pulse_truncate, label="steering", channel=1),
-            ]
+            pulses.append(pulse(p.steering_amplitude, 0.0, "steering", 1))
 
         omega_peak = om * (2.0 if (p.beat_note and steering_on) else 1.0)
         grid = _grid_for(self.t_end, ens, p.eta, omega_peak, p.nz, p.dt_factor,

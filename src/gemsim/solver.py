@@ -93,13 +93,13 @@ def _event_times(config: ScenarioConfig) -> list[float]:
 
 
 def _time_grid(config: ScenarioConfig) -> np.ndarray:
-    """Step-boundary times: uniform within each inter-event segment."""
+    """Step-boundary times: uniform within each inter-event segment, ending on its event exactly."""
     dt0 = config.grid.dt
     edges = _event_times(config)
     pieces = [np.array([0.0])]
     for a, b in zip(edges, edges[1:]):
         n = max(1, math.ceil((b - a) / dt0 - 1e-12))
-        pieces.append(a + (b - a) * np.arange(1, n + 1) / n)
+        pieces.append(np.append(a + (b - a) * np.arange(1, n) / n, b))
     return np.concatenate(pieces)
 
 

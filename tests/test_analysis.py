@@ -114,13 +114,15 @@ def test_both_ports_are_anti_phase(fd_family):
     assert datasets["E2"].visibility > 0.95
 
 
-@pytest.mark.parametrize("family_fixture, variants, phases", [
-    ("fig2_family", [{}], FAST_PHASES),
-    ("fd_family", [{}], FAST_PHASES),
-    ("fast_fig2_family", [{"mu": 0.3}, {"mu": 0.7}], [0.0, 1.0, math.pi]),
-    ("td_family", [{"mu": 0.3}, {"mu": 0.7}], [0.0, 1.0, math.pi]),
-], ids=["fig2_family", "fd_family", "fast_fig2_family-mu", "td_family-mu"])
-def test_basis_energies_match_direct_runs(family_fixture, variants, phases, request):
+@pytest.mark.parametrize("family_fixture, overrides, variants, phases", [
+    ("fig2_family", {}, [{}], FAST_PHASES),
+    ("fd_family", {}, [{}], FAST_PHASES),
+    ("fast_fig2_family", {}, [{"mu": 0.3}, {"mu": 0.7}], [0.0, 1.0, math.pi]),
+    ("td_family", {}, [{"mu": 0.3}, {"mu": 0.7}], [0.0, 1.0, math.pi]),
+    ("fast_fig2_family", {"phase_knob": "coupling"}, [{"power_factor": 1.7}, {"mu": 0.6}],
+     [0.0, 1.0, math.pi]),
+], ids=["fig2_family", "fd_family", "fast_fig2_family-mu", "td_family-mu", "fast_fig2_family-coupling"])
+def test_basis_energies_match_direct_runs(family_fixture, overrides, variants, phases, request):
     """One per-pulse solve gives every (mu, phase) window energy as w^H G w.
 
     The error is measured against each window's largest energy over the
@@ -128,6 +130,9 @@ def test_basis_energies_match_direct_runs(family_fixture, variants, phases, requ
     freq-domain E2 at pi), where no relative error is meaningful.
     """
     family = request.getfixturevalue(family_fixture)
+    if overrides:  # a knob that leaves the calibration as it is
+        family, calibration = family.with_params(**overrides), family.calibrate()
+        family._calibration = calibration
     assert family.pulse_weights(0.0) is not None
     for kw, basis in zip(variants, _sweep_energies(family, phases, variants, workers=None)):
         direct = [run(family.config_for_phase(p, **kw)).window_energies for p in phases]
@@ -138,10 +143,8 @@ def test_basis_energies_match_direct_runs(family_fixture, variants, phases, requ
 
 
 @pytest.mark.parametrize("preset, overrides", [
-    ("time-domain", {"phase_knob": "coupling", "nz": 64, "probe_sigma": 0.5,
-                     "probe_center": 2.0, "tau1": 4.5, "tau2": 4.5}),
     ("freq-domain", {"beat_note": True}),
-], ids=["coupling-knob", "beat-note"])
+], ids=["beat-note"])
 def test_knobs_without_a_phase_row_run_every_phase(preset, overrides):
     family = preset_family(preset, **overrides)
     assert family.pulse_weights(0.0) is None
@@ -211,12 +214,24 @@ def test_mu_sweeps_solve_one_basis(fast_fig2_family, monkeypatch):
 
     monkeypatch.setattr(analysis, "run", counted)
     phases = FAST_PHASES[::2]
-    curve = mismatch_curve(fast_fig2_family, [0.3, 0.6, 0.9], phases=phases, workers=2)
+    curve = mismatch_curve(fast_fig2_family, [0.3, 0.6, 0.9], phases=phases)
     assert len(calls) == 1 and calls[0]["per_pulse"]
     mu = find_mu_for_visibility(fast_fig2_family, curve[1][1], bracket=(0.3, 0.9),
                                 phases=phases, xtol=1e-6)
     assert len(calls) == 2
     assert mu == pytest.approx(0.6, abs=1e-5)
+
+
+@pytest.mark.parametrize("beat_note", [False, True], ids=["two-channel", "beat-note"])
+def test_mu_sweeps_refuse_a_family_without_a_mode_overlap(beat_note, monkeypatch):
+    from gemsim import analysis
+
+    monkeypatch.setattr(analysis, "run", lambda *args, **kwargs: pytest.fail("solved before refusing"))
+    family = preset_family("freq-domain", beat_note=beat_note)
+    with pytest.raises(GemSimError, match="FrequencyDomainFamily has no mode-overlap factor"):
+        mismatch_curve(family, [0.0, 0.5], phases=FAST_PHASES[::2])
+    with pytest.raises(GemSimError, match="FrequencyDomainFamily has no mode-overlap factor"):
+        find_mu_for_visibility(family, 0.5, phases=FAST_PHASES[::2])
 
 
 def test_mu_weights_scale_the_probe_after_the_mismatch_time():

@@ -253,11 +253,14 @@ def test_unusable_out_exits_2(tmp_path, capsys, command, blocker):
         out = tmp_path / "file" / "x"
     else:
         out = tmp_path / "out"
-        (out / ("snapshots.csv" if command == "simulate" else "fringe_E1.csv")).mkdir(parents=True)
+        blocked = "snapshots.csv" if command == "simulate" else "fringe_E1.csv"
+        (out / blocked).mkdir(parents=True)
     assert run_cli(args + ["--preset", "freq-domain", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     prefix = "gemsim: cannot write outputs: " if command == "simulate" else "gemsim: sweep failed: "
     assert err.startswith(prefix) and str(out) in err and "Traceback" not in err
+    if blocker == "directory-as-output":
+        assert [path.name for path in out.iterdir()] == [blocked]  # no output file written
 
 
 def test_negative_snapshot_stride_exits_2(capsys):

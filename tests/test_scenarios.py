@@ -19,7 +19,7 @@ from gemsim.scenarios import (
     run_scenario,
 )
 from gemsim import scenarios
-from gemsim.solver import _time_grid, run
+from gemsim.solver import _event_times, _time_grid, run
 from conftest import FAST_FIG2
 
 
@@ -117,13 +117,31 @@ def test_calibration_stopping_at_e1_matches_full_length_solves(monkeypatch):
     family = preset_family("fig2", **FAST_FIG2)
     reference = family.calibrate()
     assert len(lengths) == 2 and all(n == n_full for n, n_full in lengths)
-    assert calibrated.u_echo == reference.u_echo
-    assert calibrated.u_trans_raw == reference.u_trans_raw
-    assert np.array_equal(calibrated.steer_t, reference.steer_t)
-    assert np.array_equal(calibrated.steer_values, reference.steer_values)
+    for name in ("steer_t", "steer_values", "t_e1", "echo", "trans"):
+        assert np.array_equal(getattr(calibrated, name), getattr(reference, name)), name
 
 
-def test_refine_balance_stays_near_analytic_optimum():
+@pytest.mark.parametrize("overrides", [{}, {"mode_mismatch": 0.5}], ids=["fast-fig2", "mode-mismatch"])
+def test_calibration_rows_give_e1_of_direct_runs(fast_fig2_family, overrides):
+    # the dry runs hold the probe row and the raw steering row on the full config's E1 nodes
+    family = fast_fig2_family.with_params(**overrides) if overrides else fast_fig2_family
+    cal, scale = family.calibrate(), family.steering_scale()
+    e1 = family.windows["E1"]
+    for theta in (0.0, 1.0, math.pi):
+        direct = run(family.config_for_phase(theta), stride=0, until=e1[1])
+        assert np.array_equal(direct.t[(direct.t >= e1[0]) & (direct.t <= e1[1])], cal.t_e1)
+        energy = cal.e1_energy(cal.echo + scale * complex(math.cos(theta), math.sin(theta)) * cal.trans)
+        assert abs(energy - direct.window_energies["E1"]) <= 1e-12 * cal.e1_energy(cal.echo), theta
+
+
+def test_segments_end_exactly_on_their_events():
+    # a family where a + (b - a) rounds past the event b; the segment must still end on b
+    config = preset_family("time-domain", tau1=3.4, tau2=3.4, probe_sigma=0.35, probe_center=2.0,
+                           dt_factor=0.5).bare_config()
+    assert set(_event_times(config)) <= set(_time_grid(config).tolist())
+
+
+def test_refine_balance_stays_near_analytic_optimum(monkeypatch):
     # with a fixed equal-energy steering pulse the suppression optimum sits at
     # the event depth solving sqrt(R1 R2) = sqrt(T2); start the search offset
     # from it and check the solver-driven refinement comes back
@@ -136,7 +154,15 @@ def test_refine_balance_stays_near_analytic_optimum():
     r_star = math.sqrt(beta2_star / beta1)
     fam = fam.with_params(interference_factor=1.05 * r_star)
     fam.calibrate()
+    calls = []
+
+    def counted(config, **kwargs):
+        calls.append(len(config.pulses))
+        return run(config, **kwargs)
+
+    monkeypatch.setattr(scenarios, "run", counted)
     refined = fam.refine_balance(span=0.10, n_points=7)
+    assert calls == [1] * 14  # per factor, only its bare and steering-only dry runs
     assert refined.params.event_factor == pytest.approx(r_star, rel=0.04)
 
 
