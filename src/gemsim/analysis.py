@@ -1,20 +1,22 @@
-"""Fringe fitting, visibilities and sweep curves from simulation records.
+"""Fringes, visibilities and sweep curves from simulation records.
 
-The swept variable is always a known phase, so the sinusoid fit is linear
-least squares on the regressors (1, cos phi, sin phi) at unit frequency:
-I(phi) = A + B cos(phi - phi0).  Visibility is B/A, which equals
-(Imax - Imin)/(Imax + Imin) for an exact sinusoid and is invariant under
-a global energy rescale of the dataset.
+A fringe is I(phi) = A + B cos(phi - phi0) in a known phase phi, with
+visibility B/A: (Imax - Imin)/(Imax + Imin), invariant under a global
+energy rescale.
 
 Where a family's phase and mode overlap mu are weights on pulse rows
-(pulse_weights), every (phase, mu) energy is w^H G w on one per-pulse solve.
-Only the frequency-domain beat note, whose phase changes |Omega(t)|, runs
-each phase directly.
+(pulse_weights), every (phase, mu) energy is w^H G w on one per-pulse solve,
+an exact sinusoid in phi: A, B and phi0 are read from the window's Gram
+matrix G in closed form, and V = balance x overlap, with balance
+2 sqrt(|u|^2 G00 |v|^2 G11) / (|u|^2 G00 + |v|^2 G11) and overlap
+|G01| / sqrt(G00 G11).  So the visibility curves and the mu that reaches a
+visibility need no fit and no search.  Only the frequency-domain beat note,
+whose phase changes |Omega(t)|, runs each phase directly; its samples are
+fitted by linear least squares on (1, cos phi, sin phi).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +32,7 @@ from .solver import run
 __all__ = [
     "FringeDataset",
     "fit_fringe",
-    "fringe_scan",
+    "scan_both_ports",
     "coupling_sweep",
     "mismatch_curve",
     "find_mu_for_visibility",
@@ -40,7 +42,7 @@ __all__ = [
 
 @dataclass
 class FringeDataset:
-    """Phase/energy samples of one output port with their sinusoid fit."""
+    """Phase/energy samples of one output port with their sinusoid A + B cos(phi - phi0)."""
 
     port: str
     phases: np.ndarray
@@ -87,11 +89,6 @@ def fit_fringe(phases: Sequence[float], energies: Sequence[float], port: str = "
 PORTS = ("E1", "E2")
 
 
-def _check_port(port: str) -> None:
-    if port not in PORTS:
-        raise ValueError("port must be 'E1' or 'E2'")
-
-
 def _solve(config: ScenarioConfig, per_pulse: bool) -> dict:
     """Window energies of a direct run, or window Gram matrices of a per-pulse run."""
     record = run(config, stride=0, per_pulse=per_pulse)
@@ -110,71 +107,28 @@ def _solve_all(
     return [_solve(c, per_pulse) for c in configs]
 
 
-def _weighted(family, grams: dict, phases: Sequence[float],
-              mu: float = 1.0) -> list[dict[str, float]]:
-    """Window energies w^H G w of a per-pulse basis, with the family's weights."""
-    weights = [family.pulse_weights(p, mu) for p in phases]
-    return [{name: float(np.real(np.conj(w[name]) @ gram @ w[name])) for name, gram in grams.items()}
-            for w in weights]
+def _terms(gram: np.ndarray, w: np.ndarray) -> tuple[float, float, complex]:
+    """|u|^2 G00, |v|^2 G11 and conj(u) v G01 of a window's Gram matrix and weights w = (u, v)."""
+    u, v = w
+    return (float(abs(u) ** 2 * gram[0, 0].real), float(abs(v) ** 2 * gram[1, 1].real),
+            complex(np.conj(u) * v * gram[0, 1]))
 
 
-def _sweep_energies(
-    family,
-    phases: Sequence[float],
-    variants: Sequence[dict],
-    workers: int | None,
-) -> list[list[dict[str, float]]]:
-    """Window energies per variant (config_for_phase keywords) and per phase.
+def _sinusoid(gram: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
+    """Offset A, amplitude B and phi0 of w(theta)^H G w(theta) = A + B cos(theta - phi0).
 
-    When the family has pulse weights, each variant costs one per-pulse
-    solve at phase 0 and every phase's energies are w^H G w with them.
-    Otherwise (the beat note) every (variant, phase) pair is run directly.
-    Independent solves share a process pool of `workers`.
+    w = (u, v) are the weights at phase 0; pulse_weights puts e^{i theta} on
+    row 1, so the energy is |u|^2 G00 + |v|^2 G11 + 2 Re(e^{i theta} conj(u) v G01).
     """
-    if family.pulse_weights(0.0) is None:
-        configs = [family.config_for_phase(p, **kw) for kw in variants for p in phases]
-        flat = _solve_all(configs, False, workers)
-        n = len(phases)
-        return [flat[i * n:(i + 1) * n] for i in range(len(variants))]
-    configs = [family.config_for_phase(0.0, **kw) for kw in variants]
-    return [_weighted(family, grams, phases) for grams in _solve_all(configs, True, workers)]
+    a, b, k = _terms(gram, w)
+    if a + b <= 0.0:
+        raise DegenerateFit(f"non-positive fringe offset A={a + b:.3g}")
+    return a + b, 2.0 * abs(k), math.atan2(-k.imag, k.real)
 
 
-def _energies_of_mu(family, phases: list[float]):
-    """Window energies per phase as a function of mu, from one per-pulse solve at the first call."""
-    if not hasattr(family.params, "mode_mismatch"):
-        raise GemSimError(f"{type(family).__name__} has no mode-overlap factor mu to sweep")
-    grams = functools.cache(lambda: _solve(family.config_for_phase(0.0, mu=1.0), True))
-    return lambda mu: _weighted(family, grams(), phases, mu)
-
-
-def _fit_ports(energies: Sequence[dict], phases: list[float],
-               ports: Sequence[str]) -> dict[str, FringeDataset]:
-    return {port: fit_fringe(phases, [e[port] for e in energies], port=port) for port in ports}
-
-
-def _scan(family, phases, ports, workers) -> dict[str, FringeDataset]:
-    phases = list(phases)
-    if len(phases) < 5:
-        raise DegenerateFit("need at least five phase samples")
-    for port in ports:
-        _check_port(port)
-    [energies] = _sweep_energies(family, phases, [{}], workers)
-    return _fit_ports(energies, phases, ports)
-
-
-def fringe_scan(
-    family,
-    phases: Sequence[float],
-    port: str = "E1",
-    workers: int | None = None,
-) -> FringeDataset:
-    """Window energies at every phase and the port's fringe fit.
-
-    A family whose phase is a pulse-row factor needs one per-pulse solve
-    for all phases; otherwise each phase is one run, spread over `workers`.
-    """
-    return _scan(family, phases, (port,), workers)[port]
+def _visibility(gram: np.ndarray, w: np.ndarray) -> float:
+    offset, amplitude, _ = _sinusoid(gram, w)
+    return amplitude / offset
 
 
 def scan_both_ports(
@@ -182,76 +136,79 @@ def scan_both_ports(
     phases: Sequence[float],
     workers: int | None = None,
 ) -> dict[str, FringeDataset]:
-    """Phase scan shared by both output ports (one solve set for both)."""
-    return _scan(family, phases, PORTS, workers)
+    """Window energies of both output ports at every phase, with their sinusoids.
 
-
-def _default_phases(n: int = 12) -> list[float]:
-    return [2.0 * math.pi * i / n for i in range(n)]
+    A family whose phase is a pulse-row factor needs one per-pulse solve for
+    all phases, and A, B and phi0 follow from each window's Gram matrix.
+    Otherwise (the beat note) each phase is one run, spread over `workers`,
+    and each port is fitted.
+    """
+    phases = list(phases)
+    if len(phases) < 5:
+        raise DegenerateFit("need at least five phase samples")
+    weights = family.pulse_weights(0.0)
+    if weights is None:
+        energies = _solve_all([family.config_for_phase(p) for p in phases], False, workers)
+        return {port: fit_fringe(phases, [e[port] for e in energies], port=port) for port in PORTS}
+    grams = _solve(family.config_for_phase(0.0), True)
+    sampled = [family.pulse_weights(p) for p in phases]  # energies w^H G w
+    return {port: FringeDataset(port, np.asarray(phases, dtype=float),
+                                np.array([np.real(np.conj(w[port]) @ grams[port] @ w[port]) for w in sampled]),
+                                *_sinusoid(grams[port], weights[port]))
+            for port in PORTS}
 
 
 def coupling_sweep(
     family,
     relative_powers: Sequence[float],
-    phases: Sequence[float] | None = None,
     workers: int | None = None,
 ) -> dict[str, list[tuple[float, float]]]:
-    """Visibility of both ports vs event coupling power.
+    """Visibility B/A of both ports vs event coupling power, one per-pulse solve per power.
 
     Powers are normalised to the family's balanced-suppression power
     (power 1.0 reproduces the family's own event coupling).
     """
     if any(p <= 0 for p in relative_powers):
         raise ValueError("relative powers must be positive")
-    phases = list(phases) if phases is not None else _default_phases()
-    variants = [{"power_factor": power} for power in relative_powers]
-    fits = [_fit_ports(e, phases, PORTS) for e in _sweep_energies(family, phases, variants, workers)]
-    return {port: [(float(power), fit[port].visibility) for power, fit in zip(relative_powers, fits)]
+    weights = family.pulse_weights(0.0)
+    configs = [family.config_for_phase(0.0, power_factor=power) for power in relative_powers]
+    grams = _solve_all(configs, True, workers)
+    return {port: [(float(power), _visibility(g[port], weights[port])) for power, g in zip(relative_powers, grams)]
             for port in PORTS}
 
 
-def mismatch_curve(
-    family,
-    mus: Sequence[float],
-    port: str = "E1",
-    phases: Sequence[float] | None = None,
-) -> list[tuple[float, float]]:
+def _mu_basis(family) -> dict:
+    """Window Gram matrices at mu = 1; mu enters as a weight on the probe row."""
+    if not hasattr(family.params, "mode_mismatch"):
+        raise GemSimError(f"{type(family).__name__} has no mode-overlap factor mu to sweep")
+    return _solve(family.config_for_phase(0.0, mu=1.0), True)
+
+
+def mismatch_curve(family, mus: Sequence[float], port: str = "E1") -> list[tuple[float, float]]:
     """Visibility of one port vs the mode-overlap factor mu; every mu shares one per-pulse solve."""
     if any(not 0.0 <= m <= 1.0 for m in mus):
         raise ValueError("mu values must lie in [0, 1]")
-    _check_port(port)
-    phases = list(phases) if phases is not None else _default_phases()
-    energies = _energies_of_mu(family, phases)
-    return [(0.0, 0.0) if mu == 0.0  # no overlap: the fringe amplitude vanishes
-            else (float(mu), fit_fringe(phases, [e[port] for e in energies(mu)], port=port).visibility)
-            for mu in mus]
+    if port not in PORTS:
+        raise ValueError("port must be 'E1' or 'E2'")
+    gram = _mu_basis(family)[port]
+    return [(float(mu), _visibility(gram, family.pulse_weights(0.0, mu)[port])) for mu in mus]
 
 
-def find_mu_for_visibility(
-    family,
-    target: float,
-    bracket: tuple[float, float] = (0.15, 0.95),
-    phases: Sequence[float] | None = None,
-    xtol: float = 1e-3,
-) -> float:
-    """Invert visibility(mu) = target for the port-E1 fringe by root finding.
+def find_mu_for_visibility(family, target: float) -> float:
+    """The overlap mu in [0, 1] at which the port-E1 fringe has visibility `target`.
 
-    NoRoot when the visibilities at the bracket's ends do not enclose it.
+    With a = |u|^2 G00, b = |v|^2 G11 and k = |conj(u) v G01| from the E1
+    Gram matrix and weights at mu = 1, V(mu) = 2 k mu / (a mu^2 + b), so mu
+    is the smaller root of target a mu^2 - 2 k mu + target b = 0, taken in a
+    form free of cancellation.  NoRoot when no mu in [0, 1] reaches it.
     """
-    from scipy.optimize import brentq
-
-    phases = list(phases) if phases is not None else _default_phases()
-    energies = _energies_of_mu(family, phases)
-
-    @functools.cache
-    def objective(mu: float) -> float:
-        return fit_fringe(phases, [e["E1"] for e in energies(mu)]).visibility - target
-
-    lo, hi = objective(bracket[0]), objective(bracket[1])
-    if lo * hi > 0.0:
-        raise NoRoot(f"target visibility {target} is outside [{min(lo, hi) + target:.6g}, "
-                     f"{max(lo, hi) + target:.6g}], the range across mu in {tuple(bracket)}")
-    return float(brentq(objective, bracket[0], bracket[1], xtol=xtol))
+    a, b, k = _terms(_mu_basis(family)["E1"], family.pulse_weights(0.0)["E1"])
+    k = abs(k)
+    peak = 1.0 if b >= a else math.sqrt(b / a)  # V rises up to mu = sqrt(b / a)
+    reach = 2.0 * k * peak / (a * peak**2 + b)
+    if not 0.0 <= target <= reach:
+        raise NoRoot(f"target visibility {target} is outside [0, {reach:.6g}], the range across mu in [0, 1]")
+    return float(target * b / (k + math.sqrt(max(k * k - target * target * a * b, 0.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +217,7 @@ def find_mu_for_visibility(
 
 def write_fringe_csv(dataset: FringeDataset, csv_path, sidecar_path=None,
                      config_hash: str | None = None) -> None:
-    """Samples as CSV plus a JSON sidecar with the fit parameters."""
+    """Samples as CSV plus a JSON sidecar with the sinusoid parameters."""
     with open(csv_path, "w", encoding="utf-8") as fh:
         if config_hash:
             fh.write(f"# config_sha256={config_hash}\n")

@@ -31,6 +31,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 SIMULATE_OUTPUTS = "config.json boundary.csv snapshots.csv kspectra.csv windows.json record.npz".split()
+SWEEP_OUTPUTS = {
+    "phase": "fringe_E1.csv fringe_E1.json fringe_E2.csv fringe_E2.json summary.json".split(),
+    "coupling": "coupling_E1.csv coupling_E2.csv summary.json".split(),
+    "mismatch": "mismatch_E1.csv summary.json".split(),
+}
 # what a malformed document or override raises while a configuration is built
 INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ArithmeticError, GemSimError)
 
@@ -39,10 +44,14 @@ def _err(msg: str) -> None:
     print(f"gemsim: {msg}", file=sys.stderr)
 
 
-def _out_dir(args) -> Path:
-    path = Path(args.out or os.environ.get("GEMSIM_OUT") or "gemsim-out")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _writable_out(args, names) -> Path:
+    """The output directory, once every named output in it is known to be writable."""
+    out = Path(args.out or os.environ.get("GEMSIM_OUT") or "gemsim-out")
+    out.mkdir(parents=True, exist_ok=True)
+    for path in (out / name for name in names):  # all of them, before the first write
+        if path.is_dir() or not os.access(path if path.exists() else out, os.W_OK):
+            raise OSError(f"{path} is a directory or not writable")
+    return out
 
 
 def _load_overrides(path: str | None) -> dict:
@@ -110,10 +119,7 @@ def cmd_simulate(args) -> int:
 
     sha = config_sha256(config)
     try:
-        out = _out_dir(args)
-        for path in (out / name for name in SIMULATE_OUTPUTS):  # all of them, before the first write
-            if path.is_dir() or not os.access(path if path.exists() else out, os.W_OK):
-                raise OSError(f"{path} is a directory or not writable")
+        out = _writable_out(args, SIMULATE_OUTPUTS)
         save_config(config, out / "config.json")
         io.write_boundary_csv(record, out / "boundary.csv", sha)
         io.write_snapshots_csv(record, out / "snapshots.csv", sha)
@@ -173,7 +179,7 @@ def cmd_sweep(args) -> int:
 
     summary: dict = {"kind": args.kind, "config_sha256": sha, "preset": args.preset}
     try:
-        out = _out_dir(args)
+        out = _writable_out(args, SWEEP_OUTPUTS[args.kind])
         if args.kind == "phase":
             datasets = analysis.scan_both_ports(family, values, workers=args.workers)
             for port, ds in datasets.items():
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="steps between snapshots and k-spectra; 0 records none (default: ~512 of each)")
     sim.set_defaults(func=cmd_simulate)
 
-    swp = sub.add_parser("sweep", help="phase/coupling/mismatch sweeps with fringe fits")
+    swp = sub.add_parser("sweep", help="phase/coupling/mismatch sweeps of fringe visibility")
     swp.add_argument("--kind", "--sweep", dest="kind", required=True,
                      choices=("phase", "coupling", "mismatch"))
     swp.add_argument("--range", required=True, help="start:stop:count (inclusive endpoints)")

@@ -38,8 +38,8 @@ class ZeroGradient(GemSimError):
 
 
 class NoRoot(GemSimError):
-    """A root search has no solution: the balance equation at any positive
-    optical depth, or a target visibility across a mode-overlap bracket."""
+    """An equation has no solution: the balance equation when an arm vanishes,
+    or a target visibility that no mode overlap mu in [0, 1] reaches."""
 
 
 class SeparationTooSmall(GemSimError):
@@ -47,4 +47,4 @@ class SeparationTooSmall(GemSimError):
 
 
 class DegenerateFit(GemSimError):
-    """The sinusoid fit is rank deficient or produced a non-positive offset."""
+    """The sinusoid fit is rank deficient, or a fringe has a non-positive offset."""

@@ -166,42 +166,22 @@ def predict_record(
     return state
 
 
-def _balance_residual(beta: float, r1: float, decay: float, ep: float, es: float) -> float:
-    # sqrt(R1 R(beta)) * decay * |Ep| - sqrt(T(beta)) * |Es|; monotone increasing in beta
-    return math.sqrt(r1 * reflectivity(beta)) * decay * ep - math.sqrt(transmissivity(beta)) * es
-
-
-def balance_coupling(
-    r1: float,
-    gamma0: float,
-    tau: float,
-    ep: float,
-    es: float,
-    rel_tol: float = 1e-9,
-) -> float:
+def balance_coupling(r1: float, gamma0: float, tau: float, ep: float, es: float) -> float:
     """Solve sqrt(R1 R2) e^{-gamma0 tau} |Ep| = sqrt(T2) |Es| for beta2.
 
-    Bisection on the bracketed monotone residual, to rel_tol relative.
+    With T2 = e^{-2 pi beta2} and R2 = 1 - T2 the balance is linear in T2, so
+    beta2 = log1p(|Es|^2 / (R1 e^{-2 gamma0 tau} |Ep|^2)) / (2 pi).
     Raises NoRoot when either interferometer arm vanishes.
     """
     ep, es = abs(ep), abs(es)
-    decay = math.exp(-gamma0 * tau)
     if es == 0:
         raise NoRoot("steering arm is zero; nothing to interfere")
-    if r1 * decay * ep == 0:
+    stored = r1 * math.exp(-2.0 * gamma0 * tau) * ep * ep
+    if stored == 0:
         raise NoRoot("stored arm is zero for every beta2")
-    lo, hi = 0.0, 1.0
-    while _balance_residual(hi, r1, decay, ep, es) < 0:
-        hi *= 2.0
-        if hi > 1e6:  # pragma: no cover - unreachable with nonzero arms
-            raise NoRoot("no bracket found for the balance equation")
-    while hi - lo > rel_tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if _balance_residual(mid, r1, decay, ep, es) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if stored < 0:
+        raise ValueError(f"R1 must be >= 0, got {r1}")
+    return math.log1p(es * es / stored) / TWO_PI
 
 
 def fringe_visibility(beta: float, a: float, b: float, mu: float = 1.0) -> float:

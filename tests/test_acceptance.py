@@ -198,7 +198,7 @@ def test_criterion_8_fringe_machinery(fig2_family, fig2_fringes, fd_family):
     dphi_fd = abs(abs(fd_sets["E1"].phi0 - fd_sets["E2"].phi0) - math.pi)
 
     powers = [0.02, 0.3, 1.0, 4.0, 60.0]
-    curves = coupling_sweep(fig2_family, powers, phases=FAST_PHASES[::2])
+    curves = coupling_sweep(fig2_family, powers)
     shape_ok = True
     for port, curve in curves.items():
         vis = [v for _, v in curve]
@@ -216,12 +216,10 @@ def test_criterion_8_fringe_machinery(fig2_family, fig2_fringes, fd_family):
 
 def test_criterion_9_mismatch_anchor(td_family):
     phases = FAST_PHASES[::2]
-    curve = mismatch_curve(td_family, [0.25, 0.55, 0.85], phases=phases)
+    curve = mismatch_curve(td_family, [0.25, 0.55, 0.85])
     values = [v for _, v in curve]
     monotone = values[0] < values[1] < values[2]
-    mu_star = find_mu_for_visibility(
-        td_family, 0.68, bracket=(0.3, 0.5), phases=phases, xtol=2e-3
-    )
+    mu_star = find_mu_for_visibility(td_family, 0.68)
     configs = [td_family.config_for_phase(p, mu=mu_star) for p in phases]
     energies = [run(c).window_energies["E1"] for c in configs]
     v_at_star = fit_fringe(phases, energies).visibility

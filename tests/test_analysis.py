@@ -10,12 +10,11 @@ from gemsim.analysis import (
     coupling_sweep,
     find_mu_for_visibility,
     fit_fringe,
-    fringe_scan,
     mismatch_curve,
     scan_both_ports,
     write_fringe_csv,
+    _solve,
     _solve_all,
-    _sweep_energies,
 )
 from gemsim.errors import DegenerateFit, GemSimError, NonFinite, NoRoot
 from gemsim.scenarios import preset_family
@@ -98,13 +97,24 @@ def test_fringe_csv_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_fringe_scan_with_worker_pool(fd_family):
-    ds = fringe_scan(fd_family, FAST_PHASES[::2], "E2", workers=2)
+    ds = scan_both_ports(fd_family, FAST_PHASES[::2], workers=2)["E2"]
     assert ds.visibility > 0.95
 
 
 def test_fringe_scan_needs_enough_phases(fd_family):
     with pytest.raises(DegenerateFit):
-        fringe_scan(fd_family, [0.0, 1.0, 2.0], "E1")
+        scan_both_ports(fd_family, [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("family_fixture", ["fig2_family", "fd_family", "td_family"])
+def test_basis_scans_match_the_least_squares_fit(family_fixture, request):
+    """A, B and phi0 read from the Gram matrix are the fit of the sampled energies."""
+    scans = scan_both_ports(request.getfixturevalue(family_fixture), FAST_PHASES)
+    for port, ds in scans.items():
+        fit = fit_fringe(ds.phases, ds.energies, port=port)
+        for name in ("offset", "amplitude", "visibility"):
+            assert getattr(ds, name) == pytest.approx(getattr(fit, name), rel=1e-13), (port, name)
+        assert abs(math.remainder(ds.phi0 - fit.phi0, 2.0 * math.pi)) <= 1e-12, port
 
 
 def test_both_ports_are_anti_phase(fd_family):
@@ -123,7 +133,8 @@ def test_both_ports_are_anti_phase(fd_family):
      [0.0, 1.0, math.pi]),
 ], ids=["fig2_family", "fd_family", "fast_fig2_family-mu", "td_family-mu", "fast_fig2_family-coupling"])
 def test_basis_energies_match_direct_runs(family_fixture, overrides, variants, phases, request):
-    """One per-pulse solve gives every (mu, phase) window energy as w^H G w.
+    """One per-pulse solve gives every (mu, phase) window energy as w^H G w,
+    with mu a weight on the probe row.
 
     The error is measured against each window's largest energy over the
     sweep: at a dark point the energy itself cancels to roundoff (1e-32 on
@@ -134,7 +145,11 @@ def test_basis_energies_match_direct_runs(family_fixture, overrides, variants, p
         family, calibration = family.with_params(**overrides), family.calibrate()
         family._calibration = calibration
     assert family.pulse_weights(0.0) is not None
-    for kw, basis in zip(variants, _sweep_energies(family, phases, variants, workers=None)):
+    for kw in variants:
+        mu = kw.get("mu", 1.0)
+        grams = _solve(family.config_for_phase(0.0, **{k: v for k, v in kw.items() if k != "mu"}), True)
+        basis = [{name: float(np.real(np.conj(w[name]) @ gram @ w[name])) for name, gram in grams.items()}
+                 for w in (family.pulse_weights(p, mu) for p in phases)]
         direct = [run(family.config_for_phase(p, **kw)).window_energies for p in phases]
         for name in family.windows:
             scale = max(d[name] for d in direct)
@@ -196,9 +211,7 @@ def test_nonfinite_in_a_pool_worker_reaches_the_caller():
 
 
 def test_mismatch_curve_endpoints(fig2_family):
-    curve = mismatch_curve(
-        fig2_family, [0.0, 1.0], phases=FAST_PHASES[::2]
-    )
+    curve = mismatch_curve(fig2_family, [0.0, 1.0])
     assert curve[0] == (0.0, 0.0)
     assert curve[1][1] > 0.99
 
@@ -213,13 +226,11 @@ def test_mu_sweeps_solve_one_basis(fast_fig2_family, monkeypatch):
         return run(config, **kwargs)
 
     monkeypatch.setattr(analysis, "run", counted)
-    phases = FAST_PHASES[::2]
-    curve = mismatch_curve(fast_fig2_family, [0.3, 0.6, 0.9], phases=phases)
+    curve = mismatch_curve(fast_fig2_family, [0.3, 0.6, 0.9])
     assert len(calls) == 1 and calls[0]["per_pulse"]
-    mu = find_mu_for_visibility(fast_fig2_family, curve[1][1], bracket=(0.3, 0.9),
-                                phases=phases, xtol=1e-6)
+    mu = find_mu_for_visibility(fast_fig2_family, curve[1][1])
     assert len(calls) == 2
-    assert mu == pytest.approx(0.6, abs=1e-5)
+    assert mu == pytest.approx(0.6, abs=1e-12)  # the quadratic inverts V(mu) exactly
 
 
 @pytest.mark.parametrize("beat_note", [False, True], ids=["two-channel", "beat-note"])
@@ -229,9 +240,9 @@ def test_mu_sweeps_refuse_a_family_without_a_mode_overlap(beat_note, monkeypatch
     monkeypatch.setattr(analysis, "run", lambda *args, **kwargs: pytest.fail("solved before refusing"))
     family = preset_family("freq-domain", beat_note=beat_note)
     with pytest.raises(GemSimError, match="FrequencyDomainFamily has no mode-overlap factor"):
-        mismatch_curve(family, [0.0, 0.5], phases=FAST_PHASES[::2])
+        mismatch_curve(family, [0.0, 0.5])
     with pytest.raises(GemSimError, match="FrequencyDomainFamily has no mode-overlap factor"):
-        find_mu_for_visibility(family, 0.5, phases=FAST_PHASES[::2])
+        find_mu_for_visibility(family, 0.5)
 
 
 def test_mu_weights_scale_the_probe_after_the_mismatch_time():
@@ -248,8 +259,9 @@ def test_mu_weights_scale_the_probe_after_the_mismatch_time():
 
 
 def test_find_mu_refuses_an_unbracketed_target(fast_fig2_family):
-    with pytest.raises(NoRoot, match=r"target visibility 0.1 is outside \[0\.\d+, 0\.9\d+\]"):
-        find_mu_for_visibility(fast_fig2_family, 0.1, bracket=(0.3, 0.9), phases=FAST_PHASES[::2])
+    # V(mu) rises to V(1) < 1 on [0, 1], so full visibility is out of reach
+    with pytest.raises(NoRoot, match=r"target visibility 1.0 is outside \[0, 0\.9\d+\]"):
+        find_mu_for_visibility(fast_fig2_family, 1.0)
 
 
 def test_mismatch_requires_unit_interval(fig2_family):

@@ -263,6 +263,20 @@ def test_unusable_out_exits_2(tmp_path, capsys, command, blocker):
         assert [path.name for path in out.iterdir()] == [blocked]  # no output file written
 
 
+@pytest.mark.parametrize("blocked", ["fringe_E2.csv", "summary.json"])
+def test_sweep_with_an_unwritable_later_output_writes_nothing(tmp_path, capsys, monkeypatch, blocked):
+    from gemsim import analysis
+
+    monkeypatch.setattr(analysis, "run", lambda *args, **kwargs: pytest.fail("solved before the check"))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert run_cli(["sweep", "--kind", "phase", "--range", "0:6:6", "--preset", "freq-domain",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gemsim: sweep failed: ") and blocked in err and "Traceback" not in err
+    assert [path.name for path in out.iterdir()] == [blocked]
+
+
 def test_negative_snapshot_stride_exits_2(capsys):
     assert run_cli(["simulate", "--preset", "freq-domain", "--dry-run", "--snapshot-stride", "-1"]) == 2
     assert "--snapshot-stride must be >= 0" in capsys.readouterr().err

@@ -23,6 +23,19 @@ def test_the_checker_sees_unused_and_used_imports():
     assert _unused_imports(source) == ["line 1: math", "line 3: path"]
 
 
+def test_package_modules_do_not_import_scipy():
+    def roots(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module.split(".")[0]
+
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [p.name for p in modules if "scipy" in roots(ast.parse(p.read_text()))] == []
+
+
 def test_package_modules_have_no_unused_imports():
     # __init__.py imports names to re-export them
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")

@@ -233,6 +233,19 @@ def test_balance_equal_arms_is_half_split():
     assert beta2 == pytest.approx(0.1103, abs=5e-5)
 
 
+@pytest.mark.parametrize("r1", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("gamma0, tau", [(0.0, 0.0), (0.05, 2.0), (0.3, 7.0)])
+@pytest.mark.parametrize("ep, es", [(1.0, 1.0), (0.3, 2.0), (4.0, 0.01)])
+def test_balance_is_the_log1p_form(r1, gamma0, tau, ep, es):
+    expected = math.log1p(es**2 / (r1 * math.exp(-2.0 * gamma0 * tau) * ep**2)) / TWO_PI
+    assert oracle.balance_coupling(r1, gamma0, tau, ep, es) == pytest.approx(expected, rel=1e-15)
+
+
+def test_balance_refuses_a_negative_reflectivity():
+    with pytest.raises(ValueError):
+        oracle.balance_coupling(-2.0, 0.0, 0.0, 1.0, 1.0)
+
+
 def test_balance_no_steering_raises():
     with pytest.raises(NoRoot):
         oracle.balance_coupling(1.0, 0.0, 0.0, 1.0, 0.0)
