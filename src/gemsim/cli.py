@@ -66,26 +66,30 @@ def _family(args):
     return scenarios.preset_family(args.preset, **_load_overrides(args.config))
 
 
-def _preset_config(family, phase: float | None = None) -> ScenarioConfig:
-    """The family's config at `phase` (default: its own theta or phi).
+def _config_before_solving(family, phase: float | None = None) -> ScenarioConfig:
+    """The family's config at `phase` (default: its own theta or phi), if it takes no solve.
 
-    A time-domain family's calibration solves its probe-only config, so that
-    config is returned instead when invalid: its failures come before solves.
+    A time-domain family's takes its two calibration solves, so its probe-only
+    config, the one they solve, is returned: validated before them, and before
+    the outputs are checked.  `_calibrated` builds the family's own after.
     """
     if isinstance(family, scenarios.TimeDomainFamily):
-        bare = family.bare_config()
-        if not validate(bare).ok:
-            return bare
-        own = family.params.theta
-    else:
-        own = family.params.phi
-    return family.config_for_phase(own if phase is None else phase)
+        return family.bare_config()
+    return family.config_for_phase(family.params.phi if phase is None else phase)
 
 
-def _is_valid(config: ScenarioConfig) -> bool:
-    """Validate, printing every warning and failure."""
+def _calibrated(family, config: ScenarioConfig, phase: float | None = None) -> ScenarioConfig | None:
+    """`config`, or a time-domain family's config at `phase` once calibrated; None if that is invalid."""
+    if not isinstance(family, scenarios.TimeDomainFamily):
+        return config
+    config = family.config_for_phase(family.params.theta if phase is None else phase)
+    return config if _is_valid(config, warn=False) else None  # its warnings are the probe-only config's
+
+
+def _is_valid(config: ScenarioConfig, warn: bool = True) -> bool:
+    """Validate, printing every failure, and every warning if `warn`."""
     report = validate(config)
-    for w in report.warnings:
+    for w in report.warnings if warn else ():
         _err(f"warning: {w}")
     for failure in report.failures:
         _err(f"invalid configuration: {failure}")
@@ -96,9 +100,11 @@ def cmd_simulate(args) -> int:
     if (args.snapshot_stride or 0) < 0:
         _err(f"--snapshot-stride must be >= 0, got {args.snapshot_stride}")
         return EXIT_CONFIG
+    family = None
     try:
         if args.preset:
-            config = _preset_config(_family(args))
+            family = _family(args)
+            config = _config_before_solving(family)
         elif args.config:
             config = load_config(args.config)
         else:
@@ -108,27 +114,43 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
     if not _is_valid(config):
         return EXIT_CONFIG
-    if args.dry_run:
-        print("configuration valid; dry run requested, no outputs written")
-        return EXIT_OK
     try:
-        record = run(config, stride=args.snapshot_stride)
-    except (NonFinite, StabilityBound) as exc:
-        _err(f"solver error: {exc}")
-        return EXIT_SOLVER
-
-    sha = config_sha256(config)
-    try:
-        out = _writable_out(args, SIMULATE_OUTPUTS)
-        save_config(config, out / "config.json")
-        io.write_boundary_csv(record, out / "boundary.csv", sha)
-        io.write_snapshots_csv(record, out / "snapshots.csv", sha)
-        io.write_kspectra_csv(record, out / "kspectra.csv", sha)
-        io.write_windows_json(record, out / "windows.json", sha)
-        io.save_record(record, out / "record.npz", sha)
+        out = None if args.dry_run else _writable_out(args, SIMULATE_OUTPUTS)
     except OSError as exc:
         _err(f"cannot write outputs: {exc}")
         return EXIT_CONFIG
+    try:
+        config = _calibrated(family, config)
+    except (NonFinite, StabilityBound) as exc:
+        _err(f"solver error: {exc}")
+        return EXIT_SOLVER
+    except INPUT_ERRORS as exc:
+        _err(f"cannot build configuration: {exc}")
+        return EXIT_CONFIG
+    if config is None:
+        return EXIT_CONFIG
+    if args.dry_run:
+        print("configuration valid; dry run requested, no outputs written")
+        return EXIT_OK
+
+    # snapshots.csv is formatted while the solve runs, the other outputs after it
+    sha = config_sha256(config)
+    with io.SnapshotWriter(out / "snapshots.csv", sha) as snapshots:
+        try:
+            record = run(config, stride=args.snapshot_stride, sink=snapshots)
+        except (NonFinite, StabilityBound) as exc:
+            _err(f"solver error: {exc}")
+            return EXIT_SOLVER
+        try:
+            save_config(config, out / "config.json")
+            io.write_boundary_csv(record, out / "boundary.csv", sha)
+            io.write_kspectra_csv(record, out / "kspectra.csv", sha)
+            io.write_windows_json(record, out / "windows.json", sha)
+            io.save_record(record, out / "record.npz", sha)
+            snapshots.close()
+        except OSError as exc:
+            _err(f"cannot write outputs: {exc}")
+            return EXIT_CONFIG
     print(f"wrote {out}/[{' '.join(SIMULATE_OUTPUTS)}]")
     print(f"config sha256: {sha}")
     for name, energy in sorted(record.window_energies.items()):
@@ -163,23 +185,35 @@ def cmd_sweep(args) -> int:
             raise ValueError("relative powers must be positive")
         if args.kind == "mismatch" and any(not 0.0 <= v <= 1.0 for v in values):
             raise ValueError("mu values must lie in [0, 1]")
-        config = _preset_config(family, 0.0)
-        if not _is_valid(config):
-            return EXIT_CONFIG
-        sha = config_sha256(config)
-    except (NonFinite, StabilityBound) as exc:  # from the calibration runs
-        _err(f"solver error: {exc}")
-        return EXIT_SOLVER
+        config = _config_before_solving(family, 0.0)
     except INPUT_ERRORS as exc:
         _err(f"cannot build sweep: {exc}")
+        return EXIT_CONFIG
+    if not _is_valid(config):
         return EXIT_CONFIG
     if args.kind in ("coupling", "mismatch") and not isinstance(family, scenarios.TimeDomainFamily):
         _err(f"{args.kind} sweeps are defined for the time-domain presets")
         return EXIT_CONFIG
 
-    summary: dict = {"kind": args.kind, "config_sha256": sha, "preset": args.preset}
     try:
         out = _writable_out(args, SWEEP_OUTPUTS[args.kind])
+    except OSError as exc:
+        _err(f"sweep failed: {exc}")
+        return EXIT_CONFIG
+    try:
+        config = _calibrated(family, config, 0.0)
+    except (NonFinite, StabilityBound) as exc:
+        _err(f"solver error: {exc}")
+        return EXIT_SOLVER
+    except INPUT_ERRORS as exc:
+        _err(f"cannot build sweep: {exc}")
+        return EXIT_CONFIG
+    if config is None:
+        return EXIT_CONFIG
+
+    sha = config_sha256(config)
+    summary: dict = {"kind": args.kind, "config_sha256": sha, "preset": args.preset}
+    try:
         if args.kind == "phase":
             datasets = analysis.scan_both_ports(family, values, workers=args.workers)
             for port, ds in datasets.items():

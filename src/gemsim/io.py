@@ -2,19 +2,23 @@
 
 All numeric CSV output uses Python float repr (shortest round-trip,
 locale independent), so identical runs produce byte-identical files.
-`repr` holds the GIL, so the snapshot and k-spectrum writers each fork one
-child for half their blocks, and join it before they return.
+`repr` holds the GIL, so `SnapshotWriter` formats snapshots.csv in a forked
+child while the solver runs; the other writers format a finished record.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
+import math
+import mmap
 import os
+import signal
+import struct
 import sys
 import threading
+import traceback
 from contextlib import suppress
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .model import (
 )
 
 __all__ = [
+    "SnapshotWriter",
     "write_boundary_csv",
     "write_snapshots_csv",
     "write_kspectra_csv",
@@ -43,50 +48,140 @@ def _rows(*columns) -> str:
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
-def _write_part(part: str, texts) -> None:
-    """The child's half; an OSError exits with its errno, without a traceback."""
-    try:
-        with open(part, "w", encoding="utf-8") as fh:
-            fh.writelines(texts)
-    except OSError as exc:
-        sys.exit(exc.errno or 1)
+def _snapshot_head(config_hash: str, n_channels: int) -> str:
+    header = ["t", "z"]
+    for j in range(n_channels):
+        header += [f"re_E{j}", f"im_E{j}"]
+    header += ["re_sigma", "im_sigma"]
+    return f"# config_sha256={config_hash}\n" + ",".join(header) + "\n"
 
 
-def _write_blocks(path, head: str, blocks, fmt) -> None:
-    """Write `head`, then `fmt(block)` for each block, to `path`.
+def _snapshot_block(t, zs: list[str], values) -> str:
+    """The nz rows of one snapshot: its time, z, then each complex profile in `values` as re, im."""
+    columns = [map(repr, v.tolist()) for p in values for v in (p.real, p.imag)]
+    return _rows(repeat(repr(float(t))), zs, *columns)
 
-    A forked child writes the second half of the blocks to a part file that
-    is appended once it is joined, so the bytes are those of one loop.  The
-    child is joined (terminated first on an error here) and the part file
-    removed on every exit path.  Fewer than two blocks, or a process with
-    other threads (fork copies the locks they hold but not the threads),
-    are written here alone.
+
+_FAILED = 255  # the child's exit status for a failure other than an OSError
+
+
+class SnapshotWriter:
+    """Writes snapshots.csv while `solver.run(..., sink=writer)` is solving.
+
+    `allocate` places the run's snapshot store in an anonymous shared mapping
+    and forks one child; `publish(i)` sends the child the index of each
+    finished snapshot through a pipe, 4 bytes a snapshot, and the child
+    formats and writes the blocks in order.  `close` waits for the child.
+    Where fork is unavailable or unsafe (not Linux, or another thread
+    running: fork copies the locks other threads hold, not the threads),
+    `close` formats the store in this process instead.  Leaving the `with`
+    block without `close`, on an error, kills the child and removes the
+    file, so no partial snapshots.csv remains.
     """
-    # the split needs fork, and a sendfile that writes to a regular file: Linux
-    alone = sys.platform != "linux" or threading.active_count() > 1 or len(blocks) < 2
-    split = len(blocks) if alone else len(blocks) // 2
-    part, child = f"{os.fspath(path)}.part", None
-    if not alone:
-        child = multiprocessing.get_context("fork").Process(target=_write_part, args=(part, map(fmt, blocks[split:])))
-        child.start()
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chain([head], map(fmt, blocks[:split])))
-        if child is not None:
-            child.join()
-            code = child.exitcode  # the child's errno, or minus the signal that ended it
+
+    def __init__(self, path, config_hash: str):
+        self.path, self.config_hash = os.fspath(path), config_hash
+        self.pid: int | None = None  # the child, until it is reaped
+        self._pipe: int | None = None  # the write end, while the child may read it
+        self._finished = False
+
+    def __enter__(self) -> "SnapshotWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if not self._finished:
+            self._discard()
+
+    def allocate(self, n: int, n_channels: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The snapshot times (n,) and values (n, n_channels + 1, nz) for the run to fill."""
+        shape = (n, n_channels + 1, len(z))
+        self._head = _snapshot_head(self.config_hash, n_channels)
+        self._zs = list(map(repr, z.tolist()))
+        size = 16 * math.prod(shape)
+        store = mmap.mmap(-1, size + 8 * n or 1)  # MAP_SHARED: the child reads what the run writes
+        self.values = np.frombuffer(store, dtype=complex, count=size // 16).reshape(shape)
+        self.t = np.frombuffer(store, dtype=float, count=n, offset=size)
+        if n and sys.platform == "linux" and threading.active_count() == 1:
+            self._fork(n)
+        return self.t, self.values
+
+    def _fork(self, n: int) -> None:
+        read, self._pipe = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no child: close formats the store here
+            os.close(self._pipe)
+            self._pipe = None
+        if self.pid == 0:
+            code = _FAILED
+            try:
+                os.close(self._pipe)
+                code = self._serve(read, n)
+            except OSError as exc:
+                code = exc.errno or _FAILED
+            except Exception:
+                traceback.print_exc()
+            finally:
+                os._exit(code)  # never back into the caller's stack, nor flush its buffers
+        os.close(read)
+
+    def _serve(self, read: int, n: int) -> int:
+        """The child: write each published block, then exit 0; _FAILED if the pipe closes first."""
+        with open(self.path, "w", encoding="utf-8") as fh:
+            fh.write(self._head)
+            pending, done = b"", 0
+            while done < n:
+                data = os.read(read, 4 * (n - done))
+                if not data:
+                    return _FAILED
+                pending += data
+                whole = len(pending) - len(pending) % 4
+                for (i,) in struct.iter_unpack("=I", pending[:whole]):
+                    fh.write(_snapshot_block(self.t[i], self._zs, self.values[i]))
+                pending, done = pending[whole:], done + whole // 4
+        return 0
+
+    def publish(self, i: int) -> None:
+        """Snapshot i is complete."""
+        if self._pipe is not None:
+            try:
+                os.write(self._pipe, struct.pack("=I", i))
+            except BrokenPipeError:  # the child has died; close reports how
+                os.close(self._pipe)
+                self._pipe = None
+
+    def close(self) -> None:
+        """Finish snapshots.csv; raises OSError naming it if that fails."""
+        if self.pid is None:
+            with open(self.path, "w", encoding="utf-8") as fh:
+                fh.write(self._head)
+                fh.writelines(_snapshot_block(t, self._zs, v) for t, v in zip(self.t, self.values))
+        else:
+            if self._pipe is not None:
+                os.close(self._pipe)
+                self._pipe = None
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
             if code:
-                raise OSError(code, os.strerror(code) if code > 0 else f"killed by signal {-code}", part)
-            with open(part, "rb") as src, open(path, "r+b") as dst:  # sendfile fails on O_APPEND
-                dst.seek(0, os.SEEK_END)
-                while os.sendfile(dst.fileno(), src.fileno(), None, 1 << 30):
-                    pass
-    finally:
-        if child is not None:
-            child.terminate()
-            child.join()
-            with suppress(FileNotFoundError, IsADirectoryError):  # not made, or not ours
-                os.unlink(part)
+                self._discard()
+                if 0 < code < _FAILED:  # the errno of the child's OSError
+                    raise OSError(code, os.strerror(code), self.path)
+                how = f"was killed by {signal.Signals(-code).name}" if code < 0 else "failed"
+                raise OSError(f"{self.path}: the snapshot writer {how}")
+        self._finished = True
+
+    def _discard(self) -> None:
+        """Kill the child, if any, and remove the unfinished file."""
+        if self._pipe is not None:
+            os.close(self._pipe)
+            self._pipe = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if not os.path.isdir(self.path):  # a directory is not the writer's to remove
+            with suppress(FileNotFoundError):
+                os.unlink(self.path)
 
 
 def write_boundary_csv(record: SimulationRecord, path, config_hash: str) -> None:
@@ -104,31 +199,20 @@ def write_boundary_csv(record: SimulationRecord, path, config_hash: str) -> None
 
 
 def write_snapshots_csv(record: SimulationRecord, path, config_hash: str) -> None:
-    """One block of nz rows per snapshot, split between two processes."""
-    nch = record.boundary_out.shape[1]
-    header = ["t", "z"]
-    for j in range(nch):
-        header += [f"re_E{j}", f"im_E{j}"]
-    header += ["re_sigma", "im_sigma"]
+    """One block of nz rows per snapshot."""
     zs = list(map(repr, record.z.tolist()))
-
-    def block(snapshot) -> str:
-        fs, cs = snapshot
-        values = [map(repr, v.tolist()) for p in (*fs.fields, cs.sigma) for v in (p.real, p.imag)]
-        return _rows(repeat(repr(float(fs.t))), zs, *values)
-
-    head = f"# config_sha256={config_hash}\n" + ",".join(header) + "\n"
-    _write_blocks(path, head, record.snapshots, block)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_snapshot_head(config_hash, record.boundary_out.shape[1]))
+        fh.writelines(_snapshot_block(fs.t, zs, (*fs.fields, cs.sigma)) for fs, cs in record.snapshots)
 
 
 def write_kspectra_csv(record: SimulationRecord, path, config_hash: str) -> None:
     spec = record.k_spectra
     ks = list(map(repr, spec.k.tolist()))
-
-    def block(i: int) -> str:
-        return _rows(repeat(repr(float(spec.t[i]))), ks, map(repr, spec.magnitude[i].tolist()))
-
-    _write_blocks(path, f"# config_sha256={config_hash}\nt,k,abs_psi\n", range(len(spec.t)), block)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# config_sha256={config_hash}\nt,k,abs_psi\n")
+        fh.writelines(_rows(repeat(repr(float(t))), ks, map(repr, mag.tolist()))
+                      for t, mag in zip(spec.t, spec.magnitude))
 
 
 def write_windows_json(record: SimulationRecord, path, config_hash: str) -> None:

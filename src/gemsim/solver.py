@@ -119,6 +119,7 @@ def run(
     initial_coherence: np.ndarray | None = None,
     per_pulse: bool = False,
     until: float | None = None,
+    sink=None,
 ) -> SimulationRecord:
     """Integrate a validated scenario and return its record.
 
@@ -139,6 +140,13 @@ def run(
     sum in `boundary_out`, and no snapshots or k-spectra: the equations are
     linear in the boundary pulses, so the energy of any weighted
     superposition of the pulses follows from `record.window_grams()`.
+
+    The snapshots live in one store sized before the loop: times (n,) and
+    values (n, nch + 1, nz), the fields of snapshot i in values[i, :nch] and
+    its coherence in values[i, nch]; the record's states are views into it.
+    A `sink` places the store, `sink.allocate(n, nch, z)` returning the two
+    arrays, and `sink.publish(i)` is called once snapshot i is complete
+    (io.SnapshotWriter formats them while the run goes on).
     """
     _check_stability(config)
 
@@ -245,7 +253,12 @@ def run(
     # c[..., -1] per node, made into the boundary output after the loop
     boundary_out = np.zeros(sigma.shape[:-1] + (n_steps + 1, nch), dtype=complex)
     coherence_norm = np.zeros(n_steps + 1)
-    snapshots: list[tuple[FieldState, CoherenceState]] = []
+    # a snapshot at every multiple of stride and at the last step
+    n_snap = n_steps // stride + 1 + (n_steps % stride != 0) if stride else 0
+    if sink is None:
+        snap_t, snap = np.empty(n_snap), np.empty((n_snap, nch + 1, nz), dtype=complex)
+    else:
+        snap_t, snap = sink.allocate(n_snap, nch, z)
     kspec_t: list[float] = []
     kspec_mag: list[np.ndarray] = []
     kvec = k_grid(nz, dz)
@@ -269,11 +282,14 @@ def run(
             amax = float(finite.max()) if finite.size else math.inf
             raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
         if due(m):
-            i = 2 * m
-            fields = e_in_h[:, i][:, None] + kappa[:, m][:, None] * c[None, :]
-            snapshots.append(
-                (FieldState(t=t_nodes[m], fields=fields), CoherenceState(t=t_nodes[m], sigma=total.copy()))
-            )
+            i, k = 2 * m, -(-m // stride)  # m / stride, rounded up at a last step off the stride
+            snap_t[k] = t_nodes[m]
+            fields = snap[k, :nch]
+            np.multiply(kappa[:, m][:, None], c, out=fields)
+            np.add(e_in_h[:, i][:, None], fields, out=fields)
+            snap[k, nch] = total
+            if sink is not None:
+                sink.publish(k)
             psi = _bright_polariton(fields, total, ens, omegas_h[:, i])
             kspec_t.append(float(t_nodes[m]))
             kspec_mag.append(np.abs(np.fft.fftshift(psi)))
@@ -328,7 +344,8 @@ def run(
         z=z,
         boundary_out=boundary_out.sum(axis=0) if per_pulse else boundary_out,
         boundary_in=boundary_in,
-        snapshots=snapshots,
+        snapshots=[(FieldState(t=t, fields=v[:nch]), CoherenceState(t=t, sigma=v[nch]))
+                   for t, v in zip(snap_t, snap)],
         k_spectra=KSpectrumHistory(
             t=np.array(kspec_t), k=np.fft.fftshift(kvec), magnitude=np.array(kspec_mag)
         ),

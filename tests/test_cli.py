@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -72,7 +73,7 @@ def test_simulate_outputs_are_byte_identical(tmp_path, fast_preset_overrides):
 
 
 def test_forked_writers_print_stdout_once(tmp_path, fast_preset_overrides):
-    """The CSV writers fork; buffered stdout must not be written twice."""
+    """The snapshot writer forks; buffered stdout must not be written twice."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
@@ -221,7 +222,7 @@ def test_simulate_solver_error_exits_3(tmp_path, capsys, monkeypatch):
     from gemsim.errors import NonFinite
     from gemsim.model import save_config
 
-    def boom(config, stride=None, initial_coherence=None):
+    def boom(config, stride=None, initial_coherence=None, sink=None):
         raise NonFinite(step=7, time=0.1, max_abs=1e12)
 
     monkeypatch.setattr(cli, "run", boom)
@@ -275,6 +276,91 @@ def test_sweep_with_an_unwritable_later_output_writes_nothing(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("gemsim: sweep failed: ") and blocked in err and "Traceback" not in err
     assert [path.name for path in out.iterdir()] == [blocked]
+
+
+@pytest.mark.parametrize("command, blocked", [("simulate", "snapshots.csv"), ("sweep", "summary.json")])
+def test_unusable_out_exits_2_before_calibrating(tmp_path, capsys, monkeypatch, command, blocked):
+    from gemsim import analysis, cli, scenarios, solver
+
+    def no_solves(*args, **kwargs):
+        raise RuntimeError("solved before the outputs were checked")
+
+    for module in (analysis, cli, scenarios, solver):
+        monkeypatch.setattr(module, "run", no_solves)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    args = ["simulate"] if command == "simulate" else ["sweep", "--kind", "phase", "--range", "0:6:6"]
+    assert run_cli(args + ["--preset", "fig2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert blocked in err and "Traceback" not in err
+    assert [path.name for path in out.iterdir()] == [blocked]
+
+
+needs_fork = pytest.mark.skipif(sys.platform != "linux", reason="the snapshot writer forks only on Linux")
+
+
+def _publish_then(monkeypatch, action):
+    """Call `action(writer, i)` after each snapshot the solver publishes; returns the writers' pids."""
+    from gemsim import io
+
+    publish, pids = io.SnapshotWriter.publish, []
+
+    def publish_then_act(self, i):
+        publish(self, i)
+        if self.pid not in pids:
+            pids.append(self.pid)
+        action(self, i)
+
+    monkeypatch.setattr(io.SnapshotWriter, "publish", publish_then_act)
+    return pids
+
+
+def _no_child_left(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+@needs_fork
+def test_a_blow_up_after_published_snapshots_exits_3(tmp_path, capsys, monkeypatch, fast_preset_overrides):
+    from gemsim.errors import NonFinite
+
+    def blow_up(writer, i):
+        if i == 3:
+            raise NonFinite(step=3, time=0.1, max_abs=1e300)
+
+    pids = _publish_then(monkeypatch, blow_up)
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--preset", "fig2", "--config", fast_preset_overrides, "--out", str(out),
+                    "--snapshot-stride", "500"]) == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "Traceback" not in err
+    [pid] = pids
+    _no_child_left(pid)
+    assert list(out.iterdir()) == []  # the directory was made before the solve, and no output since
+
+
+@needs_fork
+def test_a_killed_snapshot_writer_exits_2(tmp_path, capsys, monkeypatch, fast_preset_overrides):
+    after_kill = []
+
+    def kill_the_child(writer, i):
+        if i == 1:
+            os.kill(writer.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, writer.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        elif i > 1:
+            after_kill.append(i)  # publish met EPIPE, and went on
+
+    pids = _publish_then(monkeypatch, kill_the_child)
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--preset", "fig2", "--config", fast_preset_overrides, "--out", str(out),
+                    "--snapshot-stride", "500"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gemsim: cannot write outputs: ") and "snapshots.csv" in err and "SIGKILL" in err
+    assert "Traceback" not in err
+    assert after_kill
+    [pid] = pids
+    _no_child_left(pid)
+    assert "snapshots.csv" not in {path.name for path in out.iterdir()}
 
 
 def test_negative_snapshot_stride_exits_2(capsys):

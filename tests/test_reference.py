@@ -6,15 +6,13 @@ current code performs the same floating-point operations in the same order,
 so every recorded array must be equal to the bit, sign of zero included (a
 flip of 0.0 to -0.0 would change the CSVs), and every file equal to the
 byte.  The one exception is the coherence norm, now a weighted dot product
-instead of `np.trapezoid`: it may differ in the last bits.  The snapshot and
-k-spectrum writers split their blocks with a forked child; they are checked
-at every kind of split and on the failure paths of either side.
+instead of `np.trapezoid`: it may differ in the last bits.  The snapshot
+writer formats its blocks in a forked child while they are published; it is
+checked at every block count, without the child, and on its failure paths.
 """
 
 import math
-import multiprocessing
 import os
-import signal
 import sys
 import threading
 import time
@@ -351,39 +349,57 @@ def test_csv_writers_match_the_per_scalar_reference(tmp_path, writer, reference,
     assert b",-0.0," in written and b"5e-324" in written and b"1e+16" in written
 
 
-def _nothing_left_behind(directory):
-    assert not list(directory.glob("*.part"))
-    assert multiprocessing.active_children() == []
+def _stream_snapshots(record, path, config_hash):
+    """Write snapshots.csv as `run` drives the writer: fill each snapshot, then publish it."""
+    nch = record.boundary_out.shape[1]
+    with io.SnapshotWriter(path, config_hash) as writer:
+        t, values = writer.allocate(len(record.snapshots), nch, record.z)
+        for i, (fs, cs) in enumerate(record.snapshots):
+            t[i], values[i, :nch], values[i, nch] = fs.t, fs.fields, cs.sigma
+            writer.publish(i)
+        writer.close()
+    return writer
+
+
+def _reaped(pid):
+    """Whether the child `pid` has exited and been waited for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("n_blocks", [0, 1, 2, 3], ids=["empty", "single", "even", "odd"])
 @pytest.mark.parametrize("writer, reference", [
-    (io.write_snapshots_csv, reference_write_snapshots_csv),
+    (_stream_snapshots, reference_write_snapshots_csv),
     (io.write_kspectra_csv, reference_write_kspectra_csv),
 ], ids=["snapshots", "kspectra"])
 def test_split_writers_match_the_reference_at_every_split(tmp_path, writer, reference, n_blocks):
-    """The forked child writes the second half of the blocks: none, or one or two."""
-    record = _hand_set_record(1, n_blocks)
-    writer(record, tmp_path / "new.csv", config_sha256(record.config))
-    _nothing_left_behind(tmp_path)
-    reference(record, tmp_path / "ref.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    """The streamed snapshot writer, whose forked child formats each block the
+    solver publishes, and the k-spectrum writer, at every block count."""
+    for n_channels in (1, 2):
+        record = _hand_set_record(n_channels, n_blocks)
+        writer(record, tmp_path / "new.csv", config_sha256(record.config))
+        reference(record, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-needs_split = pytest.mark.skipif(sys.platform != "linux", reason="the writers split their blocks only on Linux")
+needs_fork = pytest.mark.skipif(sys.platform != "linux", reason="the snapshot writer forks only on Linux")
+
+
+def _no_fork():
+    raise AssertionError("forked where the snapshot writer should format in-process")
 
 
 def test_a_process_with_other_threads_does_not_fork(tmp_path, monkeypatch):
-    def no_fork(method):
-        raise AssertionError(f"{method} child started while another thread runs")
-
-    monkeypatch.setattr(io.multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(io.os, "fork", _no_fork)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30,))
     other.start()
     try:
         record = _hand_set_record(1)
-        io.write_snapshots_csv(record, tmp_path / "new.csv", config_sha256(record.config))
+        _stream_snapshots(record, tmp_path / "new.csv", config_sha256(record.config))
     finally:
         release.set()
         other.join(30)
@@ -392,18 +408,43 @@ def test_a_process_with_other_threads_does_not_fork(tmp_path, monkeypatch):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@needs_split
-def test_a_child_that_cannot_write_raises_naming_its_file(tmp_path):
-    part = tmp_path / "new.csv.part"
-    part.mkdir()  # the child's open fails; the directory is not the writer's to remove
-    with pytest.raises(OSError, match=r"new\.csv\.part"):
-        io.write_snapshots_csv(_hand_set_record(1), tmp_path / "new.csv", "x")
-    assert multiprocessing.active_children() == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "new.csv.part"] and part.is_dir()
+def test_other_platforms_format_in_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(io.os, "fork", _no_fork)
+    monkeypatch.setattr(io.sys, "platform", "darwin")
+    record = _hand_set_record(2)
+    _stream_snapshots(record, tmp_path / "new.csv", config_sha256(record.config))
+    reference_write_snapshots_csv(record, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@needs_split
-def test_a_child_that_fails_after_opening_its_part_raises(tmp_path, monkeypatch):
+def _note_children(monkeypatch):
+    """The pid of every snapshot writer's child, as each is forked."""
+    allocate, children = io.SnapshotWriter.allocate, []
+
+    def allocate_and_note(self, *args):
+        arrays = allocate(self, *args)
+        children.append(self.pid)
+        return arrays
+
+    monkeypatch.setattr(io.SnapshotWriter, "allocate", allocate_and_note)
+    return children
+
+
+@needs_fork
+def test_a_child_that_cannot_write_raises_naming_its_file(tmp_path, monkeypatch):
+    children = _note_children(monkeypatch)
+    target = tmp_path / "new.csv"
+    target.mkdir()  # the child's open fails; the directory is not the writer's to remove
+    with pytest.raises(IsADirectoryError, match=r"new\.csv"):
+        _stream_snapshots(_hand_set_record(1), target, "x")
+    [child] = children
+    assert child is not None and _reaped(child)
+    assert [p.name for p in tmp_path.iterdir()] == ["new.csv"] and target.is_dir()
+
+
+@needs_fork
+def test_a_child_that_fails_after_opening_its_file_raises(tmp_path, monkeypatch):
+    children = _note_children(monkeypatch)
     parent, rows = os.getpid(), io._rows
 
     def rows_failing_in_the_child(*columns):
@@ -412,27 +453,32 @@ def test_a_child_that_fails_after_opening_its_part_raises(tmp_path, monkeypatch)
         return rows(*columns)
 
     monkeypatch.setattr(io, "_rows", rows_failing_in_the_child)
-    with pytest.raises(OSError, match=r"new\.csv\.part"):
-        io.write_snapshots_csv(_hand_set_record(1), tmp_path / "new.csv", "x")
-    _nothing_left_behind(tmp_path)
-
-
-@needs_split
-def test_a_failing_parent_half_terminates_and_joins_the_child(tmp_path, monkeypatch):
-    parent, children, rows = os.getpid(), [], io._rows
-
-    def rows_failing_in_the_parent(*columns):
-        if os.getpid() != parent:
-            time.sleep(60)  # the child is still busy when the parent fails
-            return rows(*columns)
-        children.extend(multiprocessing.active_children())
-        raise RuntimeError("formatter failed")
-
-    monkeypatch.setattr(io, "_rows", rows_failing_in_the_parent)
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="formatter failed"):
-        io.write_snapshots_csv(_hand_set_record(1), tmp_path / "new.csv", "x")
+    with pytest.raises(OSError, match=r"new\.csv: the snapshot writer failed"):
+        _stream_snapshots(_hand_set_record(1), tmp_path / "new.csv", "x")
     [child] = children
-    assert child.exitcode == -signal.SIGTERM  # ended by terminate, and already reaped
+    assert child is not None and _reaped(child)
+    assert list(tmp_path.iterdir()) == []
+
+
+@needs_fork
+def test_a_failing_solve_kills_and_reaps_the_child(tmp_path, monkeypatch):
+    parent, rows = os.getpid(), io._rows
+
+    def rows_slow_in_the_child(*columns):
+        if os.getpid() != parent:
+            time.sleep(60)  # the child is still busy when the solve fails
+        return rows(*columns)
+
+    children = _note_children(monkeypatch)
+    monkeypatch.setattr(io, "_rows", rows_slow_in_the_child)
+    record = _hand_set_record(1)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="solve failed"):
+        with io.SnapshotWriter(tmp_path / "new.csv", "x") as writer:
+            writer.allocate(len(record.snapshots), 1, record.z)
+            writer.publish(0)
+            raise RuntimeError("solve failed")
     assert time.perf_counter() - start < 30
-    _nothing_left_behind(tmp_path)
+    [child] = children
+    assert child is not None and _reaped(child)
+    assert list(tmp_path.iterdir()) == []
