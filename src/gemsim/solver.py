@@ -27,6 +27,10 @@ step none of whose stages sees a nonzero drive leaves the state exactly +0,
 so the loop starts at the first step with a driven stage; the coherence
 norm of the silent lead-in is the zeros it was allocated with.  A run can
 also stop early, at the first node at or after a caller's `until` time.
+A per-pulse run integrates one row per distinct pulse drive: a row's
+arithmetic depends on its drive alone, so pulses whose drives are equal to
+the bit share one row, and with one distinct drive the state is the direct
+run's.
 
 Energy bookkeeping uses the normalisation constant s = 1: the conserved
 quantity at gamma0 = 0 is N * integral |sigma|^2 dz plus the net boundary
@@ -107,6 +111,13 @@ def _time_grid(config: ScenarioConfig) -> np.ndarray:
 # main integrator
 # ---------------------------------------------------------------------------
 
+def _distinct_rows(a: np.ndarray) -> tuple[list[int], list[int]]:
+    """The first row of each distinct row of `a` (equal to the bit), and each row's distinct index."""
+    index: dict[bytes, int] = {}
+    inverse = [index.setdefault(row.tobytes(), len(index)) for row in a]
+    return [inverse.index(d) for d in range(len(index))], inverse
+
+
 def _check_stability(config: ScenarioConfig) -> None:
     violations = dt_violations(config)
     if violations:
@@ -134,12 +145,16 @@ def run(
     the steps before the first nonzero drive are not integrated, since they
     leave the state at zero; the record is the same as if they were.
 
-    With per_pulse=True the coherence carries one row per pulse, each row
-    driven by that pulse alone on the time grid of the whole scenario.  The
-    record then holds the per-pulse boundary traces in `pulse_out`, their
-    sum in `boundary_out`, and no snapshots or k-spectra: the equations are
-    linear in the boundary pulses, so the energy of any weighted
-    superposition of the pulses follows from `record.window_grams()`.
+    With per_pulse=True the coherence carries one row per distinct pulse
+    drive, each row driven by that drive alone on the time grid of the whole
+    scenario; pulses with equal drives share a row.  The record then holds
+    the per-pulse boundary traces in `pulse_out` (one per pulse, shared rows
+    included), their sum in `boundary_out`, and no snapshots or k-spectra:
+    the equations are linear in the boundary pulses, so the energy of any
+    weighted superposition of the pulses follows from `record.window_grams()`.
+
+    `record.diagnostics` counts the steps integrated (the skipped lead-in
+    excluded) and the coherence rows integrated (1 for a direct run).
 
     The snapshots live in one store sized before the loop: times (n,) and
     values (n, nch + 1, nz), the fields of snapshot i in values[i, :nch] and
@@ -179,8 +194,7 @@ def run(
         if ch.modulation is None:
             # keep midpoints on the piecewise value of their own step
             omegas_h[c, 1::2] = np.asarray(ch.omega_at(t_nodes[:-1]), dtype=complex)
-    # the state is sigma (nz,), or one row per pulse (n_pulses, nz) driven by
-    # sources[r], the boundary input of pulse r alone
+    # sources[r] is the boundary input of pulse r alone, in a per-pulse run
     if per_pulse:
         sources = np.zeros((len(config.pulses), nch, 2 * n_steps + 1), dtype=complex)
         for r, p in enumerate(config.pulses):
@@ -195,12 +209,20 @@ def run(
     g_over_delta = ens.g / ens.delta
     # field source coefficients, needed only at the nodes
     kappa = 1j * ens.g * ens.n_density * np.conj(omegas_h[:, 0::2]) / ens.delta
-    drive_h = 1j * g_over_delta * np.sum(omegas_h * sources, axis=-2)  # ([rows,] 2*n_steps+1)
+    drive_h = 1j * g_over_delta * np.sum(omegas_h * sources, axis=-2)  # ([pulses,] 2*n_steps+1)
     # stages with a nonzero drive; adding a +-0 drive could flip only the sign
     # of a zero, and tests/test_reference.py checks that no recorded bit shows it
     driven = drive_h.reshape(-1, 2 * n_steps + 1).any(axis=0)
+    # the state is sigma (nz,), or (rows, nz) for a per-pulse run with more or
+    # fewer than one distinct drive; pulse r is integrated in state row inverse[r]
+    rows = ()
     if per_pulse:
-        drive_h = drive_h.T[:, :, None]  # one (rows, 1) column per stage
+        firsts, inverse = _distinct_rows(drive_h)
+        if len(firsts) == 1:
+            drive_h = drive_h[firsts[0]]
+        else:
+            rows = (len(firsts),)
+            drive_h = drive_h[firsts].T[:, :, None]  # one (rows, 1) column per stage
     w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * np.sum(np.abs(omegas_h) ** 2, axis=0)
     w2_h = w2_h.astype(complex)
     stark_h = np.sum(np.abs(omegas_h) ** 2, axis=0) / ens.delta
@@ -212,7 +234,7 @@ def run(
         if sigma.shape != (nz,):
             raise ValueError(f"initial coherence must have shape ({nz},)")
     else:
-        sigma = np.zeros(sources.shape[:-2] + (nz,), dtype=complex)
+        sigma = np.zeros(rows + (nz,), dtype=complex)
 
     if per_pulse:
         stride = 0
@@ -232,7 +254,11 @@ def run(
     sigma_hi, sigma_lo, stage_hi, stage_lo = sigma[..., 1:], sigma[..., :-1], stage[..., 1:], stage[..., :-1]
     weights = np.full(nz, complex(dz))  # trapezoid rule
     weights[[0, -1]] *= 0.5
-    total = np.empty(nz, dtype=complex) if per_pulse else sigma  # sum of the rows
+    total = np.empty(nz, dtype=complex) if per_pulse else sigma  # sum of the pulse rows
+    if per_pulse:
+        # the pulse rows as a view of the state, or None where some but not all are shared
+        pulse_rows = (np.broadcast_to(sigma, (len(inverse), nz)) if not rows
+                      else sigma if rows[0] == len(inverse) else None)
     weighted = np.empty(nz, dtype=complex)  # weights * total
     # the local coefficient is rebuilt at the first visit of a stage whose
     # (eta, stark) differs from the stage before, and of the first stage run
@@ -251,7 +277,7 @@ def run(
         np.subtract(out, np.multiply(w2_h[i], c, out=c), out=out)
 
     # c[..., -1] per node, made into the boundary output after the loop
-    boundary_out = np.zeros(sigma.shape[:-1] + (n_steps + 1, nch), dtype=complex)
+    boundary_out = np.zeros(rows + (n_steps + 1, nch), dtype=complex)
     coherence_norm = np.zeros(n_steps + 1)
     # a snapshot at every multiple of stride and at the last step
     n_snap = n_steps // stride + 1 + (n_steps % stride != 0) if stride else 0
@@ -274,7 +300,7 @@ def run(
         np.add.accumulate(pair, axis=-1, out=c_tail)
         boundary_out[..., m, :] = c[..., -1:]
         if per_pulse:
-            np.add.reduce(sigma, axis=0, out=total)
+            np.add.reduce(sigma[inverse] if pulse_rows is None else pulse_rows, axis=0, out=total)
         np.multiply(weights, total, out=weighted)
         norm = coherence_norm[m] = ens.n_density * np.vdot(total, weighted).real
         if not math.isfinite(norm):
@@ -336,6 +362,8 @@ def run(
     # (a + b == b + a to the bit); a skipped lead-in has zero source and integral
     boundary_in = np.ascontiguousarray(e_in_h[:, 0::2].T)
     np.multiply(kappa.T, boundary_out, out=boundary_out)
+    if per_pulse:
+        boundary_out = boundary_out.reshape(-1, n_steps + 1, nch)[inverse]  # one row per pulse
     np.add(boundary_out, np.swapaxes(sources[..., 0::2], -1, -2), out=boundary_out)
 
     record = SimulationRecord(
@@ -354,6 +382,7 @@ def run(
         kspec_stride=stride,
         coherence_norm=coherence_norm,
         pulse_out=boundary_out if per_pulse else None,
+        diagnostics={"steps_integrated": n_steps - m0, "rows_integrated": len(firsts) if per_pulse else 1},
     )
     record.window_energies = record.recompute_window_energies()
     return record

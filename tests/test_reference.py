@@ -200,6 +200,20 @@ def _mismatch_before_a_late_pulse():
     return replace(config, pulses=(probe,), mode_mismatch=0.6, mismatch_time=0.4), {"stride": 50}
 
 
+def _freq_domain_basis():
+    # at phase 0 both pulses have the same drive: the run integrates one row
+    return preset_family("freq-domain").config_for_phase(0.0), {"per_pulse": True}
+
+
+def _three_pulses_first_and_last_equal():
+    # rows 0 and 2 share a drive and row 1 does not: the pulse-to-row mapping
+    # and the order of the row sum both show in the bits
+    config = storage_config(nz=64)
+    probe = config.pulses[0]
+    pulses = (probe, replace(probe, t0=1.6, amplitude=0.5j, label="second"), replace(probe, label="third"))
+    return replace(config, pulses=pulses), {"per_pulse": True}
+
+
 def _wiped_by_mu_zero():
     # mu = 0 leaves -0.0 parts in the state, and no drive follows it
     return replace(storage_config(nz=64), mode_mismatch=0.0, mismatch_time=3.0), {"stride": 50}
@@ -214,8 +228,10 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("scenario", [
     _fast_fig2, _freq_domain_per_pulse, _beat_note, _beat_note_per_pulse,
     _decaying_mismatch_from_initial_coherence, _mismatch_before_a_late_pulse, _wiped_by_mu_zero,
+    _freq_domain_basis, _three_pulses_first_and_last_equal,
 ], ids=["fast-fig2", "freq-domain-per-pulse", "beat-note", "beat-note-per-pulse",
-        "mismatch-initial-coherence", "mismatch-before-late-pulse", "wiped-by-mu-zero"])
+        "mismatch-initial-coherence", "mismatch-before-late-pulse", "wiped-by-mu-zero",
+        "freq-domain-basis", "three-pulses-first-and-last-equal"])
 def test_step_loop_matches_the_allocating_reference(scenario):
     config, kwargs = scenario()
     new, ref = run(config, **kwargs), reference_run(config, **kwargs)

@@ -197,15 +197,23 @@ def test_nonfinite_reports_step_and_magnitude():
     assert err.value.max_abs > 1.0
 
 
-@pytest.mark.parametrize("per_pulse", [False, True], ids=["default", "per-pulse"])
-def test_nonfinite_is_reported_at_the_step_it_happens(per_pulse):
-    wild = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
+@pytest.mark.parametrize("per_pulse, copies", [(False, 1), (True, 1), (True, 2)],
+                         ids=["default", "per-pulse", "per-pulse-duplicate-rows"])
+def test_nonfinite_is_reported_at_the_step_it_happens(per_pulse, copies):
+    single = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
+    wild = replace(single, pulses=single.pulses * copies)
     # no diagnostics strides inside the run: the check must not depend on them
     with pytest.raises(NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
         run(wild, stride=10**6, per_pulse=per_pulse)
     n_steps = len(_time_grid(wild)) - 1
     assert 0 < err.value.step < n_steps
     assert err.value.time < wild.grid.t_end
+    if copies > 1:
+        # equal pulses share one row, which blows up where the single pulse's row does
+        with pytest.raises(NonFinite) as alone, np.errstate(over="ignore", invalid="ignore"):
+            run(single, stride=10**6, per_pulse=True)
+        assert (err.value.step, err.value.time, err.value.max_abs) == (
+            alone.value.step, alone.value.time, alone.value.max_abs)
 
 
 def test_run_requires_matching_initial_coherence():
@@ -244,7 +252,8 @@ def test_stride_sets_what_a_run_records():
 @pytest.mark.parametrize("config, per_pulse", [
     (storage_config(nz=64), False),
     (preset_family("freq-domain").config_for_phase(0.4), True),
-], ids=["storage", "freq-domain-per-pulse"])
+    (preset_family("freq-domain").config_for_phase(0.0), True),
+], ids=["storage", "freq-domain-per-pulse", "freq-domain-basis"])
 def test_run_until_keeps_the_prefix_of_the_full_run(config, per_pulse):
     until = config.windows["E1"][1]
     full = run(config, stride=0, per_pulse=per_pulse)
@@ -273,6 +282,7 @@ def test_record_round_trip(tmp_path):
     with zipfile.ZipFile(path) as archive:
         assert all(member.compress_type == zipfile.ZIP_STORED for member in archive.infolist())
     loaded = io.load_record(path)
+    assert record.diagnostics and loaded.diagnostics == {}  # not part of the file
     assert np.array_equal(loaded.boundary_out, record.boundary_out)
     assert np.array_equal(loaded.t, record.t)
     assert loaded.window_energies == record.window_energies
@@ -310,6 +320,23 @@ def test_per_pulse_rows_superpose_to_the_direct_run():
         assert np.real(ones @ gram @ ones) == pytest.approx(direct.window_energies[name], rel=1e-12)
     with pytest.raises(ValueError):
         run(two, initial_coherence=np.zeros(64, dtype=complex), per_pulse=True)
+    none = run(replace(config, pulses=()), per_pulse=True)
+    assert none.pulse_out.shape == (0, len(none.t), 1)
+
+
+@pytest.mark.parametrize("phase, per_pulse, rows", [
+    (0.0, False, 1), (0.0, True, 1), (0.4, True, 2),
+], ids=["direct", "basis", "basis-off-phase-zero"])
+def test_diagnostics_count_integrated_steps_and_rows(phase, per_pulse, rows):
+    # the freq-domain basis at phase 0 drives both pulses alike: one shared row
+    record = run(preset_family("freq-domain").config_for_phase(phase), stride=0, per_pulse=per_pulse)
+    # the 149 steps before the pulses rise are skipped
+    assert len(record.t) - 1 == 2775
+    assert record.diagnostics == {"steps_integrated": 2626, "rows_integrated": rows}
+
+
+def test_fig2_main_solve_counts_its_steps(fig2_record_pi):
+    assert fig2_record_pi.diagnostics == {"steps_integrated": 11876, "rows_integrated": 1}
 
 
 def test_csv_exports(tmp_path):
