@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,6 +101,9 @@ def _solve_all(
 ) -> list[dict]:
     n = len(configs)
     if workers and workers > 1 and n > 1:
+        # imported here: the pool's modules cost an import of the CLI about 26 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
             return list(pool.map(_solve, configs, [per_pulse] * n))
     return [_solve(c, per_pulse) for c in configs]

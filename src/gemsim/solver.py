@@ -11,13 +11,17 @@ channel j per coupling channel):
 The optical envelopes are slaved to the coherence: at any instant,
 E_j(t, z) = E_j(t, 0) + i kappa_j(t) * integral_0^z sigma dz', so the
 state vector is the coherence alone and the method of lines applies.
-Time stepping is classical fourth order Runge-Kutta; the z integral is a
-cumulative trapezoid, giving global error O(dt^4 + dz^2).  Piecewise
-constant controls (gradient switches, coupling steps, pulse support
-edges) are aligned with step boundaries so no step straddles a switch.
+Time stepping is classical fourth order Runge-Kutta; the z integral is the
+trapezoid rule, giving global error O(dt^4 + dz^2).  Piecewise constant
+controls (gradient switches, coupling steps, pulse support edges) are
+aligned with step boundaries so no step straddles a switch.
 The stages run in place in buffers and views made once per run: a step
-allocates nothing and makes 39 numpy calls, plus a drive add in each stage
-where some pulse is on.  The z integral of each new state serves both its
+allocates nothing and makes 31 numpy calls, plus a drive add in each stage
+where some pulse is on.  The loop keeps the z integral unscaled, as the
+cumulative sum of sigma[1:] + sigma[:-1]; the trapezoid's dz/2 is folded
+into the coefficients that read it (w2 per stage, kappa per node).  k1..k4
+are the rows of one buffer, so the update is one dot product with the RK4
+weights and one add.  The z integral of each new state serves both its
 boundary output and the next step's first stage, so a step takes four
 cumulative integrals; its value at z = L is kept per node, and the boundary
 traces are built from those after the loop.
@@ -207,8 +211,12 @@ def run(
         sources = e_in_h
 
     g_over_delta = ens.g / ens.delta
-    # field source coefficients, needed only at the nodes
+    # c holds the unscaled cumulative sum of sigma[1:] + sigma[:-1]; the dz/2 of
+    # the trapezoid rule is folded into kappa (the field source coefficient,
+    # needed only at the nodes) and into w2
+    half_dz = 0.5 * dz
     kappa = 1j * ens.g * ens.n_density * np.conj(omegas_h[:, 0::2]) / ens.delta
+    kappa *= half_dz
     drive_h = 1j * g_over_delta * np.sum(omegas_h * sources, axis=-2)  # ([pulses,] 2*n_steps+1)
     # stages with a nonzero drive; adding a +-0 drive could flip only the sign
     # of a zero, and tests/test_reference.py checks that no recorded bit shows it
@@ -223,9 +231,11 @@ def run(
         else:
             rows = (len(firsts),)
             drive_h = drive_h[firsts].T[:, :, None]  # one (rows, 1) column per stage
-    w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * np.sum(np.abs(omegas_h) ** 2, axis=0)
-    w2_h = w2_h.astype(complex)
-    stark_h = np.sum(np.abs(omegas_h) ** 2, axis=0) / ens.delta
+    power = np.sum(np.abs(omegas_h) ** 2, axis=0)
+    stark_h = power / ens.delta
+    w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * power
+    w2_h *= half_dz
+    w2_h = w2_h.astype(complex)  # as numpy would cast it at each call
 
     if initial_coherence is not None:
         if per_pulse:
@@ -243,13 +253,16 @@ def run(
     elif stride < 0:
         raise ValueError(f"stride must be >= 0, got {stride}")
 
-    # RK4 works in place in these buffers and views; c holds the z-integral of
-    # the state integrated last, and w2 >= 0 keeps c[..., 0] at +0.  w2 and the
-    # real scalars are made complex once, as numpy would cast them at each call.
-    half_dz = complex(0.5 * dz)
-    k1, k2, k3, k4, stage, c = (np.empty_like(sigma) for _ in range(6))
-    c[..., 0] = 0.0
-    c_tail = c[..., 1:]
+    # RK4 works in place in these buffers and views: k1..k4 are the rows of K,
+    # and c holds the integral of the state integrated last (w2 >= 0 keeps
+    # c[..., 0] at +0)
+    K = np.empty((4,) + sigma.shape, dtype=complex)
+    k1, k2, k3, k4 = K
+    K_flat = K.reshape(4, -1)
+    update = np.empty(sigma.size, dtype=complex)
+    update_state = update.reshape(sigma.shape)
+    stage, c = np.empty_like(sigma), np.zeros_like(sigma)
+    c_tail, c_last = c[..., 1:], c[..., -1]
     pair = np.empty_like(sigma[..., 1:])
     sigma_hi, sigma_lo, stage_hi, stage_lo = sigma[..., 1:], sigma[..., :-1], stage[..., 1:], stage[..., :-1]
     weights = np.full(nz, complex(dz))  # trapezoid rule
@@ -260,24 +273,21 @@ def run(
         pulse_rows = (np.broadcast_to(sigma, (len(inverse), nz)) if not rows
                       else sigma if rows[0] == len(inverse) else None)
     weighted = np.empty(nz, dtype=complex)  # weights * total
-    # the local coefficient is rebuilt at the first visit of a stage whose
-    # (eta, stark) differs from the stage before, and of the first stage run
+    n_density = ens.n_density
+    # after the first stage run, the local coefficient and w2 are read again
+    # only at a stage whose (eta, stark, w2) differs from the stage before
     changed = np.ones(2 * n_steps + 1, dtype=bool)
-    changed[1:] = (eta_h[1:] != eta_h[:-1]) | (stark_h[1:] != stark_h[:-1])
-    coef_at = [-1, None]  # stage and local coefficient built last
+    changed[1:] = (eta_h[1:] != eta_h[:-1]) | (stark_h[1:] != stark_h[:-1]) | (w2_h[1:] != w2_h[:-1])
     z_rows = np.broadcast_to(z, sigma.shape)  # the coefficient has the state's shape
 
-    def rhs(sig: np.ndarray, i: int, out: np.ndarray) -> None:
-        """out = -(gamma0 + i(eta z + stark)) sig + drive - w2 c, with c the integral of sig."""
-        if changed[i] and coef_at[0] != i:
-            coef_at[:] = i, -(ens.gamma0 + 1j * (eta_h[i] * z_rows + stark_h[i]))
-        np.multiply(coef_at[1], sig, out=out)
-        if driven[i]:
-            np.add(out, drive_h[i], out=out)
-        np.subtract(out, np.multiply(w2_h[i], c, out=c), out=out)
+    def local(i: int) -> tuple[np.ndarray, complex]:
+        """The local coefficient -(gamma0 + i(eta z + stark)) and w2 of stage i."""
+        return -(ens.gamma0 + 1j * (eta_h[i] * z_rows + stark_h[i])), w2_h[i]
 
-    # c[..., -1] per node, made into the boundary output after the loop
+    # c[..., -1] per node in the first channel, made into the boundary output
+    # after the loop; c_end is its node-major view
     boundary_out = np.zeros(rows + (n_steps + 1, nch), dtype=complex)
+    c_end = np.moveaxis(boundary_out[..., 0], -1, 0)
     coherence_norm = np.zeros(n_steps + 1)
     # a snapshot at every multiple of stride and at the last step
     n_snap = n_steps // stride + 1 + (n_steps % stride != 0) if stride else 0
@@ -289,78 +299,113 @@ def run(
     kspec_mag: list[np.ndarray] = []
     kvec = k_grid(nz, dz)
 
-    def due(m: int) -> bool:
-        """Whether step m records a snapshot and a k-spectrum."""
-        return bool(stride) and (m % stride == 0 or m == n_steps)
-
-    def record_step(m: int) -> None:
-        # the z-integral of the state, which is also the next step's k1 integral
-        np.add(sigma_hi, sigma_lo, out=pair)
-        np.multiply(pair, half_dz, out=pair)
-        np.add.accumulate(pair, axis=-1, out=c_tail)
-        boundary_out[..., m, :] = c[..., -1:]
-        if per_pulse:
-            np.add.reduce(sigma[inverse] if pulse_rows is None else pulse_rows, axis=0, out=total)
-        np.multiply(weights, total, out=weighted)
-        norm = coherence_norm[m] = ens.n_density * np.vdot(total, weighted).real
-        if not math.isfinite(norm):
-            finite = np.abs(sigma[np.isfinite(sigma)])
-            amax = float(finite.max()) if finite.size else math.inf
-            raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
-        if due(m):
-            i, k = 2 * m, -(-m // stride)  # m / stride, rounded up at a last step off the stride
-            snap_t[k] = t_nodes[m]
-            fields = snap[k, :nch]
-            np.multiply(kappa[:, m][:, None], c, out=fields)
-            np.add(e_in_h[:, i][:, None], fields, out=fields)
-            snap[k, nch] = total
-            if sink is not None:
-                sink.publish(k)
-            psi = _bright_polariton(fields, total, ens, omegas_h[:, i])
-            kspec_t.append(float(t_nodes[m]))
-            kspec_mag.append(np.abs(np.fft.fftshift(psi)))
+    def snapshot(m: int) -> None:
+        """Record a snapshot and a k-spectrum of node m, whose state's integral c holds."""
+        i, k = 2 * m, -(-m // stride)  # m / stride, rounded up at a last step off the stride
+        snap_t[k] = t_nodes[m]
+        fields = snap[k, :nch]
+        np.multiply(kappa[:, m][:, None], c, out=fields)
+        np.add(e_in_h[:, i][:, None], fields, out=fields)
+        snap[k, nch] = total
+        if sink is not None:
+            sink.publish(k)
+        psi = _bright_polariton(fields, total, ens, omegas_h[:, i])
+        kspec_t.append(float(t_nodes[m]))
+        kspec_mag.append(np.abs(np.fft.fftshift(psi)))
 
     # from zero coherence, steps before m0 see no drive and keep sigma (and
-    # its integral c) at +0: each stage is +-0 and +0 + (-0) = +0
+    # its integral c) at +0: each stage is +-0 and +0 + (-0) = +0, and the
+    # coherence norm and c_end of their nodes are the zeros they were made with
     m0 = 0
     if initial_coherence is None:
         live = np.flatnonzero(driven)
         m0 = max(0, (int(live[0]) - 1) // 2) if live.size else n_steps
-    changed[2 * m0] = True
-    record_step(0)
-    for m in range(1, m0 + 1):
-        if due(m):
-            record_step(m)
+    if stride:
+        for m in range(0, m0, stride):
+            snapshot(m)
+    next_snap = min(-(-m0 // stride) * stride, n_steps) if stride else -1
     mismatch_applied = config.mismatch_time is None or config.mode_mismatch == 1.0
     if not mismatch_applied and m0 > 0 and t_nodes[m0] >= config.mismatch_time - 1e-12:
         mismatch_applied = True  # a skipped step applied it, to a zero state
+    # half and full step and the RK4 update weights, once per distinct step;
+    # the items of t_at, changed and driven index as Python floats and ints
+    t_at = memoryview(t_nodes)
+    rk4 = {dt: (complex(0.5 * dt), complex(dt), np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0], dtype=complex))
+           for dt in {b - a for a, b in zip(t_at[m0:], t_at[m0 + 1:])}}
+    changed, driven = changed.tobytes(), driven.tobytes()
+    coef, w2 = local(2 * m0)
 
-    for m in range(m0, n_steps):
-        dt = t_nodes[m + 1] - t_nodes[m]
-        half, full = complex(0.5 * dt), complex(dt)
+    for m in range(m0, n_steps + 1):
+        # node m: the z-integral of its state (also this step's k1 integral),
+        # its boundary value and coherence norm, and a snapshot when due
+        np.add(sigma_hi, sigma_lo, out=pair)
+        np.add.accumulate(pair, axis=-1, out=c_tail)
+        c_end[m] = c_last
+        if per_pulse:
+            np.add.reduce(sigma[inverse] if pulse_rows is None else pulse_rows, axis=0, out=total)
+        np.multiply(weights, total, out=weighted)
+        norm = coherence_norm[m] = n_density * np.vdot(total, weighted).real
+        if not math.isfinite(norm):
+            finite = np.abs(sigma[np.isfinite(sigma)])
+            amax = float(finite.max()) if finite.size else math.inf
+            raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
+        if m == next_snap:
+            snapshot(m)
+            next_snap = min(m + stride, n_steps)
+        if m == n_steps:
+            break
+
+        # one RK4 step: each stage k = coef * state + drive - w2 c, with c the
+        # integral of the stage state sigma + h k_in
+        half, full, rk4_weights = rk4[t_at[m + 1] - t_at[m]]
         i = 2 * m
-        rhs(sigma, i, k1)
-        for h, k_in, j, k_out in ((half, k1, i + 1, k2), (half, k2, i + 1, k3), (full, k3, i + 2, k4)):
-            # the stage state sigma + h k_in, and its z-integral in c
-            np.add(sigma, np.multiply(h, k_in, out=stage), out=stage)
-            np.add(stage_hi, stage_lo, out=pair)
-            np.multiply(pair, half_dz, out=pair)
-            np.add.accumulate(pair, axis=-1, out=c_tail)
-            rhs(stage, j, k_out)
-        # sigma += (dt / 6) (k1 + 2 (k2 + k3) + k4), in that order of operations
-        np.add(k2, k3, out=k2)
-        np.multiply(2.0 + 0j, k2, out=k2)
-        np.add(k1, k2, out=k2)
-        np.add(k2, k4, out=k2)
-        np.add(sigma, np.multiply(complex(dt / 6.0), k2, out=k2), out=sigma)
+        np.multiply(coef, sigma, out=k1)
+        if driven[i]:
+            np.add(k1, drive_h[i], out=k1)
+        np.subtract(k1, np.multiply(w2, c, out=c), out=k1)
+
+        i += 1
+        if changed[i]:
+            coef, w2 = local(i)
+        np.add(sigma, np.multiply(half, k1, out=stage), out=stage)
+        np.add(stage_hi, stage_lo, out=pair)
+        np.add.accumulate(pair, axis=-1, out=c_tail)
+        np.multiply(coef, stage, out=k2)
+        if driven[i]:
+            np.add(k2, drive_h[i], out=k2)
+        np.subtract(k2, np.multiply(w2, c, out=c), out=k2)
+
+        np.add(sigma, np.multiply(half, k2, out=stage), out=stage)
+        np.add(stage_hi, stage_lo, out=pair)
+        np.add.accumulate(pair, axis=-1, out=c_tail)
+        np.multiply(coef, stage, out=k3)
+        if driven[i]:
+            np.add(k3, drive_h[i], out=k3)
+        np.subtract(k3, np.multiply(w2, c, out=c), out=k3)
+
+        i += 1
+        if changed[i]:
+            coef, w2 = local(i)
+        np.add(sigma, np.multiply(full, k3, out=stage), out=stage)
+        np.add(stage_hi, stage_lo, out=pair)
+        np.add.accumulate(pair, axis=-1, out=c_tail)
+        np.multiply(coef, stage, out=k4)
+        if driven[i]:
+            np.add(k4, drive_h[i], out=k4)
+        np.subtract(k4, np.multiply(w2, c, out=c), out=k4)
+
+        # sigma += (dt/6) k1 + (dt/3) k2 + (dt/3) k3 + (dt/6) k4, one dot product
+        np.dot(rk4_weights, K_flat, out=update)
+        np.add(sigma, update_state, out=sigma)
         if not mismatch_applied and t_nodes[m + 1] >= config.mismatch_time - 1e-12:
             np.multiply(sigma, config.mode_mismatch, out=sigma)
             mismatch_applied = True
-        record_step(m + 1)
 
-    # E_j(t, L) = E_j(t, 0) + kappa_j(t) integral_0^L sigma dz, in place
-    # (a + b == b + a to the bit); a skipped lead-in has zero source and integral
+    # E_j(t, L) = E_j(t, 0) + kappa_j(t) integral_0^L sigma dz, one integral for
+    # every channel (dz/2 in kappa; a + b == b + a to the bit); a skipped
+    # lead-in has zero source and integral
     boundary_in = np.ascontiguousarray(e_in_h[:, 0::2].T)
+    boundary_out[..., 1:] = boundary_out[..., :1]
     np.multiply(kappa.T, boundary_out, out=boundary_out)
     if per_pulse:
         boundary_out = boundary_out.reshape(-1, n_steps + 1, nch)[inverse]  # one row per pulse

@@ -1,6 +1,9 @@
-"""Every import in the package modules is used (no linter needed)."""
+"""Imports in the package modules: every one is used (no linter needed), and none is paid for needlessly."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gemsim"
@@ -42,3 +45,12 @@ def test_package_modules_have_no_unused_imports():
     assert modules
     unused = {p.name: _unused_imports(p.read_text()) for p in modules}
     assert not {name: lines for name, lines in unused.items() if lines}
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a sweep with --workers > 1 needs the pool; its modules are imported then
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, gemsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

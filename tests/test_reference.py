@@ -1,7 +1,9 @@
 """The in-place step loop and the block CSV writers against their references.
 
 `reference_run` is the allocating RK4 loop that `solver.run` replaced, and
-`reference_write_*` the per-scalar CSV writers that `io` replaced.  The
+`reference_write_*` the per-scalar CSV writers that `io` replaced.  Like
+`run`, the reference keeps the z integral unscaled, with the trapezoid's dz/2
+in kappa and w2, and adds the RK4 stages with one dot product.  The
 current code performs the same floating-point operations in the same order,
 so every recorded array must be equal to the bit, sign of zero included (a
 flip of 0.0 to -0.0 would change the CSVs), and every file equal to the
@@ -70,19 +72,21 @@ def reference_run(config, stride=None, initial_coherence=None, per_pulse=False):
         sources = e_in_h
 
     g_over_delta = ens.g / ens.delta
+    half_dz = 0.5 * dz
     kappa_h = 1j * ens.g * ens.n_density * np.conj(omegas_h) / ens.delta
+    kappa_h *= half_dz
     drive_h = 1j * g_over_delta * np.sum(omegas_h * sources, axis=-2)
     if per_pulse:
         drive_h = drive_h.T[:, :, None]
     w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * np.sum(np.abs(omegas_h) ** 2, axis=0)
+    w2_h *= half_dz
     stark_h = np.sum(np.abs(omegas_h) ** 2, axis=0) / ens.delta
 
-    half_dz = 0.5 * dz
-
     def cumint(sig):
+        # the trapezoid integral over dz/2, which kappa_h and w2_h carry
         out = np.empty_like(sig)
         out[..., 0] = 0.0
-        np.cumsum((sig[..., 1:] + sig[..., :-1]) * half_dz, axis=-1, out=out[..., 1:])
+        np.cumsum(sig[..., 1:] + sig[..., :-1], axis=-1, out=out[..., 1:])
         return out
 
     def rhs(sig, i):
@@ -140,7 +144,8 @@ def reference_run(config, stride=None, initial_coherence=None, per_pulse=False):
         k2 = rhs(sigma + 0.5 * dt * k1, i1)
         k3 = rhs(sigma + 0.5 * dt * k2, i1)
         k4 = rhs(sigma + dt * k3, i2)
-        sigma = sigma + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        rk4_weights = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0], dtype=complex)
+        sigma = sigma + np.dot(rk4_weights, np.stack([k1, k2, k3, k4]).reshape(4, -1)).reshape(sigma.shape)
         if not mismatch_applied and t_nodes[m + 1] >= config.mismatch_time - 1e-12:
             sigma = sigma * config.mode_mismatch
             mismatch_applied = True

@@ -339,6 +339,48 @@ def test_fig2_main_solve_counts_its_steps(fig2_record_pi):
     assert fig2_record_pi.diagnostics == {"steps_integrated": 11876, "rows_integrated": 1}
 
 
+# Window energies of the preset configs `simulate` solves (time-domain presets
+# at theta = pi, freq-domain at phi = pi), as the step loop computed them
+# before dz/2 left the z-integral and the update became one dot product.
+PINNED_ENERGIES = {
+    "fig2": {"input": "0x1.08e2758ce75f0p-3", "E1": "0x1.9ed6094cf2135p-14", "E2": "0x1.37b591b2e9dc5p-1"},
+    "time-domain": {"input": "0x1.a7aee6b11f611p-5", "E1": "0x1.dae8ba41ef6fap-10",
+                    "E2": "0x1.ab809e4702538p+1"},
+    "freq-domain": {"E1": "0x1.103fb8638c606p+2", "E2": "0x1.2c1d0962e289bp-106"},
+}
+# the freq-domain basis (phase 0) Gram matrices of that loop, all entries real
+PINNED_BASIS_GRAMS = {
+    "E1": [["0x1.155048e200063p+0", "-0x1.0b2f27e518ba5p+0"], ["-0x1.0b2f27e518ba5p+0", "0x1.155048e200063p+0"]],
+    "E2": [["0x1.c4d497f082540p-1"] * 2] * 2,
+}
+ENERGY_RTOL = 1e-12  # how far a faster path may move window energies
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_ENERGIES))
+def test_window_energies_keep_their_pinned_values(preset, fig2_record_pi, td_family, fd_family):
+    if preset == "fig2":
+        energies = fig2_record_pi.window_energies
+    else:
+        family = td_family if preset == "time-domain" else fd_family
+        energies = run(family.config_for_phase(math.pi), stride=0).window_energies
+    pinned = {name: float.fromhex(h) for name, h in PINNED_ENERGIES[preset].items()}
+    assert energies.keys() == pinned.keys()
+    # freq-domain E2 at phi = pi is a dark port (1.4e-32, a cancellation's
+    # roundoff): an energy below ENERGY_RTOL of the largest is held to
+    # ENERGY_RTOL of that floor
+    scale = max(pinned.values())
+    for name, value in pinned.items():
+        assert abs(energies[name] - value) <= ENERGY_RTOL * max(value, ENERGY_RTOL * scale), name
+
+
+def test_basis_grams_keep_their_pinned_values(fd_family):
+    grams = run(fd_family.config_for_phase(0.0), stride=0, per_pulse=True).window_grams()
+    assert grams.keys() == PINNED_BASIS_GRAMS.keys()
+    for name, rows in PINNED_BASIS_GRAMS.items():
+        pinned = np.array([[float.fromhex(h) for h in row] for row in rows])
+        assert np.max(np.abs(grams[name] - pinned)) <= ENERGY_RTOL * np.max(np.abs(pinned)), name
+
+
 def test_csv_exports(tmp_path):
     record = run(storage_config(nz=64, dt_factor=0.8), stride=500)
     sha = config_sha256(record.config)
