@@ -11,8 +11,9 @@ matrix G in closed form, and V = balance x overlap, with balance
 2 sqrt(|u|^2 G00 |v|^2 G11) / (|u|^2 G00 + |v|^2 G11) and overlap
 |G01| / sqrt(G00 G11).  So the visibility curves and the mu that reaches a
 visibility need no fit and no search.  Only the frequency-domain beat note,
-whose phase changes |Omega(t)|, runs each phase directly; its samples are
-fitted by linear least squares on (1, cos phi, sin phi).
+whose phase changes |Omega(t)|, runs each phase directly (the phases batched
+as the rows of one solve); its samples are fitted by linear least squares on
+(1, cos phi, sin phi).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateFit, GemSimError, NoRoot
 from .model import ScenarioConfig
-from .solver import run
+from .solver import run, run_many
 
 __all__ = [
     "FringeDataset",
@@ -88,25 +89,9 @@ def fit_fringe(phases: Sequence[float], energies: Sequence[float], port: str = "
 PORTS = ("E1", "E2")
 
 
-def _solve(config: ScenarioConfig, per_pulse: bool) -> dict:
-    """Window energies of a direct run, or window Gram matrices of a per-pulse run."""
-    record = run(config, stride=0, per_pulse=per_pulse)
-    return record.window_grams() if per_pulse else record.window_energies
-
-
-def _solve_all(
-    configs: Sequence[ScenarioConfig],
-    per_pulse: bool,
-    workers: int | None,
-) -> list[dict]:
-    n = len(configs)
-    if workers and workers > 1 and n > 1:
-        # imported here: the pool's modules cost an import of the CLI about 26 ms
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            return list(pool.map(_solve, configs, [per_pulse] * n))
-    return [_solve(c, per_pulse) for c in configs]
+def _grams(config: ScenarioConfig) -> dict:
+    """Window Gram matrices of a per-pulse run."""
+    return run(config, stride=0, per_pulse=True).window_grams()
 
 
 def _terms(gram: np.ndarray, w: np.ndarray) -> tuple[float, float, complex]:
@@ -133,26 +118,23 @@ def _visibility(gram: np.ndarray, w: np.ndarray) -> float:
     return amplitude / offset
 
 
-def scan_both_ports(
-    family,
-    phases: Sequence[float],
-    workers: int | None = None,
-) -> dict[str, FringeDataset]:
+def scan_both_ports(family, phases: Sequence[float]) -> dict[str, FringeDataset]:
     """Window energies of both output ports at every phase, with their sinusoids.
 
     A family whose phase is a pulse-row factor needs one per-pulse solve for
     all phases, and A, B and phi0 follow from each window's Gram matrix.
-    Otherwise (the beat note) each phase is one run, spread over `workers`,
-    and each port is fitted.
+    Otherwise (the beat note) each phase is a direct run, the phases sharing
+    a time grid integrated as the rows of one state (solver.run_many), and
+    each port is fitted.
     """
     phases = list(phases)
     if len(phases) < 5:
         raise DegenerateFit("need at least five phase samples")
     weights = family.pulse_weights(0.0)
     if weights is None:
-        energies = _solve_all([family.config_for_phase(p) for p in phases], False, workers)
+        energies = [r.window_energies for r in run_many([family.config_for_phase(p) for p in phases])]
         return {port: fit_fringe(phases, [e[port] for e in energies], port=port) for port in PORTS}
-    grams = _solve(family.config_for_phase(0.0), True)
+    grams = _grams(family.config_for_phase(0.0))
     sampled = [family.pulse_weights(p) for p in phases]  # energies w^H G w
     return {port: FringeDataset(port, np.asarray(phases, dtype=float),
                                 np.array([np.real(np.conj(w[port]) @ grams[port] @ w[port]) for w in sampled]),
@@ -160,12 +142,11 @@ def scan_both_ports(
             for port in PORTS}
 
 
-def coupling_sweep(
-    family,
-    relative_powers: Sequence[float],
-    workers: int | None = None,
-) -> dict[str, list[tuple[float, float]]]:
-    """Visibility B/A of both ports vs event coupling power, one per-pulse solve per power.
+def coupling_sweep(family, relative_powers: Sequence[float]) -> dict[str, list[tuple[float, float]]]:
+    """Visibility B/A of both ports vs event coupling power, from per-pulse solves.
+
+    The per-pulse rows of every power that shares a time grid are integrated
+    as one state (solver.run_many), up to solver.MAX_ROWS rows a solve.
 
     Powers are normalised to the family's balanced-suppression power
     (power 1.0 reproduces the family's own event coupling).
@@ -174,7 +155,7 @@ def coupling_sweep(
         raise ValueError("relative powers must be positive")
     weights = family.pulse_weights(0.0)
     configs = [family.config_for_phase(0.0, power_factor=power) for power in relative_powers]
-    grams = _solve_all(configs, True, workers)
+    grams = [r.window_grams() for r in run_many(configs, per_pulse=True)]
     return {port: [(float(power), _visibility(g[port], weights[port])) for power, g in zip(relative_powers, grams)]
             for port in PORTS}
 
@@ -183,7 +164,7 @@ def _mu_basis(family) -> dict:
     """Window Gram matrices at mu = 1; mu enters as a weight on the probe row."""
     if not hasattr(family.params, "mode_mismatch"):
         raise GemSimError(f"{type(family).__name__} has no mode-overlap factor mu to sweep")
-    return _solve(family.config_for_phase(0.0, mu=1.0), True)
+    return _grams(family.config_for_phase(0.0, mu=1.0))
 
 
 def mismatch_curve(family, mus: Sequence[float], port: str = "E1") -> list[tuple[float, float]]:

@@ -215,7 +215,7 @@ def cmd_sweep(args) -> int:
     summary: dict = {"kind": args.kind, "config_sha256": sha, "preset": args.preset}
     try:
         if args.kind == "phase":
-            datasets = analysis.scan_both_ports(family, values, workers=args.workers)
+            datasets = analysis.scan_both_ports(family, values)
             for port, ds in datasets.items():
                 analysis.write_fringe_csv(ds, out / f"fringe_{port}.csv", out / f"fringe_{port}.json",
                                           config_hash=sha)
@@ -227,7 +227,7 @@ def cmd_sweep(args) -> int:
             dphi = abs(datasets["E1"].phi0 - datasets["E2"].phi0)
             summary["phi0_difference"] = dphi
         elif args.kind == "coupling":
-            curves = analysis.coupling_sweep(family, values, workers=args.workers)
+            curves = analysis.coupling_sweep(family, values)
             for port, curve in curves.items():
                 _write_curve(out / f"coupling_{port}.csv", sha, "relative_power,visibility", curve)
             summary["curves"] = {port: [[p, v] for p, v in curve] for port, curve in curves.items()}
@@ -332,10 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--preset", required=True, choices=sorted(scenarios.PRESETS))
     swp.add_argument("--config", help="override keys for the preset")
     swp.add_argument("--out", help="output directory (default $GEMSIM_OUT or ./gemsim-out)")
-    swp.add_argument("--workers", type=int, default=os.cpu_count(),
-                     help="worker processes for independent solves: the points of a coupling sweep "
-                          "and the per-phase runs of a beat-note phase sweep (default: number of "
-                          "processors)")
+    # accepted and ignored: perfbench/run.py replays its workloads with --workers 1
+    swp.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     swp.set_defaults(func=cmd_sweep)
 
     orc = sub.add_parser("oracle", help="predicted energies for a beamsplitter event list")

@@ -16,10 +16,6 @@ class NonFinite(GemSimError):
             f"non-finite solution at step {step} (t={time:.6g}), max |value| so far {max_abs:.6g}"
         )
 
-    def __reduce__(self):
-        # rebuilt from its fields, so it crosses process boundaries intact
-        return type(self), (self.step, self.time, self.max_abs)
-
 
 class StabilityBound(GemSimError):
     """The requested time step violates a documented stability bound."""

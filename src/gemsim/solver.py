@@ -18,7 +18,8 @@ aligned with step boundaries so no step straddles a switch.
 The stages run in place in buffers and views made once per run: a step
 allocates nothing and makes 31 numpy calls, plus a drive add in each stage
 where some pulse is on.  The loop keeps the z integral unscaled, as the
-cumulative sum of sigma[1:] + sigma[:-1]; the trapezoid's dz/2 is folded
+cumulative sum of sigma[1:] + sigma[:-1] (added over the flattened state,
+one contiguous loop for any number of rows); the trapezoid's dz/2 is folded
 into the coefficients that read it (w2 per stage, kappa per node).  k1..k4
 are the rows of one buffer, so the update is one dot product with the RK4
 weights and one add.  The z integral of each new state serves both its
@@ -35,6 +36,15 @@ A per-pulse run integrates one row per distinct pulse drive: a row's
 arithmetic depends on its drive alone, so pulses whose drives are equal to
 the bit share one row, and with one distinct drive the state is the direct
 run's.
+
+Many solves share the same loop.  `run_many` integrates configs on one time
+grid as the rows of one state, at most MAX_ROWS rows a solve; each row
+carries its own config's eta, stark, w2 and drive as one (rows, 1) column
+per stage, and each config keeps its own coherence norm, mode mismatch,
+kappa and boundary traces.  A one-row solve keeps a 1-D state and scalar
+stage coefficients.  Every operation is elementwise in the rows except the
+update's dot product, whose rows OpenBLAS computes alike however many there
+are; tests compare batched records with lone runs to the bit.
 
 Energy bookkeeping uses the normalisation constant s = 1: the conserved
 quantity at gamma0 = 0 is N * integral |sigma|^2 dz plus the net boundary
@@ -115,6 +125,10 @@ def _time_grid(config: ScenarioConfig) -> np.ndarray:
 # main integrator
 # ---------------------------------------------------------------------------
 
+# state rows per batched solve: per-row throughput still rises at 16 rows
+MAX_ROWS = 16
+
+
 def _distinct_rows(a: np.ndarray) -> tuple[list[int], list[int]]:
     """The first row of each distinct row of `a` (equal to the bit), and each row's distinct index."""
     index: dict[bytes, int] = {}
@@ -126,6 +140,75 @@ def _check_stability(config: ScenarioConfig) -> None:
     violations = dt_violations(config)
     if violations:
         raise StabilityBound("; ".join(violations))
+
+
+class _Controls:
+    """One config's controls and drives on the stage grid of its time nodes.
+
+    A direct run has one drive row; a per-pulse run one per distinct pulse
+    drive, pulse r being integrated in row inverse[r].
+    """
+
+    def __init__(self, config: ScenarioConfig, t_nodes: np.ndarray, per_pulse: bool):
+        ens = config.ensemble
+        nch = config.n_channels
+        n_steps = len(t_nodes) - 1
+        self.config, self.t_nodes, self.per_pulse = config, t_nodes, per_pulse
+        self.z = np.linspace(0.0, ens.length, config.grid.nz)
+        dz = self.z[1] - self.z[0]
+
+        # stage-time grid: nodes interleaved with midpoints
+        t_half = np.empty(2 * n_steps + 1)
+        t_half[0::2] = t_nodes
+        t_half[1::2] = 0.5 * (t_nodes[:-1] + t_nodes[1:])
+
+        # controls evaluated on the stage grid; eta at midpoints uses the value
+        # of the segment the step lies in (steps never straddle a switch)
+        eta_h = np.asarray(config.gradient.eta_at(np.minimum(t_half, t_nodes[-1])), dtype=float)
+        eta_h[1::2] = np.asarray(config.gradient.eta_at(t_nodes[:-1]), dtype=float)
+        omegas_h = np.stack(
+            [np.asarray(ch.omega_at(t_half), dtype=complex) for ch in config.coupling.channels]
+        )  # (nch, 2*n_steps+1)
+        for c, ch in enumerate(config.coupling.channels):
+            if ch.modulation is None:
+                # keep midpoints on the piecewise value of their own step
+                omegas_h[c, 1::2] = np.asarray(ch.omega_at(t_nodes[:-1]), dtype=complex)
+        # sources[r] is the boundary input of pulse r alone, in a per-pulse run
+        if per_pulse:
+            sources = np.zeros((len(config.pulses), nch, 2 * n_steps + 1), dtype=complex)
+            for r, p in enumerate(config.pulses):
+                sources[r, p.channel] = p.envelope(t_half)
+            e_in_h = sources.sum(axis=0)
+        else:
+            e_in_h = np.zeros((nch, 2 * n_steps + 1), dtype=complex)
+            for p in config.pulses:
+                e_in_h[p.channel] += p.envelope(t_half)
+            sources = e_in_h
+
+        # the loop's c is the unscaled cumulative sum of sigma[1:] + sigma[:-1];
+        # the dz/2 of the trapezoid rule is folded into kappa (the field source
+        # coefficient, needed only at the nodes) and into w2
+        half_dz = 0.5 * dz
+        kappa = 1j * ens.g * ens.n_density * np.conj(omegas_h[:, 0::2]) / ens.delta
+        kappa *= half_dz
+        drive_h = 1j * (ens.g / ens.delta) * np.sum(omegas_h * sources, axis=-2)  # ([pulses,] 2*n_steps+1)
+        # stages with a nonzero drive; adding a +-0 drive could flip only the sign
+        # of a zero, and tests/test_reference.py checks that no recorded bit shows it
+        self.driven = drive_h.reshape(-1, 2 * n_steps + 1).any(axis=0)
+        firsts, self.inverse = _distinct_rows(drive_h) if per_pulse else (None, None)
+        self.drives = drive_h[firsts] if per_pulse else drive_h[None]
+        self.rows = len(self.drives)
+        power = np.sum(np.abs(omegas_h) ** 2, axis=0)
+        stark_h = power / ens.delta
+        w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * power
+        w2_h *= half_dz
+        w2_h = w2_h.astype(complex)  # as numpy would cast it at each call
+        # after the first stage run, the local coefficient and w2 are read again
+        # only at a stage whose (eta, stark, w2) differs from the stage before
+        self.changed = np.ones(2 * n_steps + 1, dtype=bool)
+        self.changed[1:] = (eta_h[1:] != eta_h[:-1]) | (stark_h[1:] != stark_h[:-1]) | (w2_h[1:] != w2_h[:-1])
+        self.eta_h, self.stark_h, self.w2_h, self.omegas_h = eta_h, stark_h, w2_h, omegas_h
+        self.sources, self.e_in_h, self.kappa = sources, e_in_h, kappa
 
 
 def run(
@@ -168,90 +251,91 @@ def run(
     (io.SnapshotWriter formats them while the run goes on).
     """
     _check_stability(config)
-
-    ens = config.ensemble
-    nz = config.grid.nz
-    z = np.linspace(0.0, ens.length, nz)
-    dz = z[1] - z[0]
-    nch = config.n_channels
-
     t_nodes = _time_grid(config)
     if until is not None:
         if not (math.isfinite(until) and 0.0 < until <= config.grid.t_end):
             raise ValueError(f"until must lie in (0, t_end={config.grid.t_end}], got {until}")
         t_nodes = t_nodes[: min(int(np.searchsorted(t_nodes, until)), len(t_nodes) - 1) + 1]
-    n_steps = len(t_nodes) - 1
-
-    # stage-time grid: nodes interleaved with midpoints
-    t_half = np.empty(2 * n_steps + 1)
-    t_half[0::2] = t_nodes
-    t_half[1::2] = 0.5 * (t_nodes[:-1] + t_nodes[1:])
-
-    # controls evaluated on the stage grid; eta at midpoints uses the value
-    # of the segment the step lies in (steps never straddle a switch)
-    eta_h = np.asarray(config.gradient.eta_at(np.minimum(t_half, t_nodes[-1])), dtype=float)
-    eta_h[1::2] = np.asarray(config.gradient.eta_at(t_nodes[:-1]), dtype=float)
-    omegas_h = np.stack(
-        [np.asarray(ch.omega_at(t_half), dtype=complex) for ch in config.coupling.channels]
-    )  # (nch, 2*n_steps+1)
-    for c, ch in enumerate(config.coupling.channels):
-        if ch.modulation is None:
-            # keep midpoints on the piecewise value of their own step
-            omegas_h[c, 1::2] = np.asarray(ch.omega_at(t_nodes[:-1]), dtype=complex)
-    # sources[r] is the boundary input of pulse r alone, in a per-pulse run
-    if per_pulse:
-        sources = np.zeros((len(config.pulses), nch, 2 * n_steps + 1), dtype=complex)
-        for r, p in enumerate(config.pulses):
-            sources[r, p.channel] = p.envelope(t_half)
-        e_in_h = sources.sum(axis=0)
-    else:
-        e_in_h = np.zeros((nch, 2 * n_steps + 1), dtype=complex)
-        for p in config.pulses:
-            e_in_h[p.channel] += p.envelope(t_half)
-        sources = e_in_h
-
-    g_over_delta = ens.g / ens.delta
-    # c holds the unscaled cumulative sum of sigma[1:] + sigma[:-1]; the dz/2 of
-    # the trapezoid rule is folded into kappa (the field source coefficient,
-    # needed only at the nodes) and into w2
-    half_dz = 0.5 * dz
-    kappa = 1j * ens.g * ens.n_density * np.conj(omegas_h[:, 0::2]) / ens.delta
-    kappa *= half_dz
-    drive_h = 1j * g_over_delta * np.sum(omegas_h * sources, axis=-2)  # ([pulses,] 2*n_steps+1)
-    # stages with a nonzero drive; adding a +-0 drive could flip only the sign
-    # of a zero, and tests/test_reference.py checks that no recorded bit shows it
-    driven = drive_h.reshape(-1, 2 * n_steps + 1).any(axis=0)
-    # the state is sigma (nz,), or (rows, nz) for a per-pulse run with more or
-    # fewer than one distinct drive; pulse r is integrated in state row inverse[r]
-    rows = ()
-    if per_pulse:
-        firsts, inverse = _distinct_rows(drive_h)
-        if len(firsts) == 1:
-            drive_h = drive_h[firsts[0]]
-        else:
-            rows = (len(firsts),)
-            drive_h = drive_h[firsts].T[:, :, None]  # one (rows, 1) column per stage
-    power = np.sum(np.abs(omegas_h) ** 2, axis=0)
-    stark_h = power / ens.delta
-    w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * power
-    w2_h *= half_dz
-    w2_h = w2_h.astype(complex)  # as numpy would cast it at each call
-
     if initial_coherence is not None:
         if per_pulse:
             raise ValueError("per-pulse runs start from zero coherence")
-        sigma = np.array(initial_coherence, dtype=complex)
-        if sigma.shape != (nz,):
-            raise ValueError(f"initial coherence must have shape ({nz},)")
-    else:
-        sigma = np.zeros(rows + (nz,), dtype=complex)
-
+        initial_coherence = np.array(initial_coherence, dtype=complex)
+        if initial_coherence.shape != (config.grid.nz,):
+            raise ValueError(f"initial coherence must have shape ({config.grid.nz},)")
     if per_pulse:
         stride = 0
     elif stride is None:
-        stride = max(1, round(n_steps / 512))
+        stride = max(1, round((len(t_nodes) - 1) / 512))
     elif stride < 0:
         raise ValueError(f"stride must be >= 0, got {stride}")
+    return _integrate([_Controls(config, t_nodes, per_pulse)], stride, initial_coherence, sink)[0]
+
+
+def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list[SimulationRecord]:
+    """`run(config, stride=0, per_pulse=per_pulse)` of each config, in input order.
+
+    Configs with the same time grid, nz, ensemble and channel count are
+    integrated as the rows of one state, at most MAX_ROWS rows a solve (a
+    per-pulse config counted as one row per pulse).  No row's arithmetic
+    depends on the other rows, so each record holds the same bits as its
+    lone run.  Every config is checked against the stability bounds before
+    the first solve.
+    """
+    groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+    for i, config in enumerate(configs):
+        _check_stability(config)
+        t_nodes = _time_grid(config)
+        key = (t_nodes.tobytes(), config.grid.nz, config.ensemble, config.n_channels)
+        groups.setdefault(key, (t_nodes, []))[1].append(i)
+    records: list = [None] * len(configs)
+    for t_nodes, members in groups.values():
+        chunks, rows = [[]], 0
+        for i in members:
+            n = len(configs[i].pulses) if per_pulse else 1  # its rows at most
+            if chunks[-1] and rows + n > MAX_ROWS:
+                chunks.append([])
+                rows = 0
+            chunks[-1].append(i)
+            rows += n
+        for chunk in chunks:
+            for i, record in zip(chunk, _integrate([_Controls(configs[i], t_nodes, per_pulse) for i in chunk], 0)):
+                records[i] = record
+    return records
+
+
+def _integrate(
+    parts: list[_Controls],
+    stride: int,
+    initial_coherence: np.ndarray | None = None,
+    sink=None,
+) -> list[SimulationRecord]:
+    """The records of configs on one time grid, integrated as the rows of one state.
+
+    Snapshots (stride > 0), a sink and an initial coherence need a single
+    direct part.
+    """
+    first = parts[0]
+    ens, z, t_nodes = first.config.ensemble, first.z, first.t_nodes
+    nz, nch, dz = len(z), first.config.n_channels, z[1] - z[0]
+    n_steps = len(t_nodes) - 1
+    counts = [p.rows for p in parts]
+
+    # one config with one row keeps a 1-D state and scalar stage coefficients;
+    # otherwise the state is (rows, nz), each config's rows a span of it, with
+    # one (rows, 1) column per stage of each row's own eta, stark, w2 and drive
+    single = counts == [1]
+    if single:
+        spans = [...]  # the whole state
+        eta_h, stark_h, w2_h, drive_h = first.eta_h, first.stark_h, first.w2_h, first.drives[0]
+        sigma = np.zeros(nz, dtype=complex) if initial_coherence is None else initial_coherence
+    else:
+        spans = [slice(end - rows, end) for rows, end in zip(counts, np.cumsum(counts).tolist())]
+        eta_h, stark_h, w2_h = (np.repeat(np.stack([getattr(p, name) for p in parts], axis=1), counts, axis=1)[..., None]
+                                for name in ("eta_h", "stark_h", "w2_h"))
+        drive_h = np.concatenate([p.drives for p in parts]).T[:, :, None]
+        sigma = np.zeros((sum(counts), nz), dtype=complex)
+    changed = np.logical_or.reduce([p.changed for p in parts])
+    driven = np.logical_or.reduce([p.driven for p in parts])
 
     # RK4 works in place in these buffers and views: k1..k4 are the rows of K,
     # and c holds the integral of the state integrated last (w2 >= 0 keeps
@@ -263,32 +347,41 @@ def run(
     update_state = update.reshape(sigma.shape)
     stage, c = np.empty_like(sigma), np.zeros_like(sigma)
     c_tail, c_last = c[..., 1:], c[..., -1]
-    pair = np.empty_like(sigma[..., 1:])
-    sigma_hi, sigma_lo, stage_hi, stage_lo = sigma[..., 1:], sigma[..., :-1], stage[..., 1:], stage[..., :-1]
+    # pair[..., j] = state[..., j + 1] + state[..., j], added over the flattened
+    # state in one contiguous loop; in a multi-row state the last column of
+    # pair_rows mixes two rows and is never read
+    pair_rows = np.empty_like(sigma)
+    pair_flat, pair = pair_rows.reshape(-1)[:-1], pair_rows[..., :-1]
+    sigma_hi, sigma_lo = sigma.reshape(-1)[1:], sigma.reshape(-1)[:-1]
+    stage_hi, stage_lo = stage.reshape(-1)[1:], stage.reshape(-1)[:-1]
     weights = np.full(nz, complex(dz))  # trapezoid rule
     weights[[0, -1]] *= 0.5
-    total = np.empty(nz, dtype=complex) if per_pulse else sigma  # sum of the pulse rows
-    if per_pulse:
-        # the pulse rows as a view of the state, or None where some but not all are shared
-        pulse_rows = (np.broadcast_to(sigma, (len(inverse), nz)) if not rows
-                      else sigma if rows[0] == len(inverse) else None)
-    weighted = np.empty(nz, dtype=complex)  # weights * total
+    weighted = np.empty(nz, dtype=complex)
     n_density = ens.n_density
-    # after the first stage run, the local coefficient and w2 are read again
-    # only at a stage whose (eta, stark, w2) differs from the stage before
-    changed = np.ones(2 * n_steps + 1, dtype=bool)
-    changed[1:] = (eta_h[1:] != eta_h[:-1]) | (stark_h[1:] != stark_h[:-1]) | (w2_h[1:] != w2_h[:-1])
-    z_rows = np.broadcast_to(z, sigma.shape)  # the coefficient has the state's shape
 
-    def local(i: int) -> tuple[np.ndarray, complex]:
-        """The local coefficient -(gamma0 + i(eta z + stark)) and w2 of stage i."""
-        return -(ens.gamma0 + 1j * (eta_h[i] * z_rows + stark_h[i])), w2_h[i]
+    def local(i: int) -> tuple[np.ndarray, complex | np.ndarray]:
+        """The local coefficient -(gamma0 + i(eta z + stark)) and w2 of stage i.
 
-    # c[..., -1] per node in the first channel, made into the boundary output
+        A multi-row state gets w2 spread over its shape: a multiply by a
+        (rows, 1) column costs about twice a full one.
+        """
+        return -(ens.gamma0 + 1j * (eta_h[i] * z + stark_h[i])), w2_h[i] if single else np.repeat(w2_h[i], nz, -1)
+
+    # c[..., -1] per node in the first channel, made into the boundary outputs
     # after the loop; c_end is its node-major view
-    boundary_out = np.zeros(rows + (n_steps + 1, nch), dtype=complex)
+    boundary_out = np.zeros(sigma.shape[:-1] + (n_steps + 1, nch), dtype=complex)
     c_end = np.moveaxis(boundary_out[..., 0], -1, 0)
-    coherence_norm = np.zeros(n_steps + 1)
+
+    # per config: its rows, the coherence it sums to (the pulse rows' sum in a
+    # per-pulse run), where that sum is reduced from (a view of the pulse rows,
+    # or None where some but not all share a row), and its coherence norm
+    tallies = []
+    for p, span in zip(parts, spans):
+        own = sigma[span]
+        shared = p.per_pulse and p.rows in (1, len(p.inverse))
+        tallies.append((p.per_pulse, own, p.inverse, np.broadcast_to(own, (len(p.inverse), nz)) if shared else None,
+                        np.empty(nz, dtype=complex) if p.per_pulse else own.reshape(nz), np.zeros(n_steps + 1)))
+
     # a snapshot at every multiple of stride and at the last step
     n_snap = n_steps // stride + 1 + (n_steps % stride != 0) if stride else 0
     if sink is None:
@@ -304,12 +397,12 @@ def run(
         i, k = 2 * m, -(-m // stride)  # m / stride, rounded up at a last step off the stride
         snap_t[k] = t_nodes[m]
         fields = snap[k, :nch]
-        np.multiply(kappa[:, m][:, None], c, out=fields)
-        np.add(e_in_h[:, i][:, None], fields, out=fields)
-        snap[k, nch] = total
+        np.multiply(first.kappa[:, m][:, None], c, out=fields)
+        np.add(first.e_in_h[:, i][:, None], fields, out=fields)
+        snap[k, nch] = sigma
         if sink is not None:
             sink.publish(k)
-        psi = _bright_polariton(fields, total, ens, omegas_h[:, i])
+        psi = _bright_polariton(fields, sigma, ens, first.omegas_h[:, i])
         kspec_t.append(float(t_nodes[m]))
         kspec_mag.append(np.abs(np.fft.fftshift(psi)))
 
@@ -324,9 +417,14 @@ def run(
         for m in range(0, m0, stride):
             snapshot(m)
     next_snap = min(-(-m0 // stride) * stride, n_steps) if stride else -1
-    mismatch_applied = config.mismatch_time is None or config.mode_mismatch == 1.0
-    if not mismatch_applied and m0 > 0 and t_nodes[m0] >= config.mismatch_time - 1e-12:
-        mismatch_applied = True  # a skipped step applied it, to a zero state
+    # mode mismatch, applied to a config's rows after the first step ending at
+    # or after its time; a skipped step applied it, to a zero state
+    mismatches = sorted(((p.config.mismatch_time - 1e-12, own, p.config.mode_mismatch)
+                         for p, (_, own, *_) in zip(parts, tallies)
+                         if p.config.mismatch_time is not None and p.config.mode_mismatch != 1.0
+                         and not (m0 > 0 and t_nodes[m0] >= p.config.mismatch_time - 1e-12)),
+                        key=lambda item: item[0], reverse=True)
+    next_mismatch = mismatches[-1][0] if mismatches else math.inf
     # half and full step and the RK4 update weights, once per distinct step;
     # the items of t_at, changed and driven index as Python floats and ints
     t_at = memoryview(t_nodes)
@@ -337,18 +435,19 @@ def run(
 
     for m in range(m0, n_steps + 1):
         # node m: the z-integral of its state (also this step's k1 integral),
-        # its boundary value and coherence norm, and a snapshot when due
-        np.add(sigma_hi, sigma_lo, out=pair)
+        # its boundary values and coherence norms, and a snapshot when due
+        np.add(sigma_hi, sigma_lo, out=pair_flat)
         np.add.accumulate(pair, axis=-1, out=c_tail)
         c_end[m] = c_last
-        if per_pulse:
-            np.add.reduce(sigma[inverse] if pulse_rows is None else pulse_rows, axis=0, out=total)
-        np.multiply(weights, total, out=weighted)
-        norm = coherence_norm[m] = n_density * np.vdot(total, weighted).real
-        if not math.isfinite(norm):
-            finite = np.abs(sigma[np.isfinite(sigma)])
-            amax = float(finite.max()) if finite.size else math.inf
-            raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
+        for per_pulse, own, inverse, pulse_rows, total, norms in tallies:
+            if per_pulse:
+                np.add.reduce(own[inverse] if pulse_rows is None else pulse_rows, axis=0, out=total)
+            np.multiply(weights, total, out=weighted)
+            norm = norms[m] = n_density * np.vdot(total, weighted).real
+            if not math.isfinite(norm):
+                finite = np.abs(own[np.isfinite(own)])
+                amax = float(finite.max()) if finite.size else math.inf
+                raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
         if m == next_snap:
             snapshot(m)
             next_snap = min(m + stride, n_steps)
@@ -368,7 +467,7 @@ def run(
         if changed[i]:
             coef, w2 = local(i)
         np.add(sigma, np.multiply(half, k1, out=stage), out=stage)
-        np.add(stage_hi, stage_lo, out=pair)
+        np.add(stage_hi, stage_lo, out=pair_flat)
         np.add.accumulate(pair, axis=-1, out=c_tail)
         np.multiply(coef, stage, out=k2)
         if driven[i]:
@@ -376,7 +475,7 @@ def run(
         np.subtract(k2, np.multiply(w2, c, out=c), out=k2)
 
         np.add(sigma, np.multiply(half, k2, out=stage), out=stage)
-        np.add(stage_hi, stage_lo, out=pair)
+        np.add(stage_hi, stage_lo, out=pair_flat)
         np.add.accumulate(pair, axis=-1, out=c_tail)
         np.multiply(coef, stage, out=k3)
         if driven[i]:
@@ -387,7 +486,7 @@ def run(
         if changed[i]:
             coef, w2 = local(i)
         np.add(sigma, np.multiply(full, k3, out=stage), out=stage)
-        np.add(stage_hi, stage_lo, out=pair)
+        np.add(stage_hi, stage_lo, out=pair_flat)
         np.add.accumulate(pair, axis=-1, out=c_tail)
         np.multiply(coef, stage, out=k4)
         if driven[i]:
@@ -397,40 +496,42 @@ def run(
         # sigma += (dt/6) k1 + (dt/3) k2 + (dt/3) k3 + (dt/6) k4, one dot product
         np.dot(rk4_weights, K_flat, out=update)
         np.add(sigma, update_state, out=sigma)
-        if not mismatch_applied and t_nodes[m + 1] >= config.mismatch_time - 1e-12:
-            np.multiply(sigma, config.mode_mismatch, out=sigma)
-            mismatch_applied = True
+        while t_at[m + 1] >= next_mismatch:
+            _, own, factor = mismatches.pop()
+            np.multiply(own, factor, out=own)
+            next_mismatch = mismatches[-1][0] if mismatches else math.inf
 
-    # E_j(t, L) = E_j(t, 0) + kappa_j(t) integral_0^L sigma dz, one integral for
-    # every channel (dz/2 in kappa; a + b == b + a to the bit); a skipped
-    # lead-in has zero source and integral
-    boundary_in = np.ascontiguousarray(e_in_h[:, 0::2].T)
-    boundary_out[..., 1:] = boundary_out[..., :1]
-    np.multiply(kappa.T, boundary_out, out=boundary_out)
-    if per_pulse:
-        boundary_out = boundary_out.reshape(-1, n_steps + 1, nch)[inverse]  # one row per pulse
-    np.add(boundary_out, np.swapaxes(sources[..., 0::2], -1, -2), out=boundary_out)
-
-    record = SimulationRecord(
-        config=config,
-        t=t_nodes,
-        z=z,
-        boundary_out=boundary_out.sum(axis=0) if per_pulse else boundary_out,
-        boundary_in=boundary_in,
-        snapshots=[(FieldState(t=t, fields=v[:nch]), CoherenceState(t=t, sigma=v[nch]))
-                   for t, v in zip(snap_t, snap)],
-        k_spectra=KSpectrumHistory(
-            t=np.array(kspec_t), k=np.fft.fftshift(kvec), magnitude=np.array(kspec_mag)
-        ),
-        window_energies={},
-        snapshot_stride=stride,
-        kspec_stride=stride,
-        coherence_norm=coherence_norm,
-        pulse_out=boundary_out if per_pulse else None,
-        diagnostics={"steps_integrated": n_steps - m0, "rows_integrated": len(firsts) if per_pulse else 1},
-    )
-    record.window_energies = record.recompute_window_energies()
-    return record
+    records = []
+    for p, span, (*_, norms) in zip(parts, spans, tallies):
+        # E_j(t, L) = E_j(t, 0) + kappa_j(t) integral_0^L sigma dz, one integral
+        # for every channel (dz/2 in kappa; a + b == b + a to the bit); a
+        # skipped lead-in has zero source and integral
+        out = boundary_out[span].reshape(-1, n_steps + 1, nch)
+        out[..., 1:] = out[..., :1]
+        np.multiply(p.kappa.T, out, out=out)
+        out = out[p.inverse] if p.per_pulse else out[0]  # one row per pulse, or the run's
+        np.add(out, np.swapaxes(p.sources[..., 0::2], -1, -2), out=out)
+        record = SimulationRecord(
+            config=p.config,
+            t=t_nodes,
+            z=z,
+            boundary_out=out.sum(axis=0) if p.per_pulse else out,
+            boundary_in=np.ascontiguousarray(p.e_in_h[:, 0::2].T),
+            snapshots=[(FieldState(t=t, fields=v[:nch]), CoherenceState(t=t, sigma=v[nch]))
+                       for t, v in zip(snap_t, snap)],
+            k_spectra=KSpectrumHistory(
+                t=np.array(kspec_t), k=np.fft.fftshift(kvec), magnitude=np.array(kspec_mag)
+            ),
+            window_energies={},
+            snapshot_stride=stride,
+            kspec_stride=stride,
+            coherence_norm=norms,
+            pulse_out=out if p.per_pulse else None,
+            diagnostics={"steps_integrated": n_steps - m0, "rows_integrated": p.rows},
+        )
+        record.window_energies = record.recompute_window_energies()
+        records.append(record)
+    return records
 
 
 def SolverSettings(snapshot_stride: int | None = None, kspec_stride: int | None = None) -> int | None:

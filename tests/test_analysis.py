@@ -13,13 +13,12 @@ from gemsim.analysis import (
     mismatch_curve,
     scan_both_ports,
     write_fringe_csv,
-    _solve,
-    _solve_all,
+    _grams,
 )
-from gemsim.errors import DegenerateFit, GemSimError, NonFinite, NoRoot
+from gemsim.errors import DegenerateFit, GemSimError, NoRoot
 from gemsim.scenarios import preset_family
 from gemsim.solver import run
-from conftest import FAST_FIG2, FAST_PHASES, storage_config
+from conftest import FAST_FIG2, FAST_PHASES
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +95,6 @@ def test_fringe_csv_round_trip(tmp_path):
 # sweeps against the solver
 # ---------------------------------------------------------------------------
 
-def test_fringe_scan_with_worker_pool(fd_family):
-    ds = scan_both_ports(fd_family, FAST_PHASES[::2], workers=2)["E2"]
-    assert ds.visibility > 0.95
-
-
 def test_fringe_scan_needs_enough_phases(fd_family):
     with pytest.raises(DegenerateFit):
         scan_both_ports(fd_family, [0.0, 1.0, 2.0])
@@ -147,7 +141,7 @@ def test_basis_energies_match_direct_runs(family_fixture, overrides, variants, p
     assert family.pulse_weights(0.0) is not None
     for kw in variants:
         mu = kw.get("mu", 1.0)
-        grams = _solve(family.config_for_phase(0.0, **{k: v for k, v in kw.items() if k != "mu"}), True)
+        grams = _grams(family.config_for_phase(0.0, **{k: v for k, v in kw.items() if k != "mu"}))
         basis = [{name: float(np.real(np.conj(w[name]) @ gram @ w[name])) for name, gram in grams.items()}
                  for w in (family.pulse_weights(p, mu) for p in phases)]
         direct = [run(family.config_for_phase(p, **kw)).window_energies for p in phases]
@@ -164,7 +158,7 @@ def test_knobs_without_a_phase_row_run_every_phase(preset, overrides):
     family = preset_family(preset, **overrides)
     assert family.pulse_weights(0.0) is None
     phases = FAST_PHASES[::2]
-    scans = scan_both_ports(family, phases, workers=2)
+    scans = scan_both_ports(family, phases)
     direct = [run(family.config_for_phase(p)).window_energies for p in phases]
     for port, ds in scans.items():
         assert list(ds.energies) == [d[port] for d in direct]
@@ -201,13 +195,6 @@ def test_coupling_sweep_analytic_maxima_differ_between_ports():
     t2 = 1.0 / (1.0 + (a / b) ** 2)
     assert oracle.transmissivity(b1) == pytest.approx(t1, abs=2e-3)
     assert oracle.transmissivity(b2) == pytest.approx(t2, abs=2e-3)
-
-
-def test_nonfinite_in_a_pool_worker_reaches_the_caller():
-    wild = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
-    with pytest.raises(NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
-        _solve_all([wild, wild], False, workers=2)
-    assert err.value.step > 0
 
 
 def test_mismatch_curve_endpoints(fig2_family):

@@ -144,11 +144,12 @@ def test_invalid_preset_override_exits_2_from_both_commands(
 
     for module in (analysis, cli, scenarios, solver):
         monkeypatch.setattr(module, "run", no_solves)
+    monkeypatch.setattr(analysis, "run_many", no_solves)
     path = tmp_path / "overrides.json"
     path.write_text(json.dumps(overrides))
     out = tmp_path / "out"
     args = ["simulate"] if command == "simulate" else [
-        "sweep", "--kind", "phase", "--range", "0:6:6", "--workers", "1"]
+        "sweep", "--kind", "phase", "--range", "0:6:6"]
     assert run_cli(args + ["--preset", preset, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -248,7 +249,7 @@ def test_env_var_default_out_dir(tmp_path, fast_preset_overrides, monkeypatch):
 @pytest.mark.parametrize("blocker", ["file-as-parent", "directory-as-output"])
 def test_unusable_out_exits_2(tmp_path, capsys, command, blocker):
     args = (["simulate", "--snapshot-stride", "0"] if command == "simulate"
-            else ["sweep", "--kind", "phase", "--range", "0:6:6", "--workers", "1"])
+            else ["sweep", "--kind", "phase", "--range", "0:6:6"])
     if blocker == "file-as-parent":
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "x"
@@ -287,6 +288,7 @@ def test_unusable_out_exits_2_before_calibrating(tmp_path, capsys, monkeypatch, 
 
     for module in (analysis, cli, scenarios, solver):
         monkeypatch.setattr(module, "run", no_solves)
+    monkeypatch.setattr(analysis, "run_many", no_solves)
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
     args = ["simulate"] if command == "simulate" else ["sweep", "--kind", "phase", "--range", "0:6:6"]
@@ -470,7 +472,7 @@ def test_phase_sweep_summary(tmp_path, fast_preset_overrides):
     code = run_cli([
         "sweep", "--kind", "phase", "--range", f"0:{2 * math.pi}:8",
         "--preset", "fig2", "--config", fast_preset_overrides,
-        "--out", str(out), "--workers", "1",
+        "--out", str(out),
     ])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -491,7 +493,7 @@ def test_phase_sweep_time_domain_preset(tmp_path):
     code = run_cli([
         "sweep", "--kind", "phase", "--range", f"0:{2 * math.pi}:16",
         "--preset", "time-domain", "--config", str(overrides),
-        "--out", str(out), "--workers", "1",
+        "--out", str(out),
     ])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -506,7 +508,7 @@ def test_single_point_coupling_sweep(tmp_path, fast_preset_overrides):
     code = run_cli([
         "sweep", "--kind", "coupling", "--range", "1:1:1",
         "--preset", "fig2", "--config", fast_preset_overrides,
-        "--out", str(out), "--workers", "1",
+        "--out", str(out),
     ])
     assert code == 0
     rows = (out / "coupling_E1.csv").read_text().splitlines()
@@ -520,11 +522,25 @@ def test_mismatch_sweep_includes_zero(tmp_path, fast_preset_overrides):
     code = run_cli([
         "sweep", "--kind", "mismatch", "--range", "0:1:2",
         "--preset", "fig2", "--config", fast_preset_overrides,
-        "--out", str(out), "--workers", "1",
+        "--out", str(out),
     ])
     assert code == 0
     rows = (out / "mismatch_E1.csv").read_text().splitlines()
     assert rows[2] == "0.0,0.0"
+
+
+def test_sweep_outputs_do_not_depend_on_the_ignored_workers_flag(tmp_path):
+    # the beat note runs each phase directly, so its phases are batched rows of one solve
+    overrides = tmp_path / "beat.json"
+    overrides.write_text(json.dumps({"beat_note": True, "nz": 128}))
+    outputs = []
+    for flag in ([], ["--workers", "1"], ["--workers", "2"]):
+        out = tmp_path / f"out{len(outputs)}"
+        assert run_cli(["sweep", "--kind", "phase", "--range", "0:6:6", "--preset", "freq-domain",
+                        "--config", str(overrides), "--out", str(out)] + flag) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 5
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_bad_range_exits_2(capsys):
@@ -546,6 +562,7 @@ def test_sweep_values_outside_the_kind_domain_exit_2_before_solving(capsys, monk
 
     for module in (analysis, cli, scenarios, solver):
         monkeypatch.setattr(module, "run", no_solves)
+    monkeypatch.setattr(analysis, "run_many", no_solves)
     assert run_cli(["sweep", "--kind", kind, "--range", spec, "--preset", "fig2"]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

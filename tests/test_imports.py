@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gemsim"
 
 
@@ -26,7 +28,8 @@ def test_the_checker_sees_unused_and_used_imports():
     assert _unused_imports(source) == ["line 1: math", "line 3: path"]
 
 
-def test_package_modules_do_not_import_scipy():
+@pytest.mark.parametrize("module", ["scipy", "concurrent", "multiprocessing"])
+def test_package_modules_do_not_import(module):
     def roots(tree):
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -36,7 +39,7 @@ def test_package_modules_do_not_import_scipy():
 
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    assert [p.name for p in modules if "scipy" in roots(ast.parse(p.read_text()))] == []
+    assert [p.name for p in modules if module in roots(ast.parse(p.read_text()))] == []
 
 
 def test_package_modules_have_no_unused_imports():
@@ -48,7 +51,7 @@ def test_package_modules_have_no_unused_imports():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # only a sweep with --workers > 1 needs the pool; its modules are imported then
+    # nothing in the package imports them (see above), nor do the modules it imports
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     code = ("import sys, gemsim.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")

@@ -1,7 +1,6 @@
 """Integrator behaviour: propagation, storage, conservation, diagnostics."""
 
 import math
-import pickle
 import zipfile
 from dataclasses import replace
 
@@ -30,6 +29,7 @@ from gemsim.solver import (
     maxwell_residual,
     polariton_spectrum,
     run,
+    run_many,
     _time_grid,
 )
 from gemsim.scenarios import preset_family
@@ -181,13 +181,6 @@ def test_modulation_only_violation_is_refused_by_run():
         run(bad)
 
 
-def test_nonfinite_survives_pickling():
-    err = pickle.loads(pickle.dumps(NonFinite(step=7, time=0.25, max_abs=1e300)))
-    assert isinstance(err, NonFinite)
-    assert (err.step, err.time, err.max_abs) == (7, 0.25, 1e300)
-    assert str(err) == str(NonFinite(step=7, time=0.25, max_abs=1e300))
-
-
 def test_nonfinite_reports_step_and_magnitude():
     # an input so strong that the coherence norm N |sigma|^2 overflows
     wild = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
@@ -214,6 +207,18 @@ def test_nonfinite_is_reported_at_the_step_it_happens(per_pulse, copies):
             run(single, stride=10**6, per_pulse=True)
         assert (err.value.step, err.value.time, err.value.max_abs) == (
             alone.value.step, alone.value.time, alone.value.max_abs)
+
+
+def test_a_blow_up_in_a_batch_is_reported_at_its_own_step():
+    tame = storage_config(eta=100.0, nz=64, two_echo=False)
+    wild = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
+    assert _time_grid(tame).tobytes() == _time_grid(wild).tobytes()  # rows of one state
+    with pytest.raises(NonFinite) as batched, np.errstate(over="ignore", invalid="ignore"):
+        run_many([tame, wild])
+    with pytest.raises(NonFinite) as alone, np.errstate(over="ignore", invalid="ignore"):
+        run(wild, stride=0)
+    assert (batched.value.step, batched.value.time, batched.value.max_abs) == (
+        alone.value.step, alone.value.time, alone.value.max_abs)
 
 
 def test_run_requires_matching_initial_coherence():
@@ -322,6 +327,21 @@ def test_per_pulse_rows_superpose_to_the_direct_run():
         run(two, initial_coherence=np.zeros(64, dtype=complex), per_pulse=True)
     none = run(replace(config, pulses=()), per_pulse=True)
     assert none.pulse_out.shape == (0, len(none.t), 1)
+
+
+def test_batched_per_pulse_solves_match_lone_runs(fast_fig2_family):
+    # nine powers share a grid (18 rows, so two solves) and power 60 has its own
+    powers = [0.05, 0.3, 60.0, 0.5, 0.8, 1.0, 1.4, 2.0, 2.7, 4.0]
+    configs = [fast_fig2_family.config_for_phase(0.0, power_factor=p) for p in powers]
+    assert len({_time_grid(c).tobytes() for c in configs}) == 2
+    batched = run_many(configs, per_pulse=True)
+    assert all(r.config is c for r, c in zip(batched, configs))  # input order
+    for config, record in zip(configs, batched):
+        lone = run(config, stride=0, per_pulse=True)
+        assert record.pulse_out.tobytes() == lone.pulse_out.tobytes()
+        grams, lone_grams = record.window_grams(), lone.window_grams()
+        assert grams.keys() == lone_grams.keys()
+        assert all(grams[name].tobytes() == lone_grams[name].tobytes() for name in grams)
 
 
 @pytest.mark.parametrize("phase, per_pulse, rows", [
