@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import analysis, io, oracle, scenarios
@@ -78,10 +79,17 @@ def _config_before_solving(family, phase: float | None = None) -> ScenarioConfig
     return family.config_for_phase(family.params.phi if phase is None else phase)
 
 
-def _calibrated(family, config: ScenarioConfig, phase: float | None = None) -> ScenarioConfig | None:
-    """`config`, or a time-domain family's config at `phase` once calibrated; None if that is invalid."""
+def _calibrated(family, config: ScenarioConfig, phase: float | None = None,
+                start=None, sink=None) -> ScenarioConfig | None:
+    """`config`, or a time-domain family's config at `phase` once calibrated; None if that is invalid.
+
+    With a checkpoint `start`, the bare calibration run fills it (see
+    `TimeDomainFamily.calibrate`).
+    """
     if not isinstance(family, scenarios.TimeDomainFamily):
         return config
+    if start is not None:
+        family.calibrate(start, sink)
     config = family.config_for_phase(family.params.theta if phase is None else phase)
     return config if _is_valid(config, warn=False) else None  # its warnings are the probe-only config's
 
@@ -119,35 +127,37 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         _err(f"cannot write outputs: {exc}")
         return EXIT_CONFIG
-    try:
-        config = _calibrated(family, config)
-    except (NonFinite, StabilityBound) as exc:
-        _err(f"solver error: {exc}")
-        return EXIT_SOLVER
-    except INPUT_ERRORS as exc:
-        _err(f"cannot build configuration: {exc}")
-        return EXIT_CONFIG
-    if config is None:
-        return EXIT_CONFIG
-    if args.dry_run:
-        print("configuration valid; dry run requested, no outputs written")
-        return EXIT_OK
 
-    # snapshots.csv is formatted while the solve runs, the other outputs after it
-    sha = config_sha256(config)
-    with io.SnapshotWriter(out / "snapshots.csv", sha) as snapshots:
+    # snapshots.csv is formatted while the solves run, the other outputs after
+    # them; a time-domain preset's bare calibration run is the trunk of the
+    # main run, which resumes at the node before the steering starts, and the
+    # writer formats the trunk's snapshots while calibration goes on
+    with nullcontext() if out is None else io.SnapshotWriter(out / "snapshots.csv") as snapshots:
         try:
-            record = run(config, stride=args.snapshot_stride, sink=snapshots)
+            start = None
+            if snapshots is not None and isinstance(family, scenarios.TimeDomainFamily):
+                start = family.checkpoint(family.params.theta, args.snapshot_stride)
+            config = _calibrated(family, config, start=start, sink=snapshots)
+            if config is None:
+                return EXIT_CONFIG
+            if out is None:
+                print("configuration valid; dry run requested, no outputs written")
+                return EXIT_OK
+            record = run(config, stride=args.snapshot_stride, start=start, sink=snapshots)
         except (NonFinite, StabilityBound) as exc:
             _err(f"solver error: {exc}")
             return EXIT_SOLVER
+        except INPUT_ERRORS as exc:
+            _err(f"cannot build configuration: {exc}")
+            return EXIT_CONFIG
+        sha = config_sha256(config)
         try:
             save_config(config, out / "config.json")
             io.write_boundary_csv(record, out / "boundary.csv", sha)
             io.write_kspectra_csv(record, out / "kspectra.csv", sha)
             io.write_windows_json(record, out / "windows.json", sha)
             io.save_record(record, out / "record.npz", sha)
-            snapshots.close()
+            snapshots.close(sha)
         except OSError as exc:
             _err(f"cannot write outputs: {exc}")
             return EXIT_CONFIG

@@ -48,6 +48,10 @@ def _rows(*columns) -> str:
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
+_HASH_AT = len("# config_sha256=")  # where the header's hash starts
+_PLACEHOLDER = "0" * 64  # a sha256 hex digest's width, until close gives the hash
+
+
 def _snapshot_head(config_hash: str, n_channels: int) -> str:
     header = ["t", "z"]
     for j in range(n_channels):
@@ -76,11 +80,16 @@ class SnapshotWriter:
     running: fork copies the locks other threads hold, not the threads),
     `close` formats the store in this process instead.  Leaving the `with`
     block without `close`, on an error, kills the child and removes the
-    file, so no partial snapshots.csv remains.
+    file, so no partial snapshots.csv remains.  A second `allocate` (a run
+    that could not resume where another left off) discards the first.
+
+    The configuration hash is given to `close`: `simulate` knows it only
+    once calibration ends, when the snapshots are under way.  The child
+    writes a placeholder of a sha256 digest's width, which `close` overwrites.
     """
 
-    def __init__(self, path, config_hash: str):
-        self.path, self.config_hash = os.fspath(path), config_hash
+    def __init__(self, path):
+        self.path = os.fspath(path)
         self.pid: int | None = None  # the child, until it is reaped
         self._pipe: int | None = None  # the write end, while the child may read it
         self._finished = False
@@ -94,8 +103,10 @@ class SnapshotWriter:
 
     def allocate(self, n: int, n_channels: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The snapshot times (n,) and values (n, n_channels + 1, nz) for the run to fill."""
+        if self.pid is not None:
+            self._discard()
         shape = (n, n_channels + 1, len(z))
-        self._head = _snapshot_head(self.config_hash, n_channels)
+        self._n_channels = n_channels
         self._zs = list(map(repr, z.tolist()))
         size = 16 * math.prod(shape)
         store = mmap.mmap(-1, size + 8 * n or 1)  # MAP_SHARED: the child reads what the run writes
@@ -128,7 +139,7 @@ class SnapshotWriter:
     def _serve(self, read: int, n: int) -> int:
         """The child: write each published block, then exit 0; _FAILED if the pipe closes first."""
         with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(self._head)
+            fh.write(_snapshot_head(_PLACEHOLDER, self._n_channels))
             pending, done = b"", 0
             while done < n:
                 data = os.read(read, 4 * (n - done))
@@ -150,11 +161,13 @@ class SnapshotWriter:
                 os.close(self._pipe)
                 self._pipe = None
 
-    def close(self) -> None:
-        """Finish snapshots.csv; raises OSError naming it if that fails."""
+    def close(self, config_hash: str) -> None:
+        """Finish snapshots.csv, headed by `config_hash`; raises OSError naming it if that fails."""
+        if len(config_hash) != len(_PLACEHOLDER):
+            raise ValueError(f"the configuration hash must be a sha256 hex digest, got {config_hash!r}")
         if self.pid is None:
             with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(self._head)
+                fh.write(_snapshot_head(config_hash, self._n_channels))
                 fh.writelines(_snapshot_block(t, self._zs, v) for t, v in zip(self.t, self.values))
         else:
             if self._pipe is not None:
@@ -168,6 +181,11 @@ class SnapshotWriter:
                     raise OSError(code, os.strerror(code), self.path)
                 how = f"was killed by {signal.Signals(-code).name}" if code < 0 else "failed"
                 raise OSError(f"{self.path}: the snapshot writer {how}")
+            fd = os.open(self.path, os.O_WRONLY)
+            try:
+                os.pwrite(fd, config_hash.encode("ascii"), _HASH_AT)
+            finally:
+                os.close(fd)
         self._finished = True
 
     def _discard(self) -> None:

@@ -32,6 +32,16 @@ step none of whose stages sees a nonzero drive leaves the state exactly +0,
 so the loop starts at the first step with a driven stage; the coherence
 norm of the silent lead-in is the zeros it was allocated with.  A run can
 also stop early, at the first node at or after a caller's `until` time.
+Nor is a prefix two configs share integrated twice.  At a node, sigma is
+the loop's only state (c is rebuilt from it, and the local coefficient a
+continuing run holds is computed from the same eta and stark), so a run
+resumed from a Checkpoint holds the same bits as an uninterrupted one.
+`checkpoint(trunk, branch)` finds the last node up to which a branch run
+repeats a trunk run: the node before the first stage at which the stage
+arrays its record reads differ, the time grids included.  A run of the
+trunk fills the checkpoint on its way (the branch's snapshots before the
+node, its traces and norm, and sigma there), and the branch resumes from
+it; `simulate` so resumes the main solve from the bare calibration run.
 A per-pulse run integrates one row per distinct pulse drive: a row's
 arithmetic depends on its drive alone, so pulses whose drives are equal to
 the bit share one row, and with one distinct drive the state is the direct
@@ -61,6 +71,7 @@ excluded from every check that involves the 1/k factor, because the
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +89,8 @@ from .model import (
 
 __all__ = [
     "run",
+    "Checkpoint",
+    "checkpoint",
     "polariton_spectrum",
     "k_grid",
     "k_centroid_track",
@@ -205,16 +218,106 @@ class _Controls:
         w2_h = w2_h.astype(complex)  # as numpy would cast it at each call
         # after the first stage run, the local coefficient and w2 are read again
         # only at a stage whose (eta, stark, w2) differs from the stage before
-        self.changed = np.ones(2 * n_steps + 1, dtype=bool)
-        self.changed[1:] = (eta_h[1:] != eta_h[:-1]) | (stark_h[1:] != stark_h[:-1]) | (w2_h[1:] != w2_h[:-1])
-        self.eta_h, self.stark_h, self.w2_h, self.omegas_h = eta_h, stark_h, w2_h, omegas_h
+        self.eta_changed = np.ones(2 * n_steps + 1, dtype=bool)
+        self.eta_changed[1:] = eta_h[1:] != eta_h[:-1]
+        self.changed = self.eta_changed.copy()
+        self.changed[1:] |= (stark_h[1:] != stark_h[:-1]) | (w2_h[1:] != w2_h[:-1])
+        self.t_half, self.eta_h, self.stark_h, self.w2_h, self.omegas_h = t_half, eta_h, stark_h, w2_h, omegas_h
         self.sources, self.e_in_h, self.kappa = sources, e_in_h, kappa
+
+
+@dataclass(eq=False)
+class Checkpoint:
+    """A direct run's coherence at one node, and its record before that node.
+
+    `Checkpoint(sigma)` starts a run from the coherence `sigma` at node 0.
+    `checkpoint(trunk, branch, stride)` marks the node up to which a run of
+    `branch` repeats a run of `trunk`, without a state yet: a run of `trunk`
+    with start=checkpoint fills it on its way, and a run of `branch` with
+    start=checkpoint then resumes from it.  `stride` and `steps` are the
+    branch's snapshot plan.
+    """
+
+    sigma: np.ndarray | None = None
+    node: int = 0
+    stride: int = 0
+    steps: int = 0
+    trunk: ScenarioConfig | None = None
+    # filled by the trunk run: its traces and norm before the node, and the
+    # snapshot store holding the branch's snapshots before it (the sink's, if
+    # the trunk had one); the branch takes their k-spectra from the store
+    c_end: np.ndarray | None = None
+    norms: np.ndarray | None = None
+    store: tuple[np.ndarray, np.ndarray] | None = None
+    sink: object = None
+
+    def _matches(self, controls: _Controls) -> bool:
+        """Whether a direct run of `controls` reads the trunk's record inputs, bit for bit, up to the node."""
+        n = 2 * self.node + 1
+        trunk = _Controls(self.trunk, _time_grid(self.trunk)[: self.node + 1], False)
+        return _key(self.trunk) == _key(controls.config) and all(
+            a.tobytes() == b.tobytes() for a, b in zip(_record_inputs(trunk, n), _record_inputs(controls, n)))
+
+
+def _key(config: ScenarioConfig) -> tuple:
+    """What configs integrated on one state (or one after another) must share besides the time grid."""
+    return config.grid.nz, config.ensemble, config.n_channels
+
+
+def _record_inputs(p: _Controls, n: int) -> list[np.ndarray]:
+    """Every array a direct run's record reads of its controls, over the first n stages.
+
+    Stage times (the time grid), eta, stark, w2, drive, e_in and omega per
+    stage, kappa per node (node m at stages 2m and 2m + 1), and the mode
+    mismatch as the factor applied to the state of its node.
+    """
+    mismatch = np.ones(len(p.t_half))
+    config = p.config
+    if config.mismatch_time is not None and config.mode_mismatch != 1.0:
+        node = max(1, int(np.searchsorted(p.t_nodes, config.mismatch_time - 1e-12)))
+        if 2 * node < len(mismatch):
+            mismatch[2 * node] = config.mode_mismatch
+    kappa = np.repeat(p.kappa, 2, axis=-1)
+    return [a[..., :n] for a in (p.t_half, p.eta_h, p.stark_h, p.w2_h, p.drives[0], p.e_in_h, p.omegas_h,
+                                 kappa, mismatch)]
+
+
+def _stride(stride: int | None, n_steps: int) -> int:
+    if stride is None:
+        return max(1, round(n_steps / 512))
+    if stride < 0:
+        raise ValueError(f"stride must be >= 0, got {stride}")
+    return stride
+
+
+def checkpoint(trunk: ScenarioConfig, branch: ScenarioConfig, stride: int | None = None) -> Checkpoint:
+    """The last node up to which a direct run of `branch` repeats one of `trunk`, as a checkpoint to fill.
+
+    That is node (s - 1) // 2, for s the first stage at which the two configs'
+    record inputs (`_record_inputs`, the time grids included) differ in their
+    bits: the step into node (s + 1) // 2 already reads stage s.  Configs that
+    differ in nz, ensemble or channel count share node 0 only.  `stride` is
+    the branch run's, as `run` takes it.
+    """
+    a = _Controls(trunk, _time_grid(trunk), False)
+    b = _Controls(branch, _time_grid(branch), False)
+    steps = len(b.t_nodes) - 1
+    node = 0
+    if _key(trunk) == _key(branch):
+        n = min(len(a.t_half), len(b.t_half))
+        differs = np.zeros(n, dtype=bool)
+        for x, y in zip(_record_inputs(a, n), _record_inputs(b, n)):
+            x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+            bits = (x.view(np.uint64) != y.view(np.uint64)).reshape(x.shape + (-1,)).any(-1)
+            differs |= bits.reshape(-1, n).any(0)
+        node = max(0, (int(np.argmax(differs)) if differs.any() else n) - 1) // 2
+    return Checkpoint(node=node, stride=_stride(stride, steps), steps=steps, trunk=trunk)
 
 
 def run(
     config: ScenarioConfig,
     stride: int | None = None,
-    initial_coherence: np.ndarray | None = None,
+    start: Checkpoint | None = None,
     per_pulse: bool = False,
     until: float | None = None,
     sink=None,
@@ -228,9 +331,20 @@ def run(
 
     With `until` in (0, t_end] the run stops at the first node at or after
     it: the record's times, traces and coherence norm end there, and window
-    energies are taken over the nodes it has.  Without an initial coherence
-    the steps before the first nonzero drive are not integrated, since they
-    leave the state at zero; the record is the same as if they were.
+    energies are taken over the nodes it has.  From zero coherence the steps
+    before the first nonzero drive are not integrated, since they leave the
+    state at zero; the record is the same as if they were.
+
+    `start` is a Checkpoint.  `Checkpoint(sigma)` starts from the coherence
+    sigma at node 0.  One from `checkpoint(trunk, config)` is filled by a run
+    of its trunk (with stride 0: that run's record has no snapshots, and the
+    branch's snapshots before the node go to the store the checkpoint keeps,
+    the sink's if there is one).  A run of the branch then resumes there: its
+    record holds the same bits as an uninterrupted run (the prefix's
+    k-spectra taken from its snapshots), its steps_integrated counts only the
+    steps it integrated, and the sink has formatted the prefix's snapshots
+    already.  Where the branch's record inputs up to the node, its stride or
+    its step count differ from the checkpoint's, it is solved in full.
 
     With per_pulse=True the coherence carries one row per distinct pulse
     drive, each row driven by that drive alone on the time grid of the whole
@@ -240,8 +354,9 @@ def run(
     the equations are linear in the boundary pulses, so the energy of any
     weighted superposition of the pulses follows from `record.window_grams()`.
 
-    `record.diagnostics` counts the steps integrated (the skipped lead-in
-    excluded) and the coherence rows integrated (1 for a direct run).
+    `record.diagnostics` counts the steps this run integrated (the skipped
+    lead-in and a resumed prefix excluded) and the coherence rows integrated
+    (1 for a direct run).
 
     The snapshots live in one store sized before the loop: times (n,) and
     values (n, nch + 1, nz), the fields of snapshot i in values[i, :nch] and
@@ -256,19 +371,24 @@ def run(
         if not (math.isfinite(until) and 0.0 < until <= config.grid.t_end):
             raise ValueError(f"until must lie in (0, t_end={config.grid.t_end}], got {until}")
         t_nodes = t_nodes[: min(int(np.searchsorted(t_nodes, until)), len(t_nodes) - 1) + 1]
-    if initial_coherence is not None:
+    stride = 0 if per_pulse else _stride(stride, len(t_nodes) - 1)
+    controls = _Controls(config, t_nodes, per_pulse)
+    if start is not None:
         if per_pulse:
             raise ValueError("per-pulse runs start from zero coherence")
-        initial_coherence = np.array(initial_coherence, dtype=complex)
-        if initial_coherence.shape != (config.grid.nz,):
-            raise ValueError(f"initial coherence must have shape ({config.grid.nz},)")
-    if per_pulse:
-        stride = 0
-    elif stride is None:
-        stride = max(1, round((len(t_nodes) - 1) / 512))
-    elif stride < 0:
-        raise ValueError(f"stride must be >= 0, got {stride}")
-    return _integrate([_Controls(config, t_nodes, per_pulse)], stride, initial_coherence, sink)[0]
+        if start.sigma is None:  # a trunk, to fill the checkpoint
+            if stride:
+                raise ValueError("a run that fills a checkpoint records no snapshots of its own: stride must be 0")
+            start.node = min(start.node, len(t_nodes) - 1)
+            if not start._matches(controls):
+                raise ValueError("the run does not repeat the checkpoint's trunk up to its node")
+        elif start.trunk is None:
+            if start.node or np.shape(start.sigma) != (config.grid.nz,):
+                raise ValueError(f"a start without a trunk is a coherence of shape ({config.grid.nz},) at node 0")
+        elif not (start.node and start.stride == stride and start.steps == len(t_nodes) - 1
+                  and start._matches(controls)):
+            start = None  # a full solve
+    return _integrate([controls], stride, start, sink)[0]
 
 
 def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list[SimulationRecord]:
@@ -285,7 +405,7 @@ def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list
     for i, config in enumerate(configs):
         _check_stability(config)
         t_nodes = _time_grid(config)
-        key = (t_nodes.tobytes(), config.grid.nz, config.ensemble, config.n_channels)
+        key = (t_nodes.tobytes(),) + _key(config)
         groups.setdefault(key, (t_nodes, []))[1].append(i)
     records: list = [None] * len(configs)
     for t_nodes, members in groups.values():
@@ -306,13 +426,14 @@ def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list
 def _integrate(
     parts: list[_Controls],
     stride: int,
-    initial_coherence: np.ndarray | None = None,
+    start: Checkpoint | None = None,
     sink=None,
 ) -> list[SimulationRecord]:
     """The records of configs on one time grid, integrated as the rows of one state.
 
-    Snapshots (stride > 0), a sink and an initial coherence need a single
-    direct part.
+    Snapshots (stride > 0), a sink and a start need a single direct part.  A
+    start without a state is filled (the run is its trunk); one with a state
+    is resumed from.
     """
     first = parts[0]
     ens, z, t_nodes = first.config.ensemble, first.z, first.t_nodes
@@ -327,7 +448,7 @@ def _integrate(
     if single:
         spans = [...]  # the whole state
         eta_h, stark_h, w2_h, drive_h = first.eta_h, first.stark_h, first.w2_h, first.drives[0]
-        sigma = np.zeros(nz, dtype=complex) if initial_coherence is None else initial_coherence
+        sigma = np.zeros(nz, dtype=complex) if start is None or start.sigma is None else np.array(start.sigma, complex)
     else:
         spans = [slice(end - rows, end) for rows, end in zip(counts, np.cumsum(counts).tolist())]
         eta_h, stark_h, w2_h = (np.repeat(np.stack([getattr(p, name) for p in parts], axis=1), counts, axis=1)[..., None]
@@ -335,6 +456,7 @@ def _integrate(
         drive_h = np.concatenate([p.drives for p in parts]).T[:, :, None]
         sigma = np.zeros((sum(counts), nz), dtype=complex)
     changed = np.logical_or.reduce([p.changed for p in parts])
+    eta_changed = np.logical_or.reduce([p.eta_changed for p in parts]).tobytes()
     driven = np.logical_or.reduce([p.driven for p in parts])
 
     # RK4 works in place in these buffers and views: k1..k4 are the rows of K,
@@ -359,13 +481,20 @@ def _integrate(
     weighted = np.empty(nz, dtype=complex)
     n_density = ens.n_density
 
+    eta_z = None
+
     def local(i: int) -> tuple[np.ndarray, complex | np.ndarray]:
         """The local coefficient -(gamma0 + i(eta z + stark)) and w2 of stage i.
 
-        A multi-row state gets w2 spread over its shape: a multiply by a
-        (rows, 1) column costs about twice a full one.
+        eta z is kept until eta changes (a modulated coupling changes stark and
+        w2 at every stage, eta only at a gradient switch).  A multi-row state
+        gets w2 spread over its shape: a multiply by a (rows, 1) column costs
+        about twice a full one.
         """
-        return -(ens.gamma0 + 1j * (eta_h[i] * z + stark_h[i])), w2_h[i] if single else np.repeat(w2_h[i], nz, -1)
+        nonlocal eta_z
+        if eta_z is None or eta_changed[i]:
+            eta_z = eta_h[i] * z
+        return -(ens.gamma0 + 1j * (eta_z + stark_h[i])), w2_h[i] if single else np.repeat(w2_h[i], nz, -1)
 
     # c[..., -1] per node in the first channel, made into the boundary outputs
     # after the loop; c_end is its node-major view
@@ -382,41 +511,81 @@ def _integrate(
         tallies.append((p.per_pulse, own, p.inverse, np.broadcast_to(own, (len(p.inverse), nz)) if shared else None,
                         np.empty(nz, dtype=complex) if p.per_pulse else own.reshape(nz), np.zeros(n_steps + 1)))
 
-    # a snapshot at every multiple of stride and at the last step
-    n_snap = n_steps // stride + 1 + (n_steps % stride != 0) if stride else 0
-    if sink is None:
-        snap_t, snap = np.empty(n_snap), np.empty((n_snap, nch + 1, nz), dtype=complex)
+    # a snapshot at every multiple of stride and at the last step, of the
+    # branch's plan in a trunk, which records those before its checkpoint node
+    trunk = start is not None and start.sigma is None
+    resumed = start.node if start is not None and not trunk else 0
+    plan_stride, plan_steps = (start.stride, start.steps) if trunk else (stride, n_steps)
+    snap_end = start.node if trunk else n_steps + 1
+    n_snap = plan_steps // plan_stride + 1 + (plan_steps % plan_stride != 0) if plan_stride else 0
+    before = -(-resumed // plan_stride) if plan_stride else 0  # snapshots of a resumed prefix
+    if resumed and sink is not None and sink is start.sink:
+        snap_t, snap = start.store
     else:
-        snap_t, snap = sink.allocate(n_snap, nch, z)
+        if sink is None:
+            snap_t, snap = np.empty(n_snap), np.empty((n_snap, nch + 1, nz), dtype=complex)
+        else:
+            snap_t, snap = sink.allocate(n_snap, nch, z)
+        if before:
+            snap_t[:before], snap[:before] = start.store[0][:before], start.store[1][:before]
+            if sink is not None:
+                for k in range(before):
+                    sink.publish(k)
     kspec_t: list[float] = []
     kspec_mag: list[np.ndarray] = []
     kvec = k_grid(nz, dz)
 
     def snapshot(m: int) -> None:
-        """Record a snapshot and a k-spectrum of node m, whose state's integral c holds."""
-        i, k = 2 * m, -(-m // stride)  # m / stride, rounded up at a last step off the stride
+        """Record a snapshot and (but in a trunk) a k-spectrum of node m, whose state's integral c holds."""
+        k = -(-m // plan_stride)  # m / stride, rounded up at a last step off the stride
         snap_t[k] = t_nodes[m]
         fields = snap[k, :nch]
         np.multiply(first.kappa[:, m][:, None], c, out=fields)
-        np.add(first.e_in_h[:, i][:, None], fields, out=fields)
+        np.add(first.e_in_h[:, 2 * m][:, None], fields, out=fields)
         snap[k, nch] = sigma
         if sink is not None:
             sink.publish(k)
-        psi = _bright_polariton(fields, sigma, ens, first.omegas_h[:, i])
+        if not trunk:
+            spectrum(m, fields, sigma)
+
+    def spectrum(m: int, fields: np.ndarray, sigma: np.ndarray) -> None:
+        """Record the k-spectrum of node m from its fields and coherence."""
+        psi = _bright_polariton(fields, sigma, ens, first.omegas_h[:, 2 * m])
         kspec_t.append(float(t_nodes[m]))
         kspec_mag.append(np.abs(np.fft.fftshift(psi)))
+
+    for k in range(before):  # a resumed prefix's, from its snapshots
+        spectrum(k * plan_stride, snap[k, :nch], snap[k, nch])
+
+    def fill(m: int) -> None:
+        """Keep node m's state and the record before it in the checkpoint."""
+        start.sigma, start.c_end, start.norms = sigma.copy(), c_end[:m].copy(), tallies[0][-1][:m].copy()
+        start.store, start.sink = (snap_t, snap), sink
 
     # from zero coherence, steps before m0 see no drive and keep sigma (and
     # its integral c) at +0: each stage is +-0 and +0 + (-0) = +0, and the
     # coherence norm and c_end of their nodes are the zeros they were made with
-    m0 = 0
-    if initial_coherence is None:
+    if start is not None and not trunk:
+        m0 = resumed
+        if m0:
+            c_end[:m0], tallies[0][-1][:m0] = start.c_end, start.norms
+    else:
         live = np.flatnonzero(driven)
         m0 = max(0, (int(live[0]) - 1) // 2) if live.size else n_steps
-    if stride:
-        for m in range(0, m0, stride):
+    # the nodes where the loop records a snapshot, or fills a checkpoint, in
+    # the order popped; those in a skipped lead-in are recorded here
+    due = list(range(0, plan_steps, plan_stride)) + [plan_steps] if plan_stride else []
+    for m in due:
+        if resumed <= m < min(m0, snap_end):
             snapshot(m)
-    next_snap = min(-(-m0 // stride) * stride, n_steps) if stride else -1
+    stops = [m for m in due if m0 <= m < snap_end]
+    if trunk:
+        if start.node < m0:
+            fill(start.node)
+        else:
+            stops.append(start.node)
+    stops.reverse()
+    next_stop = stops.pop() if stops else -1
     # mode mismatch, applied to a config's rows after the first step ending at
     # or after its time; a skipped step applied it, to a zero state
     mismatches = sorted(((p.config.mismatch_time - 1e-12, own, p.config.mode_mismatch)
@@ -448,9 +617,12 @@ def _integrate(
                 finite = np.abs(own[np.isfinite(own)])
                 amax = float(finite.max()) if finite.size else math.inf
                 raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
-        if m == next_snap:
-            snapshot(m)
-            next_snap = min(m + stride, n_steps)
+        if m == next_stop:
+            if trunk and m == start.node:
+                fill(m)
+            else:
+                snapshot(m)
+            next_stop = stops.pop() if stops else -1
         if m == n_steps:
             break
 
@@ -518,7 +690,7 @@ def _integrate(
             boundary_out=out.sum(axis=0) if p.per_pulse else out,
             boundary_in=np.ascontiguousarray(p.e_in_h[:, 0::2].T),
             snapshots=[(FieldState(t=t, fields=v[:nch]), CoherenceState(t=t, sigma=v[nch]))
-                       for t, v in zip(snap_t, snap)],
+                       for t, v in zip(snap_t, snap)] if not trunk else [],
             k_spectra=KSpectrumHistory(
                 t=np.array(kspec_t), k=np.fft.fftshift(kvec), magnitude=np.array(kspec_mag)
             ),

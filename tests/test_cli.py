@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gemsim import oracle
-from gemsim.cli import main
+from gemsim.cli import SIMULATE_OUTPUTS, main
 from gemsim.model import config_sha256, config_to_dict, load_config
 from gemsim.scenarios import FrequencyDomainParams
 from conftest import FAST_FIG2, storage_config
@@ -223,7 +223,7 @@ def test_simulate_solver_error_exits_3(tmp_path, capsys, monkeypatch):
     from gemsim.errors import NonFinite
     from gemsim.model import save_config
 
-    def boom(config, stride=None, initial_coherence=None, sink=None):
+    def boom(config, stride=None, start=None, sink=None):
         raise NonFinite(step=7, time=0.1, max_abs=1e12)
 
     monkeypatch.setattr(cli, "run", boom)
@@ -363,6 +363,128 @@ def test_a_killed_snapshot_writer_exits_2(tmp_path, capsys, monkeypatch, fast_pr
     [pid] = pids
     _no_child_left(pid)
     assert "snapshots.csv" not in {path.name for path in out.iterdir()}
+
+
+def _no_snapshots_left(out):
+    assert "snapshots.csv" not in {path.name for path in out.iterdir()}
+
+
+def _main_solve_never_runs(monkeypatch):
+    from gemsim import cli
+
+    def no_main_solve(*args, **kwargs):
+        raise AssertionError("the main solve ran")
+
+    monkeypatch.setattr(cli, "run", no_main_solve)
+
+
+@needs_fork
+def test_a_blow_up_in_the_shared_prefix_exits_3(tmp_path, capsys, monkeypatch, fast_preset_overrides):
+    # the writer forks before calibrating, and the bare calibration run
+    # publishes the prefix's snapshots: a blow-up there never reaches the main solve
+    from gemsim.errors import NonFinite
+
+    def blow_up(writer, i):
+        if i == 1:
+            raise NonFinite(step=500, time=0.1, max_abs=1e300)
+
+    _main_solve_never_runs(monkeypatch)
+    pids = _publish_then(monkeypatch, blow_up)
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--preset", "fig2", "--config", fast_preset_overrides, "--out", str(out),
+                    "--snapshot-stride", "500"]) == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "Traceback" not in err
+    [pid] = pids
+    _no_child_left(pid)
+    _no_snapshots_left(out)
+
+
+@needs_fork
+def test_a_steered_config_refused_after_the_prefix_exits_2(tmp_path, capsys, monkeypatch, fast_preset_overrides):
+    from dataclasses import replace
+
+    from gemsim import scenarios
+
+    config_for_phase = scenarios.TimeDomainFamily.config_for_phase
+
+    def unstable(self, *args, **kwargs):
+        config = config_for_phase(self, *args, **kwargs)
+        return replace(config, grid=replace(config.grid, nt=config.grid.nt // 50))
+
+    _main_solve_never_runs(monkeypatch)
+    pids = _publish_then(monkeypatch, lambda writer, i: None)
+    monkeypatch.setattr(scenarios.TimeDomainFamily, "config_for_phase", unstable)
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--preset", "fig2", "--config", fast_preset_overrides, "--out", str(out),
+                    "--snapshot-stride", "500"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "Traceback" not in err
+    [pid] = pids  # the prefix's snapshots went to a child
+    _no_child_left(pid)
+    _no_snapshots_left(out)
+
+
+def test_a_dry_run_forks_no_writer(tmp_path, capsys, monkeypatch, fast_preset_overrides):
+    from gemsim import io
+
+    def no_writer(*args, **kwargs):
+        raise AssertionError("a dry run made a snapshot writer")
+
+    monkeypatch.setattr(io, "SnapshotWriter", no_writer)
+    monkeypatch.setattr(io.os, "fork", no_writer)
+    out = tmp_path / "dry"
+    assert run_cli(["simulate", "--preset", "fig2", "--config", fast_preset_overrides,
+                    "--out", str(out), "--dry-run"]) == 0
+    assert "dry run" in capsys.readouterr().out
+    assert not out.exists()
+
+
+@needs_fork
+def test_in_process_snapshots_match_the_forked_writer(tmp_path, capsys, monkeypatch, fast_preset_overrides):
+    from gemsim import io
+
+    argv = ["simulate", "--preset", "fig2", "--config", fast_preset_overrides, "--snapshot-stride", "300"]
+    pids = _publish_then(monkeypatch, lambda writer, i: None)
+    assert run_cli(argv + ["--out", str(tmp_path / "forked")]) == 0
+    [pid] = pids
+    assert pid is not None
+    _no_child_left(pid)
+    sha = capsys.readouterr().out.split("config sha256: ")[1].split()[0]
+
+    def no_fork():
+        raise AssertionError("forked where the snapshot writer should format in-process")
+
+    monkeypatch.setattr(io.os, "fork", no_fork)
+    monkeypatch.setattr(io.sys, "platform", "darwin")
+    assert run_cli(argv + ["--out", str(tmp_path / "in-process")]) == 0
+    for name in SIMULATE_OUTPUTS:
+        forked = (tmp_path / "forked" / name).read_bytes()
+        assert forked == (tmp_path / "in-process" / name).read_bytes(), name
+    assert (tmp_path / "forked" / "snapshots.csv").read_text().startswith(f"# config_sha256={sha}\n")
+
+
+def test_simulate_integrates_the_shared_prefix_once(tmp_path, monkeypatch, fast_preset_overrides):
+    # the bare calibration run is the trunk of the main solve, which resumes
+    # at the checkpoint node and counts only the steps after it
+    from gemsim import cli, scenarios
+    from gemsim.solver import _time_grid, checkpoint, run
+
+    runs = []
+
+    def noting(config, *args, **kwargs):
+        record = run(config, *args, **kwargs)
+        runs.append((config, kwargs.get("start"), record.diagnostics["steps_integrated"]))
+        return record
+
+    monkeypatch.setattr(cli, "run", noting)
+    monkeypatch.setattr(scenarios, "run", noting)
+    assert run_cli(["simulate", "--preset", "fig2", "--config", fast_preset_overrides,
+                    "--out", str(tmp_path / "o"), "--snapshot-stride", "2000"]) == 0
+    (bare, trunk_start, _), (_, no_start, _), (config, start, steps) = runs
+    assert trunk_start is start and no_start is None
+    assert start.node == checkpoint(bare, config).node > 0
+    assert steps == len(_time_grid(config)) - 1 - start.node
 
 
 def test_negative_snapshot_stride_exits_2(capsys):

@@ -32,11 +32,11 @@ from gemsim.model import (
     config_sha256,
 )
 from gemsim.scenarios import preset_family
-from gemsim.solver import _bright_polariton, _check_stability, _time_grid, k_grid, run
+from gemsim.solver import Checkpoint, _bright_polariton, _check_stability, _time_grid, k_grid, run
 from conftest import FAST_FIG2, storage_config
 
 
-def reference_run(config, stride=None, initial_coherence=None, per_pulse=False):
+def reference_run(config, stride=None, start=None, per_pulse=False):
     _check_stability(config)
 
     ens = config.ensemble
@@ -97,8 +97,8 @@ def reference_run(config, stride=None, initial_coherence=None, per_pulse=False):
             - w2_h[i] * c
         )
 
-    if initial_coherence is not None:
-        sigma = np.array(initial_coherence, dtype=complex)
+    if start is not None:
+        sigma = np.array(start.sigma, dtype=complex)
     else:
         sigma = np.zeros(sources.shape[:-2] + (nz,), dtype=complex)
 
@@ -194,7 +194,7 @@ def _decaying_mismatch_from_initial_coherence():
     config = replace(storage_config(gamma0=0.3, nz=64), mode_mismatch=0.6, mismatch_time=3.0)
     z = np.linspace(0.0, 1.0, 64)
     sigma0 = 0.2 * np.exp(-((z - 0.5) / 0.1) ** 2 + 3j * z)
-    return config, {"initial_coherence": sigma0}
+    return config, {"start": Checkpoint(sigma0)}
 
 
 def _mismatch_before_a_late_pulse():
@@ -373,12 +373,12 @@ def test_csv_writers_match_the_per_scalar_reference(tmp_path, writer, reference,
 def _stream_snapshots(record, path, config_hash):
     """Write snapshots.csv as `run` drives the writer: fill each snapshot, then publish it."""
     nch = record.boundary_out.shape[1]
-    with io.SnapshotWriter(path, config_hash) as writer:
+    with io.SnapshotWriter(path) as writer:
         t, values = writer.allocate(len(record.snapshots), nch, record.z)
         for i, (fs, cs) in enumerate(record.snapshots):
             t[i], values[i, :nch], values[i, nch] = fs.t, fs.fields, cs.sigma
             writer.publish(i)
-        writer.close()
+        writer.close(config_hash)
     return writer
 
 
@@ -457,7 +457,7 @@ def test_a_child_that_cannot_write_raises_naming_its_file(tmp_path, monkeypatch)
     target = tmp_path / "new.csv"
     target.mkdir()  # the child's open fails; the directory is not the writer's to remove
     with pytest.raises(IsADirectoryError, match=r"new\.csv"):
-        _stream_snapshots(_hand_set_record(1), target, "x")
+        _stream_snapshots(_hand_set_record(1), target, "0" * 64)
     [child] = children
     assert child is not None and _reaped(child)
     assert [p.name for p in tmp_path.iterdir()] == ["new.csv"] and target.is_dir()
@@ -475,7 +475,7 @@ def test_a_child_that_fails_after_opening_its_file_raises(tmp_path, monkeypatch)
 
     monkeypatch.setattr(io, "_rows", rows_failing_in_the_child)
     with pytest.raises(OSError, match=r"new\.csv: the snapshot writer failed"):
-        _stream_snapshots(_hand_set_record(1), tmp_path / "new.csv", "x")
+        _stream_snapshots(_hand_set_record(1), tmp_path / "new.csv", "0" * 64)
     [child] = children
     assert child is not None and _reaped(child)
     assert list(tmp_path.iterdir()) == []
@@ -495,7 +495,7 @@ def test_a_failing_solve_kills_and_reaps_the_child(tmp_path, monkeypatch):
     record = _hand_set_record(1)
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="solve failed"):
-        with io.SnapshotWriter(tmp_path / "new.csv", "x") as writer:
+        with io.SnapshotWriter(tmp_path / "new.csv") as writer:
             writer.allocate(len(record.snapshots), 1, record.z)
             writer.publish(0)
             raise RuntimeError("solve failed")
@@ -503,3 +503,24 @@ def test_a_failing_solve_kills_and_reaps_the_child(tmp_path, monkeypatch):
     [child] = children
     assert child is not None and _reaped(child)
     assert list(tmp_path.iterdir()) == []
+
+
+@needs_fork
+def test_a_second_allocate_discards_the_first_child(tmp_path, monkeypatch):
+    # a run that cannot resume where its trunk left off allocates the store again
+    children = _note_children(monkeypatch)
+    record = _hand_set_record(2)
+    nch = record.boundary_out.shape[1]
+    with io.SnapshotWriter(tmp_path / "new.csv") as writer:
+        t, values = writer.allocate(len(record.snapshots) + 1, nch, record.z)
+        t[0], values[0] = 7.0, 1.0
+        writer.publish(0)  # a snapshot of the plan given up
+        t, values = writer.allocate(len(record.snapshots), nch, record.z)
+        for i, (fs, cs) in enumerate(record.snapshots):
+            t[i], values[i, :nch], values[i, nch] = fs.t, fs.fields, cs.sigma
+            writer.publish(i)
+        writer.close(config_sha256(record.config))
+    first, second = children
+    assert first != second and _reaped(first) and _reaped(second)
+    reference_write_snapshots_csv(record, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -23,6 +23,8 @@ from gemsim.model import (
     validate,
 )
 from gemsim.solver import (
+    Checkpoint,
+    checkpoint,
     crossing_phase,
     k_centroid_track,
     k_grid,
@@ -149,7 +151,7 @@ def test_initial_coherence_is_recalled():
     z = np.linspace(0, 1.0, nz)
     k0 = +40.0  # pre-dephased packet; transport at -eta brings it to k=0 at t=2
     sigma0 = np.exp(-0.5 * ((z - 0.5) / 0.1) ** 2) * np.exp(1j * k0 * z)
-    record = run(config, initial_coherence=sigma0)
+    record = run(config, start=Checkpoint(sigma0))
     assert record.coherence_norm[0] > 0
     inc, out = total_flux(record)
     assert inc == 0.0
@@ -224,7 +226,7 @@ def test_a_blow_up_in_a_batch_is_reported_at_its_own_step():
 def test_run_requires_matching_initial_coherence():
     config = storage_config()
     with pytest.raises(ValueError):
-        run(config, initial_coherence=np.zeros(7, dtype=complex))
+        run(config, start=Checkpoint(np.zeros(7, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,7 @@ def test_per_pulse_rows_superpose_to_the_direct_run():
         assert np.allclose(gram, np.conj(gram.T))
         assert np.real(ones @ gram @ ones) == pytest.approx(direct.window_energies[name], rel=1e-12)
     with pytest.raises(ValueError):
-        run(two, initial_coherence=np.zeros(64, dtype=complex), per_pulse=True)
+        run(two, start=Checkpoint(np.zeros(64, dtype=complex)), per_pulse=True)
     none = run(replace(config, pulses=()), per_pulse=True)
     assert none.pulse_out.shape == (0, len(none.t), 1)
 
@@ -415,6 +417,93 @@ def test_csv_exports(tmp_path):
     # boundary rows round-trip through repr exactly
     first = lines[2].split(",")
     assert float(first[1]) == record.boundary_out[0, 0].real
+
+
+# ---------------------------------------------------------------------------
+# resuming from a checkpoint
+# ---------------------------------------------------------------------------
+
+def _record_bits(record):
+    """Every array of a record, as bytes."""
+    arrays = [record.t, record.boundary_out, record.boundary_in, record.coherence_norm,
+              record.k_spectra.t, record.k_spectra.magnitude,
+              np.array([record.window_energies[name] for name in sorted(record.window_energies)])]
+    for fs, cs in record.snapshots:
+        arrays += [np.array(fs.t), fs.fields, cs.sigma]
+    return [a.tobytes() for a in arrays]
+
+
+def _trunk(bare, branch, stride):
+    """A checkpoint of `branch` on `bare`, filled by a run of `bare` that stops at its node."""
+    start = checkpoint(bare, branch, stride)
+    run(bare, 0, start, until=float(_time_grid(bare)[start.node]) if start.node else None)
+    return start
+
+
+@pytest.mark.parametrize("preset, overrides", [("fig2", {}), ("fig2", {"mode_mismatch": 0.7}), ("time-domain", {})],
+                         ids=["fig2", "fig2-mismatch", "time-domain"])
+def test_a_resumed_run_repeats_the_uninterrupted_one(preset, overrides):
+    family = preset_family(preset, **overrides)
+    bare, config = family.bare_config(), family.config_for_phase(family.params.theta)
+    node = checkpoint(bare, config).node
+    e1 = family.windows["E1"]
+    t = _time_grid(config)
+    # the steering drive (and with it the mismatch) starts where E1 opens; the
+    # step into that node reads it at its last stage
+    assert t[node] < e1[0] == t[node + 1]
+    divides = next(d for d in range(7, 100) if node % d == 0)
+    misses = next(d for d in range(7, 100) if node % d)
+    for stride in ([None, 0] if overrides else [divides, misses]):
+        start = _trunk(bare, config, stride)
+        assert start.node == node
+        resumed, full = run(config, stride, start), run(config, stride)
+        assert _record_bits(resumed) == _record_bits(full), stride
+        assert resumed.diagnostics["steps_integrated"] == len(full.t) - 1 - node
+
+
+def _moved_probe(config):
+    probe, steer = config.pulses
+    return replace(config, pulses=(replace(probe, t0=probe.t0 + 1e-3), steer))
+
+
+def _weaker_probe(config):
+    probe, steer = config.pulses
+    return replace(config, pulses=(replace(probe, amplitude=0.5), steer))
+
+
+@pytest.mark.parametrize("branch_of, same_steps", [
+    (lambda family: family.config_for_phase(math.pi, power_factor=60.0), False),  # a shorter step from node 1
+    (lambda family: _moved_probe(family.config_for_phase(math.pi)), True),  # nodes moved, as many of them
+    (lambda family: _weaker_probe(family.config_for_phase(math.pi)), True),  # the grid kept, the drive not
+], ids=["power-60", "moved-grid", "other-drive"])
+def test_a_branch_that_differs_before_the_checkpoint_is_solved_in_full(fast_fig2_family, branch_of, same_steps):
+    family = fast_fig2_family
+    bare, config = family.bare_config(), family.config_for_phase(math.pi)
+    start = _trunk(bare, config, None)
+    branch = branch_of(family)
+    assert (len(_time_grid(branch)) == len(_time_grid(config))) == same_steps
+    assert checkpoint(bare, branch).node < start.node
+    resumed, full = run(branch, None, start), run(branch)
+    assert _record_bits(resumed) == _record_bits(full)
+    assert resumed.diagnostics == full.diagnostics
+
+
+def test_a_branch_with_another_stride_is_solved_in_full(fast_fig2_family):
+    family = fast_fig2_family
+    bare, config = family.bare_config(), family.config_for_phase(math.pi)
+    start = _trunk(bare, config, 40)
+    resumed, full = run(config, 30, start), run(config, 30)
+    assert _record_bits(resumed) == _record_bits(full)
+    assert resumed.diagnostics == full.diagnostics
+
+
+def test_a_trunk_must_repeat_the_checkpoints_trunk(fast_fig2_family):
+    family = fast_fig2_family
+    start = checkpoint(family.bare_config(), family.config_for_phase(math.pi))
+    with pytest.raises(ValueError, match="trunk"):
+        run(family.with_params(probe_amplitude=0.5).bare_config(), 0, start)
+    with pytest.raises(ValueError, match="stride"):
+        run(family.bare_config(), None, start)
 
 
 # ---------------------------------------------------------------------------
