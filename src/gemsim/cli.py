@@ -80,16 +80,14 @@ def _config_before_solving(family, phase: float | None = None) -> ScenarioConfig
 
 
 def _calibrated(family, config: ScenarioConfig, phase: float | None = None,
-                start=None, sink=None) -> ScenarioConfig | None:
+                prefix=None) -> ScenarioConfig | None:
     """`config`, or a time-domain family's config at `phase` once calibrated; None if that is invalid.
 
-    With a checkpoint `start`, the bare calibration run fills it (see
-    `TimeDomainFamily.calibrate`).
+    The bare calibration run continues `prefix`, if given (see `TimeDomainFamily.calibrate`).
     """
     if not isinstance(family, scenarios.TimeDomainFamily):
         return config
-    if start is not None:
-        family.calibrate(start, sink)
+    family.calibrate(prefix)
     config = family.config_for_phase(family.params.theta if phase is None else phase)
     return config if _is_valid(config, warn=False) else None  # its warnings are the probe-only config's
 
@@ -129,21 +127,23 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     # snapshots.csv is formatted while the solves run, the other outputs after
-    # them; a time-domain preset's bare calibration run is the trunk of the
-    # main run, which resumes at the node before the steering starts, and the
-    # writer formats the trunk's snapshots while calibration goes on
+    # them; on a time-domain preset, the bare calibration and the main run
+    # both continue the probe-only run up to the node before the steering
+    # starts, and the writer formats that prefix's snapshots while calibration
+    # goes on
     with nullcontext() if out is None else io.SnapshotWriter(out / "snapshots.csv") as snapshots:
         try:
-            start = None
+            prefix = None
             if snapshots is not None and isinstance(family, scenarios.TimeDomainFamily):
-                start = family.checkpoint(family.params.theta, args.snapshot_stride)
-            config = _calibrated(family, config, start=start, sink=snapshots)
+                prefix = family.shared_prefix(args.snapshot_stride, snapshots)
+            config = _calibrated(family, config, prefix=prefix)
             if config is None:
                 return EXIT_CONFIG
             if out is None:
                 print("configuration valid; dry run requested, no outputs written")
                 return EXIT_OK
-            record = run(config, stride=args.snapshot_stride, start=start, sink=snapshots)
+            record = run(config, stride=args.snapshot_stride, start=prefix, sink=snapshots)
+            del prefix  # not held through the export
         except (NonFinite, StabilityBound) as exc:
             _err(f"solver error: {exc}")
             return EXIT_SOLVER

@@ -80,8 +80,10 @@ class SnapshotWriter:
     running: fork copies the locks other threads hold, not the threads),
     `close` formats the store in this process instead.  Leaving the `with`
     block without `close`, on an error, kills the child and removes the
-    file, so no partial snapshots.csv remains.  A second `allocate` (a run
-    that could not resume where another left off) discards the first.
+    file, so no partial snapshots.csv remains.  A second `allocate` of the
+    same shape (a run continuing one that stopped early) returns the same
+    store, and one of another shape raises ValueError: the child serves one
+    store.
 
     The configuration hash is given to `close`: `simulate` knows it only
     once calibration ends, when the snapshots are under way.  The child
@@ -93,6 +95,7 @@ class SnapshotWriter:
         self.pid: int | None = None  # the child, until it is reaped
         self._pipe: int | None = None  # the write end, while the child may read it
         self._finished = False
+        self.values: np.ndarray | None = None  # the store, once allocated
 
     def __enter__(self) -> "SnapshotWriter":
         return self
@@ -103,9 +106,11 @@ class SnapshotWriter:
 
     def allocate(self, n: int, n_channels: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The snapshot times (n,) and values (n, n_channels + 1, nz) for the run to fill."""
-        if self.pid is not None:
-            self._discard()
         shape = (n, n_channels + 1, len(z))
+        if self.values is not None:
+            if self.values.shape != shape:
+                raise ValueError(f"the snapshot store has shape {self.values.shape}, not {shape}")
+            return self.t, self.values
         self._n_channels = n_channels
         self._zs = list(map(repr, z.tolist()))
         size = 16 * math.prod(shape)

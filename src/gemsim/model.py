@@ -529,6 +529,9 @@ class SimulationRecord:
     kspec_stride: int
     coherence_norm: np.ndarray  # (n_steps+1,), N * integral |sigma|^2 dz
     pulse_out: Optional[np.ndarray] = None  # (n_pulses, n_steps+1, n_channels), per-pulse runs only
+    # (nz,), sigma at the last node of a direct run, which run(start=record)
+    # continues from; not saved, so None for a loaded record
+    coherence_end: Optional[np.ndarray] = None
     # deterministic counts of the work a run did: "steps_integrated" (the
     # skipped lead-in excluded) and "rows_integrated"; empty for a loaded record
     diagnostics: dict[str, int] = field(default_factory=dict)

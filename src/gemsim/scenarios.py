@@ -54,7 +54,7 @@ from .model import (
     dt_bounds,
     validate,
 )
-from .solver import Checkpoint, _time_grid, checkpoint, run
+from .solver import _time_grid, run
 
 __all__ = [
     "TimeDomainParams",
@@ -232,26 +232,24 @@ class TimeDomainFamily:
 
     # -- calibration --------------------------------------------------------
 
-    def calibrate(self, start: Checkpoint | None = None, sink=None) -> _TdCalibration:
+    def calibrate(self, prefix: SimulationRecord | None = None) -> _TdCalibration:
         """Dry runs fixing the steering waveform and the arm-matching scale.
 
         Both read only the first echo window, so they stop where it closes, and
         keep their outputs there: the probe and raw steering rows on E1's nodes.
-        With `start` (from `checkpoint`) the bare run is also the trunk of a
-        steered run: it fills the checkpoint, its snapshots going to `sink`.
-        A calibration made before is reused only without a start.
+        The bare run continues `prefix` (from `shared_prefix`), if given.
         """
-        if self._calibration is not None and start is None:
+        if self._calibration is not None:
             return self._calibration
         e1 = self.windows["E1"]
 
-        def e1_output(config: ScenarioConfig, **trunk) -> tuple[np.ndarray, np.ndarray]:
-            record = run(config, stride=0, until=e1[1], **trunk)
+        def e1_output(config: ScenarioConfig, start=None) -> tuple[np.ndarray, np.ndarray]:
+            record = run(config, stride=0, start=start, until=e1[1])
             mask = (record.t >= e1[0]) & (record.t <= e1[1])
             return record.t[mask], record.boundary_out[mask, 0]
 
-        t_echo, v_echo = e1_output(self.bare_config(), **({} if start is None else {"start": start, "sink": sink}))
-        tt = self._steering_times(t_echo)
+        t_echo, v_echo = e1_output(self.bare_config(), prefix)
+        tt = np.linspace(t_echo[0], t_echo[-1], len(t_echo))
 
         def resample(times: np.ndarray) -> np.ndarray:
             return np.interp(times, t_echo, v_echo.real) + 1j * np.interp(times, t_echo, v_echo.imag)
@@ -269,24 +267,16 @@ class TimeDomainFamily:
         self._calibration = _TdCalibration(steer_t=tt, steer_values=vals, t_e1=t_echo, echo=v_echo, trans=trans)
         return self._calibration
 
-    @staticmethod
-    def _steering_times(t_echo: np.ndarray) -> np.ndarray:
-        """The steering samples' times: as many as E1's nodes, evenly over them."""
-        return np.linspace(t_echo[0], t_echo[-1], len(t_echo))
+    def shared_prefix(self, stride: int | None = None, sink=None) -> SimulationRecord:
+        """The bare run, stopped at the node before E1 opens, with `stride` and `sink` as `run` takes them.
 
-    def checkpoint(self, phase: float, stride: int | None = None) -> Checkpoint:
-        """A checkpoint where a run of `config_for_phase(phase)` can take over from the bare calibration run.
-
-        It is found before calibrating, when the steering samples are not
-        known: ones on their times stand in for them.  The steered run checks
-        its own record inputs against the bare run's up to the node, and is
-        solved in full where they differ.  `stride` is the steered run's.
+        The steering support, the event-era coupling and the mode mismatch
+        all start where E1 opens, so the bare calibration and a run of
+        `config_for_phase` (at power factor 1) can continue this record.
         """
-        e1, bare = self.windows["E1"], self.bare_config()
+        bare = self.bare_config()
         t = _time_grid(bare)
-        tt = self._steering_times(t[(t >= e1[0]) & (t <= e1[1])])
-        layout = self._steered(phase, SampledPulse(t=tt, values=np.ones(len(tt)), label="steering", channel=0))
-        return checkpoint(bare, layout, stride)
+        return run(bare, stride, until=float(t[np.searchsorted(t, self.windows["E1"][0]) - 1]), sink=sink)
 
     def steering_scale(self) -> float:
         """Amplitude factor applied to the raw echo copy."""
@@ -305,16 +295,11 @@ class TimeDomainFamily:
 
     def config_for_phase(self, phase: float, power_factor: float = 1.0,
                          mu: float | None = None) -> ScenarioConfig:
-        theta = 0.0 if self.params.phase_knob == "coupling" else phase
+        on_coupling = self.params.phase_knob == "coupling"
+        theta = 0.0 if on_coupling else phase
         scale = self.steering_scale() * complex(math.cos(theta), math.sin(theta))
         cal = self.calibrate()
         steer = SampledPulse(t=cal.steer_t, values=cal.steer_values * scale, label="steering", channel=0)
-        return self._steered(phase, steer, power_factor, mu)
-
-    def _steered(self, phase: float, steer: SampledPulse, power_factor: float = 1.0,
-                 mu: float | None = None) -> ScenarioConfig:
-        """Probe and `steer`, with the event-era coupling phase at `phase` under the coupling knob."""
-        on_coupling = self.params.phase_knob == "coupling"
         return self._assemble((self._probe(), steer), power_factor,
                               coupling_phase=phase if on_coupling else 0.0, mu=mu)
 

@@ -28,20 +28,21 @@ cumulative integrals; its value at z = L is kept per node, and the boundary
 traces are built from those after the loop.
 
 Only the steps a result depends on are integrated.  From zero coherence, a
-step none of whose stages sees a nonzero drive leaves the state exactly +0,
-so the loop starts at the first step with a driven stage; the coherence
-norm of the silent lead-in is the zeros it was allocated with.  A run can
-also stop early, at the first node at or after a caller's `until` time.
-Nor is a prefix two configs share integrated twice.  At a node, sigma is
-the loop's only state (c is rebuilt from it, and the local coefficient a
-continuing run holds is computed from the same eta and stark), so a run
-resumed from a Checkpoint holds the same bits as an uninterrupted one.
-`checkpoint(trunk, branch)` finds the last node up to which a branch run
-repeats a trunk run: the node before the first stage at which the stage
-arrays its record reads differ, the time grids included.  A run of the
-trunk fills the checkpoint on its way (the branch's snapshots before the
-node, its traces and norm, and sigma there), and the branch resumes from
-it; `simulate` so resumes the main solve from the bare calibration run.
+step none of whose stages sees a nonzero drive leaves the state exactly
++0, so the loop starts at the first step with a driven stage; the
+coherence norm of the silent lead-in is the zeros it was allocated with.
+A run can also stop early, at the first node at or after a caller's
+`until` time: its record is the prefix of the whole run's (the snapshot
+plan is the whole grid's, and a snapshot due at its last node is left to
+the run that continues it), and carries sigma at that node.  Nor is a
+prefix two configs share integrated twice.  At a node, sigma is the loop's
+only state (c is rebuilt from it, and the local coefficient a continuing
+run holds is computed from the same eta and stark), so a run that
+continues an early-stopped record holds the same bits as an uninterrupted
+one, once the stage arrays its record reads (the time grid included) are
+checked equal to the record's, bit for bit, up to that node.  `simulate`
+so continues the probe-only run, stopped before the steering starts, into
+both the bare calibration and the main solve.
 A per-pulse run integrates one row per distinct pulse drive: a row's
 arithmetic depends on its drive alone, so pulses whose drives are equal to
 the bit share one row, and with one distinct drive the state is the direct
@@ -71,7 +72,6 @@ excluded from every check that involves the 1/k factor, because the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -89,8 +89,6 @@ from .model import (
 
 __all__ = [
     "run",
-    "Checkpoint",
-    "checkpoint",
     "polariton_spectrum",
     "k_grid",
     "k_centroid_track",
@@ -226,39 +224,6 @@ class _Controls:
         self.sources, self.e_in_h, self.kappa = sources, e_in_h, kappa
 
 
-@dataclass(eq=False)
-class Checkpoint:
-    """A direct run's coherence at one node, and its record before that node.
-
-    `Checkpoint(sigma)` starts a run from the coherence `sigma` at node 0.
-    `checkpoint(trunk, branch, stride)` marks the node up to which a run of
-    `branch` repeats a run of `trunk`, without a state yet: a run of `trunk`
-    with start=checkpoint fills it on its way, and a run of `branch` with
-    start=checkpoint then resumes from it.  `stride` and `steps` are the
-    branch's snapshot plan.
-    """
-
-    sigma: np.ndarray | None = None
-    node: int = 0
-    stride: int = 0
-    steps: int = 0
-    trunk: ScenarioConfig | None = None
-    # filled by the trunk run: its traces and norm before the node, and the
-    # snapshot store holding the branch's snapshots before it (the sink's, if
-    # the trunk had one); the branch takes their k-spectra from the store
-    c_end: np.ndarray | None = None
-    norms: np.ndarray | None = None
-    store: tuple[np.ndarray, np.ndarray] | None = None
-    sink: object = None
-
-    def _matches(self, controls: _Controls) -> bool:
-        """Whether a direct run of `controls` reads the trunk's record inputs, bit for bit, up to the node."""
-        n = 2 * self.node + 1
-        trunk = _Controls(self.trunk, _time_grid(self.trunk)[: self.node + 1], False)
-        return _key(self.trunk) == _key(controls.config) and all(
-            a.tobytes() == b.tobytes() for a, b in zip(_record_inputs(trunk, n), _record_inputs(controls, n)))
-
-
 def _key(config: ScenarioConfig) -> tuple:
     """What configs integrated on one state (or one after another) must share besides the time grid."""
     return config.grid.nz, config.ensemble, config.n_channels
@@ -290,34 +255,10 @@ def _stride(stride: int | None, n_steps: int) -> int:
     return stride
 
 
-def checkpoint(trunk: ScenarioConfig, branch: ScenarioConfig, stride: int | None = None) -> Checkpoint:
-    """The last node up to which a direct run of `branch` repeats one of `trunk`, as a checkpoint to fill.
-
-    That is node (s - 1) // 2, for s the first stage at which the two configs'
-    record inputs (`_record_inputs`, the time grids included) differ in their
-    bits: the step into node (s + 1) // 2 already reads stage s.  Configs that
-    differ in nz, ensemble or channel count share node 0 only.  `stride` is
-    the branch run's, as `run` takes it.
-    """
-    a = _Controls(trunk, _time_grid(trunk), False)
-    b = _Controls(branch, _time_grid(branch), False)
-    steps = len(b.t_nodes) - 1
-    node = 0
-    if _key(trunk) == _key(branch):
-        n = min(len(a.t_half), len(b.t_half))
-        differs = np.zeros(n, dtype=bool)
-        for x, y in zip(_record_inputs(a, n), _record_inputs(b, n)):
-            x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-            bits = (x.view(np.uint64) != y.view(np.uint64)).reshape(x.shape + (-1,)).any(-1)
-            differs |= bits.reshape(-1, n).any(0)
-        node = max(0, (int(np.argmax(differs)) if differs.any() else n) - 1) // 2
-    return Checkpoint(node=node, stride=_stride(stride, steps), steps=steps, trunk=trunk)
-
-
 def run(
     config: ScenarioConfig,
     stride: int | None = None,
-    start: Checkpoint | None = None,
+    start: SimulationRecord | np.ndarray | None = None,
     per_pulse: bool = False,
     until: float | None = None,
     sink=None,
@@ -330,21 +271,23 @@ def run(
     `stride` steps and at the last step: about 512 of each for None, none for 0.
 
     With `until` in (0, t_end] the run stops at the first node at or after
-    it: the record's times, traces and coherence norm end there, and window
-    energies are taken over the nodes it has.  From zero coherence the steps
+    it, and its record is the prefix of the whole run's: its times, traces
+    and coherence norm end at that node, and window energies are taken over
+    the nodes it has.  Its snapshot plan is the whole grid's; the snapshots
+    before that node are recorded, and one due at the node itself is left
+    to the run that continues the record.  From zero coherence the steps
     before the first nonzero drive are not integrated, since they leave the
     state at zero; the record is the same as if they were.
 
-    `start` is a Checkpoint.  `Checkpoint(sigma)` starts from the coherence
-    sigma at node 0.  One from `checkpoint(trunk, config)` is filled by a run
-    of its trunk (with stride 0: that run's record has no snapshots, and the
-    branch's snapshots before the node go to the store the checkpoint keeps,
-    the sink's if there is one).  A run of the branch then resumes there: its
-    record holds the same bits as an uninterrupted run (the prefix's
-    k-spectra taken from its snapshots), its steps_integrated counts only the
-    steps it integrated, and the sink has formatted the prefix's snapshots
-    already.  Where the branch's record inputs up to the node, its stride or
-    its step count differ from the checkpoint's, it is solved in full.
+    `start` is a coherence of shape (nz,) at node 0, or a record to
+    continue: the direct run of `until` above, carrying its coherence at its
+    last node in `coherence_end`.  A continuation integrates from that node
+    and holds the same bits as an uninterrupted run (the prefix's traces,
+    norms, snapshots and k-spectra taken from the record; with stride 0, no
+    snapshots at all), and its steps_integrated counts only the steps it
+    integrated.  It raises ValueError where its record inputs up to that
+    node differ from the record's by a bit, or its stride is neither the
+    record's nor 0.
 
     With per_pulse=True the coherence carries one row per distinct pulse
     drive, each row driven by that drive alone on the time grid of the whole
@@ -355,40 +298,41 @@ def run(
     weighted superposition of the pulses follows from `record.window_grams()`.
 
     `record.diagnostics` counts the steps this run integrated (the skipped
-    lead-in and a resumed prefix excluded) and the coherence rows integrated
-    (1 for a direct run).
+    lead-in and a continued prefix excluded) and the coherence rows
+    integrated (1 for a direct run).
 
     The snapshots live in one store sized before the loop: times (n,) and
     values (n, nch + 1, nz), the fields of snapshot i in values[i, :nch] and
     its coherence in values[i, nch]; the record's states are views into it.
     A `sink` places the store, `sink.allocate(n, nch, z)` returning the two
     arrays, and `sink.publish(i)` is called once snapshot i is complete
-    (io.SnapshotWriter formats them while the run goes on).
+    (io.SnapshotWriter formats them while the run goes on).  A continuation
+    given the store its record's snapshots are in publishes only its own.
     """
     _check_stability(config)
     t_nodes = _time_grid(config)
+    steps = len(t_nodes) - 1  # the whole grid's, which the snapshot plan follows
+    stride = 0 if per_pulse else _stride(stride, steps)
     if until is not None:
         if not (math.isfinite(until) and 0.0 < until <= config.grid.t_end):
             raise ValueError(f"until must lie in (0, t_end={config.grid.t_end}], got {until}")
-        t_nodes = t_nodes[: min(int(np.searchsorted(t_nodes, until)), len(t_nodes) - 1) + 1]
-    stride = 0 if per_pulse else _stride(stride, len(t_nodes) - 1)
+        t_nodes = t_nodes[: min(int(np.searchsorted(t_nodes, until)), steps) + 1]
     controls = _Controls(config, t_nodes, per_pulse)
     if start is not None:
         if per_pulse:
             raise ValueError("per-pulse runs start from zero coherence")
-        if start.sigma is None:  # a trunk, to fill the checkpoint
-            if stride:
-                raise ValueError("a run that fills a checkpoint records no snapshots of its own: stride must be 0")
-            start.node = min(start.node, len(t_nodes) - 1)
-            if not start._matches(controls):
-                raise ValueError("the run does not repeat the checkpoint's trunk up to its node")
-        elif start.trunk is None:
-            if start.node or np.shape(start.sigma) != (config.grid.nz,):
-                raise ValueError(f"a start without a trunk is a coherence of shape ({config.grid.nz},) at node 0")
-        elif not (start.node and start.stride == stride and start.steps == len(t_nodes) - 1
-                  and start._matches(controls)):
-            start = None  # a full solve
-    return _integrate([controls], stride, start, sink)[0]
+        if isinstance(start, SimulationRecord):
+            if stride not in (0, start.snapshot_stride):
+                raise ValueError(f"a continuation's stride is its record's ({start.snapshot_stride}) or 0, "
+                                 f"got {stride}")
+            n = 2 * len(start.t) - 1
+            prefix = _Controls(start.config, start.t, False)
+            if start.coherence_end is None or _key(start.config) != _key(config) or not all(
+                    a.tobytes() == b.tobytes() for a, b in zip(_record_inputs(prefix, n), _record_inputs(controls, n))):
+                raise ValueError("the run does not repeat the record it continues up to that record's last node")
+        elif np.shape(start) != (config.grid.nz,):
+            raise ValueError(f"a start coherence has shape ({config.grid.nz},), got {np.shape(start)}")
+    return _integrate([controls], stride, start, sink, steps)[0]
 
 
 def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list[SimulationRecord]:
@@ -426,20 +370,21 @@ def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list
 def _integrate(
     parts: list[_Controls],
     stride: int,
-    start: Checkpoint | None = None,
+    start: SimulationRecord | np.ndarray | None = None,
     sink=None,
+    steps: int = 0,
 ) -> list[SimulationRecord]:
     """The records of configs on one time grid, integrated as the rows of one state.
 
-    Snapshots (stride > 0), a sink and a start need a single direct part.  A
-    start without a state is filled (the run is its trunk); one with a state
-    is resumed from.
+    Snapshots (stride > 0), a sink and a start need a single direct part;
+    `steps` is the whole grid's step count, which the snapshot plan follows.
     """
     first = parts[0]
     ens, z, t_nodes = first.config.ensemble, first.z, first.t_nodes
     nz, nch, dz = len(z), first.config.n_channels, z[1] - z[0]
     n_steps = len(t_nodes) - 1
     counts = [p.rows for p in parts]
+    node = len(start.t) - 1 if isinstance(start, SimulationRecord) else 0  # where a continued record ends
 
     # one config with one row keeps a 1-D state and scalar stage coefficients;
     # otherwise the state is (rows, nz), each config's rows a span of it, with
@@ -448,7 +393,8 @@ def _integrate(
     if single:
         spans = [...]  # the whole state
         eta_h, stark_h, w2_h, drive_h = first.eta_h, first.stark_h, first.w2_h, first.drives[0]
-        sigma = np.zeros(nz, dtype=complex) if start is None or start.sigma is None else np.array(start.sigma, complex)
+        sigma = np.zeros(nz, dtype=complex) if start is None else np.array(
+            start.coherence_end if node else start, complex)
     else:
         spans = [slice(end - rows, end) for rows, end in zip(counts, np.cumsum(counts).tolist())]
         eta_h, stark_h, w2_h = (np.repeat(np.stack([getattr(p, name) for p in parts], axis=1), counts, axis=1)[..., None]
@@ -511,33 +457,31 @@ def _integrate(
         tallies.append((p.per_pulse, own, p.inverse, np.broadcast_to(own, (len(p.inverse), nz)) if shared else None,
                         np.empty(nz, dtype=complex) if p.per_pulse else own.reshape(nz), np.zeros(n_steps + 1)))
 
-    # a snapshot at every multiple of stride and at the last step, of the
-    # branch's plan in a trunk, which records those before its checkpoint node
-    trunk = start is not None and start.sigma is None
-    resumed = start.node if start is not None and not trunk else 0
-    plan_stride, plan_steps = (start.stride, start.steps) if trunk else (stride, n_steps)
-    snap_end = start.node if trunk else n_steps + 1
-    n_snap = plan_steps // plan_stride + 1 + (plan_steps % plan_stride != 0) if plan_stride else 0
-    before = -(-resumed // plan_stride) if plan_stride else 0  # snapshots of a resumed prefix
-    if resumed and sink is not None and sink is start.sink:
-        snap_t, snap = start.store
+    # a snapshot at every multiple of stride and at the whole grid's last step;
+    # a run stopped early leaves one at its last node to the run continuing it,
+    # and a continuation takes those before its first node from its record
+    before = len(start.snapshots) if node and stride else 0
+    end = n_steps + (n_steps == steps)  # a stopped run leaves its last node's to the run continuing it
+    due = [m for m in [*range(0, steps, stride), steps] if node <= m < end] if stride else []
+    count = before + len(due)  # the snapshots the record holds
+    n_snap = steps // stride + 1 + (steps % stride != 0) if stride else 0
+    if sink is None:
+        snap_t, snap = np.empty(n_snap), np.empty((n_snap, nch + 1, nz), dtype=complex)
     else:
-        if sink is None:
-            snap_t, snap = np.empty(n_snap), np.empty((n_snap, nch + 1, nz), dtype=complex)
-        else:
-            snap_t, snap = sink.allocate(n_snap, nch, z)
-        if before:
-            snap_t[:before], snap[:before] = start.store[0][:before], start.store[1][:before]
+        snap_t, snap = sink.allocate(n_snap, nch, z)
+    if before and not np.shares_memory(snap, start.snapshots[0][1].sigma):  # not the record's own store
+        for k, (fs, cs) in enumerate(start.snapshots):
+            snap_t[k], snap[k, :nch], snap[k, nch] = fs.t, fs.fields, cs.sigma
             if sink is not None:
-                for k in range(before):
-                    sink.publish(k)
-    kspec_t: list[float] = []
-    kspec_mag: list[np.ndarray] = []
+                sink.publish(k)
+    kspec_t, kspec_mag = np.empty(count), np.empty((count, nz) if count else 0)
+    if before:
+        kspec_t[:before], kspec_mag[:before] = start.k_spectra.t, start.k_spectra.magnitude
     kvec = k_grid(nz, dz)
 
     def snapshot(m: int) -> None:
-        """Record a snapshot and (but in a trunk) a k-spectrum of node m, whose state's integral c holds."""
-        k = -(-m // plan_stride)  # m / stride, rounded up at a last step off the stride
+        """Record a snapshot and a k-spectrum of node m, whose state's integral c holds."""
+        k = -(-m // stride)  # m / stride, rounded up at a last step off the stride
         snap_t[k] = t_nodes[m]
         fields = snap[k, :nch]
         np.multiply(first.kappa[:, m][:, None], c, out=fields)
@@ -545,45 +489,26 @@ def _integrate(
         snap[k, nch] = sigma
         if sink is not None:
             sink.publish(k)
-        if not trunk:
-            spectrum(m, fields, sigma)
-
-    def spectrum(m: int, fields: np.ndarray, sigma: np.ndarray) -> None:
-        """Record the k-spectrum of node m from its fields and coherence."""
         psi = _bright_polariton(fields, sigma, ens, first.omegas_h[:, 2 * m])
-        kspec_t.append(float(t_nodes[m]))
-        kspec_mag.append(np.abs(np.fft.fftshift(psi)))
-
-    for k in range(before):  # a resumed prefix's, from its snapshots
-        spectrum(k * plan_stride, snap[k, :nch], snap[k, nch])
-
-    def fill(m: int) -> None:
-        """Keep node m's state and the record before it in the checkpoint."""
-        start.sigma, start.c_end, start.norms = sigma.copy(), c_end[:m].copy(), tallies[0][-1][:m].copy()
-        start.store, start.sink = (snap_t, snap), sink
+        kspec_t[k] = t_nodes[m]
+        np.abs(np.fft.fftshift(psi), out=kspec_mag[k])
 
     # from zero coherence, steps before m0 see no drive and keep sigma (and
     # its integral c) at +0: each stage is +-0 and +0 + (-0) = +0, and the
     # coherence norm and c_end of their nodes are the zeros they were made with
-    if start is not None and not trunk:
-        m0 = resumed
-        if m0:
-            c_end[:m0], tallies[0][-1][:m0] = start.c_end, start.norms
-    else:
+    if start is None:
         live = np.flatnonzero(driven)
         m0 = max(0, (int(live[0]) - 1) // 2) if live.size else n_steps
-    # the nodes where the loop records a snapshot, or fills a checkpoint, in
-    # the order popped; those in a skipped lead-in are recorded here
-    due = list(range(0, plan_steps, plan_stride)) + [plan_steps] if plan_stride else []
+    else:  # a coherence at node 0, or a continued record's at its last node
+        m0 = node
+        if node:
+            tallies[0][-1][:node] = start.coherence_norm[:node]
+    # the nodes where the loop records a snapshot, in the order popped; those
+    # in a skipped lead-in are recorded here
     for m in due:
-        if resumed <= m < min(m0, snap_end):
+        if m < m0:
             snapshot(m)
-    stops = [m for m in due if m0 <= m < snap_end]
-    if trunk:
-        if start.node < m0:
-            fill(start.node)
-        else:
-            stops.append(start.node)
+    stops = [m for m in due if m >= m0]
     stops.reverse()
     next_stop = stops.pop() if stops else -1
     # mode mismatch, applied to a config's rows after the first step ending at
@@ -618,10 +543,7 @@ def _integrate(
                 amax = float(finite.max()) if finite.size else math.inf
                 raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
         if m == next_stop:
-            if trunk and m == start.node:
-                fill(m)
-            else:
-                snapshot(m)
+            snapshot(m)
             next_stop = stops.pop() if stops else -1
         if m == n_steps:
             break
@@ -683,6 +605,8 @@ def _integrate(
         np.multiply(p.kappa.T, out, out=out)
         out = out[p.inverse] if p.per_pulse else out[0]  # one row per pulse, or the run's
         np.add(out, np.swapaxes(p.sources[..., 0::2], -1, -2), out=out)
+        if node:
+            out[:node] = start.boundary_out[:node]  # a continued prefix's
         record = SimulationRecord(
             config=p.config,
             t=t_nodes,
@@ -690,15 +614,16 @@ def _integrate(
             boundary_out=out.sum(axis=0) if p.per_pulse else out,
             boundary_in=np.ascontiguousarray(p.e_in_h[:, 0::2].T),
             snapshots=[(FieldState(t=t, fields=v[:nch]), CoherenceState(t=t, sigma=v[nch]))
-                       for t, v in zip(snap_t, snap)] if not trunk else [],
+                       for t, v in zip(snap_t[:count], snap)],
             k_spectra=KSpectrumHistory(
-                t=np.array(kspec_t), k=np.fft.fftshift(kvec), magnitude=np.array(kspec_mag)
+                t=kspec_t, k=np.fft.fftshift(kvec), magnitude=kspec_mag
             ),
             window_energies={},
             snapshot_stride=stride,
             kspec_stride=stride,
             coherence_norm=norms,
             pulse_out=out if p.per_pulse else None,
+            coherence_end=None if p.per_pulse else sigma[span].reshape(nz).copy(),
             diagnostics={"steps_integrated": n_steps - m0, "rows_integrated": p.rows},
         )
         record.window_energies = record.recompute_window_energies()

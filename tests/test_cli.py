@@ -465,26 +465,29 @@ def test_in_process_snapshots_match_the_forked_writer(tmp_path, capsys, monkeypa
 
 
 def test_simulate_integrates_the_shared_prefix_once(tmp_path, monkeypatch, fast_preset_overrides):
-    # the bare calibration run is the trunk of the main solve, which resumes
-    # at the checkpoint node and counts only the steps after it
+    # the probe-only run up to the node before E1 opens is continued by the
+    # bare calibration run and by the main solve, which count only their own steps
     from gemsim import cli, scenarios
-    from gemsim.solver import _time_grid, checkpoint, run
+    from gemsim.solver import _time_grid, run
 
     runs = []
 
     def noting(config, *args, **kwargs):
         record = run(config, *args, **kwargs)
-        runs.append((config, kwargs.get("start"), record.diagnostics["steps_integrated"]))
+        runs.append((config, kwargs.get("start"), record))
         return record
 
     monkeypatch.setattr(cli, "run", noting)
     monkeypatch.setattr(scenarios, "run", noting)
     assert run_cli(["simulate", "--preset", "fig2", "--config", fast_preset_overrides,
                     "--out", str(tmp_path / "o"), "--snapshot-stride", "2000"]) == 0
-    (bare, trunk_start, _), (_, no_start, _), (config, start, steps) = runs
-    assert trunk_start is start and no_start is None
-    assert start.node == checkpoint(bare, config).node > 0
-    assert steps == len(_time_grid(config)) - 1 - start.node
+    (bare, no_start, prefix), (calibration, cal_start, _), (_, steer_start, _), (config, start, record) = runs
+    assert no_start is None and steer_start is None and cal_start is prefix and start is prefix
+    assert calibration == bare
+    node = len(prefix.t) - 1
+    t = _time_grid(config)
+    assert t[node] < scenarios.preset_family("fig2", **FAST_FIG2).windows["E1"][0] == t[node + 1]
+    assert record.diagnostics["steps_integrated"] == len(t) - 1 - node
 
 
 def test_negative_snapshot_stride_exits_2(capsys):

@@ -32,7 +32,7 @@ from gemsim.model import (
     config_sha256,
 )
 from gemsim.scenarios import preset_family
-from gemsim.solver import Checkpoint, _bright_polariton, _check_stability, _time_grid, k_grid, run
+from gemsim.solver import _bright_polariton, _check_stability, _time_grid, k_grid, run
 from conftest import FAST_FIG2, storage_config
 
 
@@ -98,7 +98,7 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
         )
 
     if start is not None:
-        sigma = np.array(start.sigma, dtype=complex)
+        sigma = np.array(start, dtype=complex)
     else:
         sigma = np.zeros(sources.shape[:-2] + (nz,), dtype=complex)
 
@@ -194,7 +194,7 @@ def _decaying_mismatch_from_initial_coherence():
     config = replace(storage_config(gamma0=0.3, nz=64), mode_mismatch=0.6, mismatch_time=3.0)
     z = np.linspace(0.0, 1.0, 64)
     sigma0 = 0.2 * np.exp(-((z - 0.5) / 0.1) ** 2 + 3j * z)
-    return config, {"start": Checkpoint(sigma0)}
+    return config, {"start": sigma0}
 
 
 def _mismatch_before_a_late_pulse():
@@ -506,21 +506,25 @@ def test_a_failing_solve_kills_and_reaps_the_child(tmp_path, monkeypatch):
 
 
 @needs_fork
-def test_a_second_allocate_discards_the_first_child(tmp_path, monkeypatch):
-    # a run that cannot resume where its trunk left off allocates the store again
+def test_a_second_allocate_of_the_same_shape_returns_the_same_store(tmp_path, monkeypatch):
+    # a run continuing one that stopped early fills the store that run began
     children = _note_children(monkeypatch)
     record = _hand_set_record(2)
-    nch = record.boundary_out.shape[1]
+    nch, n = record.boundary_out.shape[1], len(record.snapshots)
     with io.SnapshotWriter(tmp_path / "new.csv") as writer:
-        t, values = writer.allocate(len(record.snapshots) + 1, nch, record.z)
-        t[0], values[0] = 7.0, 1.0
-        writer.publish(0)  # a snapshot of the plan given up
-        t, values = writer.allocate(len(record.snapshots), nch, record.z)
-        for i, (fs, cs) in enumerate(record.snapshots):
+        t, values = writer.allocate(n, nch, record.z)
+        fs, cs = record.snapshots[0]
+        t[0], values[0, :nch], values[0, nch] = fs.t, fs.fields, cs.sigma
+        writer.publish(0)  # the early-stopped run's snapshot
+        again = writer.allocate(n, nch, record.z)
+        assert again[0] is t and again[1] is values
+        with pytest.raises(ValueError, match="shape"):
+            writer.allocate(n + 1, nch, record.z)
+        for i, (fs, cs) in enumerate(record.snapshots[1:], 1):
             t[i], values[i, :nch], values[i, nch] = fs.t, fs.fields, cs.sigma
             writer.publish(i)
         writer.close(config_sha256(record.config))
-    first, second = children
-    assert first != second and _reaped(first) and _reaped(second)
+    first, second = children  # one child, there after both allocates
+    assert first is not None and first == second and _reaped(first)
     reference_write_snapshots_csv(record, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -108,7 +108,8 @@ def test_calibration_stopping_at_e1_matches_full_length_solves(monkeypatch):
     calibrated = preset_family("fig2", **FAST_FIG2).calibrate()
     lengths = []
 
-    def full_length(config, stride=None, until=None):
+    def full_length(config, stride=None, start=None, until=None):
+        assert start is None
         record = run(config, stride=stride)
         lengths.append((len(record.t), len(_time_grid(config))))
         return record

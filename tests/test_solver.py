@@ -23,8 +23,6 @@ from gemsim.model import (
     validate,
 )
 from gemsim.solver import (
-    Checkpoint,
-    checkpoint,
     crossing_phase,
     k_centroid_track,
     k_grid,
@@ -151,7 +149,7 @@ def test_initial_coherence_is_recalled():
     z = np.linspace(0, 1.0, nz)
     k0 = +40.0  # pre-dephased packet; transport at -eta brings it to k=0 at t=2
     sigma0 = np.exp(-0.5 * ((z - 0.5) / 0.1) ** 2) * np.exp(1j * k0 * z)
-    record = run(config, start=Checkpoint(sigma0))
+    record = run(config, start=sigma0)
     assert record.coherence_norm[0] > 0
     inc, out = total_flux(record)
     assert inc == 0.0
@@ -226,7 +224,7 @@ def test_a_blow_up_in_a_batch_is_reported_at_its_own_step():
 def test_run_requires_matching_initial_coherence():
     config = storage_config()
     with pytest.raises(ValueError):
-        run(config, start=Checkpoint(np.zeros(7, dtype=complex)))
+        run(config, start=np.zeros(7, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +256,10 @@ def test_stride_sets_what_a_run_records():
 
 @pytest.mark.parametrize("config, per_pulse", [
     (storage_config(nz=64), False),
+    (preset_family("freq-domain").config_for_phase(0.4), False),
     (preset_family("freq-domain").config_for_phase(0.4), True),
     (preset_family("freq-domain").config_for_phase(0.0), True),
-], ids=["storage", "freq-domain-per-pulse", "freq-domain-basis"])
+], ids=["storage", "freq-domain", "freq-domain-per-pulse", "freq-domain-basis"])
 def test_run_until_keeps_the_prefix_of_the_full_run(config, per_pulse):
     until = config.windows["E1"][1]
     full = run(config, stride=0, per_pulse=per_pulse)
@@ -278,6 +277,31 @@ def test_run_until_keeps_the_prefix_of_the_full_run(config, per_pulse):
     for bad in (math.nan, 0.0, config.grid.t_end * 1.01):
         with pytest.raises(ValueError, match="until"):
             run(config, stride=0, per_pulse=per_pulse, until=bad)
+    if per_pulse:
+        return
+
+    # the snapshot plan is the whole grid's: an early-stopped record holds the
+    # whole run's first snapshots and k-spectra, those before its last node
+    stride = 37
+    full = run(config, stride)
+    short = run(config, stride, until=until)
+    k = -(-n // stride)
+    assert len(short.snapshots) == len(short.k_spectra.t) == k and short.snapshot_stride == stride
+    assert _snapshot_bits(short) == _snapshot_bits(full)[: 3 * k]
+    assert short.k_spectra.magnitude.tobytes() == full.k_spectra.magnitude[:k].tobytes()
+    assert short.k_spectra.t.tobytes() == full.k_spectra.t[:k].tobytes()
+
+    # a run continuing the record repeats the whole run, whether a snapshot is
+    # due at its first node or not, and with no snapshots at all
+    t = _time_grid(config)
+    for stride in (stride, 0):
+        full = run(config, stride)
+        for node in (n, stride * (n // stride) if stride else n // 2):
+            prefix = run(config, stride, until=float(t[node]))
+            assert len(prefix.t) == node + 1
+            continued = run(config, stride, start=prefix)
+            assert _record_bits(continued) == _record_bits(full), (stride, node)
+            assert continued.diagnostics["steps_integrated"] == len(t) - 1 - node
 
 
 def test_record_round_trip(tmp_path):
@@ -326,7 +350,7 @@ def test_per_pulse_rows_superpose_to_the_direct_run():
         assert np.allclose(gram, np.conj(gram.T))
         assert np.real(ones @ gram @ ones) == pytest.approx(direct.window_energies[name], rel=1e-12)
     with pytest.raises(ValueError):
-        run(two, start=Checkpoint(np.zeros(64, dtype=complex)), per_pulse=True)
+        run(two, start=np.zeros(64, dtype=complex), per_pulse=True)
     none = run(replace(config, pulses=()), per_pulse=True)
     assert none.pulse_out.shape == (0, len(none.t), 1)
 
@@ -420,43 +444,39 @@ def test_csv_exports(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# resuming from a checkpoint
+# continuing an early-stopped record
 # ---------------------------------------------------------------------------
 
+def _snapshot_bits(record):
+    """The time, fields and coherence of each snapshot, as bytes."""
+    return [np.array(a).tobytes() for fs, cs in record.snapshots for a in (fs.t, fs.fields, cs.sigma)]
+
+
 def _record_bits(record):
-    """Every array of a record, as bytes."""
-    arrays = [record.t, record.boundary_out, record.boundary_in, record.coherence_norm,
+    """Every array of a direct record, as bytes."""
+    arrays = [record.t, record.boundary_out, record.boundary_in, record.coherence_norm, record.coherence_end,
               record.k_spectra.t, record.k_spectra.magnitude,
               np.array([record.window_energies[name] for name in sorted(record.window_energies)])]
-    for fs, cs in record.snapshots:
-        arrays += [np.array(fs.t), fs.fields, cs.sigma]
-    return [a.tobytes() for a in arrays]
-
-
-def _trunk(bare, branch, stride):
-    """A checkpoint of `branch` on `bare`, filled by a run of `bare` that stops at its node."""
-    start = checkpoint(bare, branch, stride)
-    run(bare, 0, start, until=float(_time_grid(bare)[start.node]) if start.node else None)
-    return start
+    return [a.tobytes() for a in arrays] + _snapshot_bits(record)
 
 
 @pytest.mark.parametrize("preset, overrides", [("fig2", {}), ("fig2", {"mode_mismatch": 0.7}), ("time-domain", {})],
                          ids=["fig2", "fig2-mismatch", "time-domain"])
 def test_a_resumed_run_repeats_the_uninterrupted_one(preset, overrides):
     family = preset_family(preset, **overrides)
-    bare, config = family.bare_config(), family.config_for_phase(family.params.theta)
-    node = checkpoint(bare, config).node
+    config = family.config_for_phase(family.params.theta)
     e1 = family.windows["E1"]
     t = _time_grid(config)
+    node = len(family.shared_prefix(0).t) - 1
     # the steering drive (and with it the mismatch) starts where E1 opens; the
-    # step into that node reads it at its last stage
+    # step into that node reads it at its last stage, so no later node is shared
     assert t[node] < e1[0] == t[node + 1]
+    with pytest.raises(ValueError, match="repeat"):
+        run(config, 0, start=run(family.bare_config(), 0, until=float(t[node + 1])))
     divides = next(d for d in range(7, 100) if node % d == 0)
     misses = next(d for d in range(7, 100) if node % d)
     for stride in ([None, 0] if overrides else [divides, misses]):
-        start = _trunk(bare, config, stride)
-        assert start.node == node
-        resumed, full = run(config, stride, start), run(config, stride)
+        resumed, full = run(config, stride, start=family.shared_prefix(stride)), run(config, stride)
         assert _record_bits(resumed) == _record_bits(full), stride
         assert resumed.diagnostics["steps_integrated"] == len(full.t) - 1 - node
 
@@ -471,39 +491,16 @@ def _weaker_probe(config):
     return replace(config, pulses=(replace(probe, amplitude=0.5), steer))
 
 
-@pytest.mark.parametrize("branch_of, same_steps", [
-    (lambda family: family.config_for_phase(math.pi, power_factor=60.0), False),  # a shorter step from node 1
-    (lambda family: _moved_probe(family.config_for_phase(math.pi)), True),  # nodes moved, as many of them
-    (lambda family: _weaker_probe(family.config_for_phase(math.pi)), True),  # the grid kept, the drive not
-], ids=["power-60", "moved-grid", "other-drive"])
-def test_a_branch_that_differs_before_the_checkpoint_is_solved_in_full(fast_fig2_family, branch_of, same_steps):
-    family = fast_fig2_family
-    bare, config = family.bare_config(), family.config_for_phase(math.pi)
-    start = _trunk(bare, config, None)
-    branch = branch_of(family)
-    assert (len(_time_grid(branch)) == len(_time_grid(config))) == same_steps
-    assert checkpoint(bare, branch).node < start.node
-    resumed, full = run(branch, None, start), run(branch)
-    assert _record_bits(resumed) == _record_bits(full)
-    assert resumed.diagnostics == full.diagnostics
-
-
-def test_a_branch_with_another_stride_is_solved_in_full(fast_fig2_family):
-    family = fast_fig2_family
-    bare, config = family.bare_config(), family.config_for_phase(math.pi)
-    start = _trunk(bare, config, 40)
-    resumed, full = run(config, 30, start), run(config, 30)
-    assert _record_bits(resumed) == _record_bits(full)
-    assert resumed.diagnostics == full.diagnostics
-
-
-def test_a_trunk_must_repeat_the_checkpoints_trunk(fast_fig2_family):
-    family = fast_fig2_family
-    start = checkpoint(family.bare_config(), family.config_for_phase(math.pi))
-    with pytest.raises(ValueError, match="trunk"):
-        run(family.with_params(probe_amplitude=0.5).bare_config(), 0, start)
-    with pytest.raises(ValueError, match="stride"):
-        run(family.bare_config(), None, start)
+@pytest.mark.parametrize("branch_of, strides, match", [
+    (lambda family: family.config_for_phase(math.pi, power_factor=60.0), (0, 0), "repeat"),  # a shorter step
+    (lambda family: _moved_probe(family.config_for_phase(math.pi)), (0, 0), "repeat"),  # nodes moved, as many
+    (lambda family: _weaker_probe(family.config_for_phase(math.pi)), (0, 0), "repeat"),  # the grid kept, the drive not
+    (lambda family: family.config_for_phase(math.pi), (40, 30), "stride"),
+], ids=["power-60", "moved-grid", "other-drive", "other-stride"])
+def test_a_run_that_does_not_repeat_its_record_is_refused(fast_fig2_family, branch_of, strides, match):
+    prefix = fast_fig2_family.shared_prefix(strides[0])
+    with pytest.raises(ValueError, match=match):
+        run(branch_of(fast_fig2_family), strides[1], start=prefix)
 
 
 # ---------------------------------------------------------------------------
