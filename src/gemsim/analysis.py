@@ -145,8 +145,8 @@ def scan_both_ports(family, phases: Sequence[float]) -> dict[str, FringeDataset]
 def coupling_sweep(family, relative_powers: Sequence[float]) -> dict[str, list[tuple[float, float]]]:
     """Visibility B/A of both ports vs event coupling power, from per-pulse solves.
 
-    The per-pulse rows of every power that shares a time grid are integrated
-    as one state (solver.run_many), up to solver.MAX_ROWS rows a solve.
+    The one-pulse configs of every power that shares a time grid are solved
+    together (solver.run_many), up to solver.MAX_ROWS a solve.
 
     Powers are normalised to the family's balanced-suppression power
     (power 1.0 reproduces the family's own event coupling).
@@ -167,14 +167,12 @@ def _mu_basis(family) -> dict:
     return _grams(family.config_for_phase(0.0, mu=1.0))
 
 
-def mismatch_curve(family, mus: Sequence[float], port: str = "E1") -> list[tuple[float, float]]:
-    """Visibility of one port vs the mode-overlap factor mu; every mu shares one per-pulse solve."""
+def mismatch_curve(family, mus: Sequence[float]) -> list[tuple[float, float]]:
+    """Visibility of port E1 vs the mode-overlap factor mu; every mu shares one per-pulse solve."""
     if any(not 0.0 <= m <= 1.0 for m in mus):
         raise ValueError("mu values must lie in [0, 1]")
-    if port not in PORTS:
-        raise ValueError("port must be 'E1' or 'E2'")
-    gram = _mu_basis(family)[port]
-    return [(float(mu), _visibility(gram, family.pulse_weights(0.0, mu)[port])) for mu in mus]
+    gram = _mu_basis(family)["E1"]
+    return [(float(mu), _visibility(gram, family.pulse_weights(0.0, mu)["E1"])) for mu in mus]
 
 
 def find_mu_for_visibility(family, target: float) -> float:
@@ -198,26 +196,23 @@ def find_mu_for_visibility(family, target: float) -> float:
 # exports
 # ---------------------------------------------------------------------------
 
-def write_fringe_csv(dataset: FringeDataset, csv_path, sidecar_path=None,
-                     config_hash: str | None = None) -> None:
+def write_fringe_csv(dataset: FringeDataset, csv_path, sidecar_path, config_hash: str) -> None:
     """Samples as CSV plus a JSON sidecar with the sinusoid parameters."""
     with open(csv_path, "w", encoding="utf-8") as fh:
-        if config_hash:
-            fh.write(f"# config_sha256={config_hash}\n")
+        fh.write(f"# config_sha256={config_hash}\n")
         fh.write("phase,energy\n")
         for p, e in zip(dataset.phases, dataset.energies):
             fh.write(f"{float(p)!r},{float(e)!r}\n")
-    if sidecar_path is not None:
-        doc = {
-            "config_sha256": config_hash,
-            "port": dataset.port,
-            "offset": dataset.offset,
-            "amplitude": dataset.amplitude,
-            "phi0": dataset.phi0,
-            "visibility": dataset.visibility,
-            "n_samples": int(len(dataset.phases)),
-            "residual_rms": dataset.residual_rms(),
-        }
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    doc = {
+        "config_sha256": config_hash,
+        "port": dataset.port,
+        "offset": dataset.offset,
+        "amplitude": dataset.amplitude,
+        "phi0": dataset.phi0,
+        "visibility": dataset.visibility,
+        "n_samples": int(len(dataset.phases)),
+        "residual_rms": dataset.residual_rms(),
+    }
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

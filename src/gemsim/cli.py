@@ -336,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     swp = sub.add_parser("sweep", help="phase/coupling/mismatch sweeps of fringe visibility")
-    swp.add_argument("--kind", "--sweep", dest="kind", required=True,
-                     choices=("phase", "coupling", "mismatch"))
+    swp.add_argument("--kind", required=True, choices=("phase", "coupling", "mismatch"))
     swp.add_argument("--range", required=True, help="start:stop:count (inclusive endpoints)")
     swp.add_argument("--preset", required=True, choices=sorted(scenarios.PRESETS))
     swp.add_argument("--config", help="override keys for the preset")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import hashlib
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -351,13 +352,24 @@ def _number_failures(obj, where: str = "") -> list[str]:
     return out
 
 
-def _pulse_is_finite(p: Pulse) -> bool:
+def _pulse_failure(p: Pulse) -> str | None:
+    """Why a pulse's envelope is unusable, or None."""
     try:
         if isinstance(p, GaussianPulse):
-            return p.sigma > 0 and math.isfinite(p.energy())
-        return bool(np.all(np.isfinite(p.t)) and np.all(np.isfinite(p.values)))
+            finite = p.sigma > 0 and math.isfinite(p.energy())
+        elif p.t.ndim != 1 or p.t.size == 0:
+            return "sample times t must be a non-empty list"
+        elif p.values.shape != p.t.shape:
+            return f"{p.values.size} values for {p.t.size} sample times t"
+        elif np.any(p.t[1:] <= p.t[:-1]):
+            return "sample times t must be strictly increasing"
+        else:
+            finite = np.all(np.isfinite(p.t)) and np.all(np.isfinite(p.values))
     except OverflowError:
-        return False
+        finite = False
+    if not finite:
+        return "envelope must be finite with finite support"
+    return None if math.isfinite(p.energy()) else "pulse energy must be finite"
 
 
 def dt_bounds(ens: EnsembleParams, max_eta: float, max_omega: float,
@@ -440,10 +452,9 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     for pi, p in enumerate(config.pulses):
         if not (0 <= p.channel < max(1, config.n_channels)):
             rep.failures.append(f"pulse {pi} ({p.label}): channel index out of range")
-        if not _pulse_is_finite(p):
-            rep.failures.append(f"pulse {pi} ({p.label}): envelope must be finite with finite support")
-        elif not math.isfinite(p.energy()):
-            rep.failures.append(f"pulse {pi} ({p.label}): pulse energy must be finite")
+        failure = _pulse_failure(p)
+        if failure:
+            rep.failures.append(f"pulse {pi} ({p.label}): {failure}")
 
     grid = config.grid
     if grid.nz < 16 or (grid.nz & (grid.nz - 1)) != 0:
@@ -456,13 +467,9 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     for name, (w0, w1) in config.windows.items():
         if not (0.0 <= w0 < w1 <= grid.t_end):
             rep.failures.append(f"window {name}: must satisfy 0 <= t_start < t_end <= grid t_end")
-    names = list(config.windows)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            a0, a1 = config.windows[a]
-            b0, b1 = config.windows[b]
-            if max(a0, b0) < min(a1, b1):
-                rep.failures.append(f"windows {a} and {b} overlap")
+    for (a, (a0, a1)), (b, (b0, b1)) in itertools.combinations(config.windows.items(), 2):
+        if max(a0, b0) < min(a1, b1):
+            rep.failures.append(f"windows {a} and {b} overlap")
 
     if not (0.0 <= config.mode_mismatch <= 1.0):
         rep.failures.append("mode_mismatch must lie in [0, 1]")
@@ -527,24 +534,22 @@ class SimulationRecord:
     window_energies: dict[str, float]
     snapshot_stride: int
     kspec_stride: int
-    coherence_norm: np.ndarray  # (n_steps+1,), N * integral |sigma|^2 dz
+    coherence_norm: np.ndarray  # N * integral |sigma|^2 dz: (n_steps+1,), per-pulse (n_pulses, n_steps+1)
     pulse_out: Optional[np.ndarray] = None  # (n_pulses, n_steps+1, n_channels), per-pulse runs only
     # (nz,), sigma at the last node of a direct run, which run(start=record)
     # continues from; not saved, so None for a loaded record
     coherence_end: Optional[np.ndarray] = None
-    # deterministic counts of the work a run did: "steps_integrated" (the
-    # skipped lead-in excluded) and "rows_integrated"; empty for a loaded record
+    # deterministic counts of the work a run did: "steps_integrated" (the skipped lead-in
+    # excluded) and "rows_integrated" (of the solve that made it); empty for a loaded record
     diagnostics: dict[str, int] = field(default_factory=dict)
 
     def recompute_window_energies(self) -> dict[str, float]:
+        """The output energy in each window; 0 where it holds fewer than two nodes."""
         out = {}
         power = np.sum(np.abs(self.boundary_out) ** 2, axis=1)
         for name, (w0, w1) in self.config.windows.items():
             mask = (self.t >= w0) & (self.t <= w1)
-            if mask.sum() < 2:
-                out[name] = 0.0
-            else:
-                out[name] = float(np.trapezoid(power[mask], self.t[mask]))
+            out[name] = float(np.trapezoid(power[mask], self.t[mask]))
         return out
 
     def window_grams(self) -> dict[str, np.ndarray]:
@@ -555,16 +560,12 @@ class SimulationRecord:
         """
         if self.pulse_out is None:
             raise ValueError("window Gram matrices need a per-pulse record")
-        rows = self.pulse_out.shape[0]
         out = {}
         for name, (w0, w1) in self.config.windows.items():
             mask = (self.t >= w0) & (self.t <= w1)
-            if mask.sum() < 2:
-                out[name] = np.zeros((rows, rows), dtype=complex)
-            else:
-                traces = self.pulse_out[:, mask]
-                products = np.einsum("rkj,skj->rsk", np.conj(traces), traces)
-                out[name] = np.trapezoid(products, self.t[mask], axis=-1)
+            traces = self.pulse_out[:, mask]
+            products = np.einsum("rkj,skj->rsk", np.conj(traces), traces)
+            out[name] = np.trapezoid(products, self.t[mask], axis=-1)
         return out
 
     def input_energy(self) -> float:

@@ -43,19 +43,18 @@ one, once the stage arrays its record reads (the time grid included) are
 checked equal to the record's, bit for bit, up to that node.  `simulate`
 so continues the probe-only run, stopped before the steering starts, into
 both the bare calibration and the main solve.
-A per-pulse run integrates one row per distinct pulse drive: a row's
-arithmetic depends on its drive alone, so pulses whose drives are equal to
-the bit share one row, and with one distinct drive the state is the direct
-run's.
-
 Many solves share the same loop.  `run_many` integrates configs on one time
-grid as the rows of one state, at most MAX_ROWS rows a solve; each row
-carries its own config's eta, stark, w2 and drive as one (rows, 1) column
-per stage, and each config keeps its own coherence norm, mode mismatch,
-kappa and boundary traces.  A one-row solve keeps a 1-D state and scalar
-stage coefficients.  Every operation is elementwise in the rows except the
-update's dot product, whose rows OpenBLAS computes alike however many there
-are; tests compare batched records with lone runs to the bit.
+grid as the rows of one state, at most MAX_ROWS configs a solve; each row
+carries its own eta, stark, w2 and drive as one (rows, 1) column per stage,
+and its own mode mismatch, coherence norm and finiteness check.  A row's
+arithmetic depends on those alone, so configs whose eta, stark, w2, drive
+and mode mismatch are equal to the bit share one row; each config keeps
+its own kappa and boundary traces.  A one-row solve keeps a 1-D state and
+scalar stage coefficients.  Every operation is elementwise in the rows
+except the update's dot product, whose rows OpenBLAS computes alike however
+many there are; tests compare batched records with lone runs to the bit.
+A per-pulse run is such a solve of its one-pulse configs, each keeping one
+pulse and silencing the others on the same time grid.
 
 Energy bookkeeping uses the normalisation constant s = 1: the conserved
 quantity at gamma0 = 0 is N * integral |sigma|^2 dz plus the net boundary
@@ -71,7 +70,9 @@ excluded from every check that involves the 1/k factor, because the
 
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -81,6 +82,7 @@ from .model import (
     CoherenceState,
     EnsembleParams,
     FieldState,
+    GaussianPulse,
     KSpectrumHistory,
     ScenarioConfig,
     SimulationRecord,
@@ -136,14 +138,25 @@ def _time_grid(config: ScenarioConfig) -> np.ndarray:
 # main integrator
 # ---------------------------------------------------------------------------
 
-# state rows per batched solve: per-row throughput still rises at 16 rows
+# configs (so state rows at most) per batched solve: per-row throughput still rises at 16 rows
 MAX_ROWS = 16
 
 
-def _distinct_rows(a: np.ndarray) -> tuple[list[int], list[int]]:
-    """The first row of each distinct row of `a` (equal to the bit), and each row's distinct index."""
+def _distinct_rows(parts: list[_Controls]) -> tuple[list[int], list[int]]:
+    """The first part of each distinct state row, and each part's row.
+
+    Parts share a row where eta, stark, w2, drive and mode mismatch are equal
+    to the bit; the sha256 keys are built only for a solve of many parts.
+    """
+    if len(parts) == 1:
+        return [0], [0]
     index: dict[bytes, int] = {}
-    inverse = [index.setdefault(row.tobytes(), len(index)) for row in a]
+    inverse = []
+    for p in parts:
+        key = hashlib.sha256(repr((p.config.mismatch_time, p.config.mode_mismatch)).encode())
+        for a in (p.eta_h, p.stark_h, p.w2_h, p.drive):
+            key.update(a)
+        inverse.append(index.setdefault(key.digest(), len(index)))
     return [inverse.index(d) for d in range(len(index))], inverse
 
 
@@ -154,17 +167,13 @@ def _check_stability(config: ScenarioConfig) -> None:
 
 
 class _Controls:
-    """One config's controls and drives on the stage grid of its time nodes.
+    """One config's controls and drive on the stage grid of its time nodes."""
 
-    A direct run has one drive row; a per-pulse run one per distinct pulse
-    drive, pulse r being integrated in row inverse[r].
-    """
-
-    def __init__(self, config: ScenarioConfig, t_nodes: np.ndarray, per_pulse: bool):
+    def __init__(self, config: ScenarioConfig, t_nodes: np.ndarray):
         ens = config.ensemble
         nch = config.n_channels
         n_steps = len(t_nodes) - 1
-        self.config, self.t_nodes, self.per_pulse = config, t_nodes, per_pulse
+        self.config, self.t_nodes = config, t_nodes
         self.z = np.linspace(0.0, ens.length, config.grid.nz)
         dz = self.z[1] - self.z[0]
 
@@ -184,17 +193,9 @@ class _Controls:
             if ch.modulation is None:
                 # keep midpoints on the piecewise value of their own step
                 omegas_h[c, 1::2] = np.asarray(ch.omega_at(t_nodes[:-1]), dtype=complex)
-        # sources[r] is the boundary input of pulse r alone, in a per-pulse run
-        if per_pulse:
-            sources = np.zeros((len(config.pulses), nch, 2 * n_steps + 1), dtype=complex)
-            for r, p in enumerate(config.pulses):
-                sources[r, p.channel] = p.envelope(t_half)
-            e_in_h = sources.sum(axis=0)
-        else:
-            e_in_h = np.zeros((nch, 2 * n_steps + 1), dtype=complex)
-            for p in config.pulses:
-                e_in_h[p.channel] += p.envelope(t_half)
-            sources = e_in_h
+        e_in_h = np.zeros((nch, 2 * n_steps + 1), dtype=complex)
+        for p in config.pulses:
+            e_in_h[p.channel] += p.envelope(t_half)
 
         # the loop's c is the unscaled cumulative sum of sigma[1:] + sigma[:-1];
         # the dz/2 of the trapezoid rule is folded into kappa (the field source
@@ -202,13 +203,7 @@ class _Controls:
         half_dz = 0.5 * dz
         kappa = 1j * ens.g * ens.n_density * np.conj(omegas_h[:, 0::2]) / ens.delta
         kappa *= half_dz
-        drive_h = 1j * (ens.g / ens.delta) * np.sum(omegas_h * sources, axis=-2)  # ([pulses,] 2*n_steps+1)
-        # stages with a nonzero drive; adding a +-0 drive could flip only the sign
-        # of a zero, and tests/test_reference.py checks that no recorded bit shows it
-        self.driven = drive_h.reshape(-1, 2 * n_steps + 1).any(axis=0)
-        firsts, self.inverse = _distinct_rows(drive_h) if per_pulse else (None, None)
-        self.drives = drive_h[firsts] if per_pulse else drive_h[None]
-        self.rows = len(self.drives)
+        self.drive = 1j * (ens.g / ens.delta) * np.sum(omegas_h * e_in_h, axis=0)  # (2*n_steps+1,)
         power = np.sum(np.abs(omegas_h) ** 2, axis=0)
         stark_h = power / ens.delta
         w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * power
@@ -221,12 +216,22 @@ class _Controls:
         self.changed = self.eta_changed.copy()
         self.changed[1:] |= (stark_h[1:] != stark_h[:-1]) | (w2_h[1:] != w2_h[:-1])
         self.t_half, self.eta_h, self.stark_h, self.w2_h, self.omegas_h = t_half, eta_h, stark_h, w2_h, omegas_h
-        self.sources, self.e_in_h, self.kappa = sources, e_in_h, kappa
+        self.e_in_h, self.kappa = e_in_h, kappa
 
 
 def _key(config: ScenarioConfig) -> tuple:
     """What configs integrated on one state (or one after another) must share besides the time grid."""
     return config.grid.nz, config.ensemble, config.n_channels
+
+
+def _one_pulse_configs(config: ScenarioConfig) -> list[ScenarioConfig]:
+    """Config r of each pulse r: pulse r as given, every other at zero amplitude.
+
+    The silenced pulses keep their supports, and so the time grid, to the bit.
+    """
+    silent = [replace(p, amplitude=0.0) if isinstance(p, GaussianPulse) else replace(p, values=np.zeros_like(p.values))
+              for p in config.pulses]
+    return [replace(config, pulses=(*silent[:r], p, *silent[r + 1:])) for r, p in enumerate(config.pulses)]
 
 
 def _record_inputs(p: _Controls, n: int) -> list[np.ndarray]:
@@ -243,7 +248,7 @@ def _record_inputs(p: _Controls, n: int) -> list[np.ndarray]:
         if 2 * node < len(mismatch):
             mismatch[2 * node] = config.mode_mismatch
     kappa = np.repeat(p.kappa, 2, axis=-1)
-    return [a[..., :n] for a in (p.t_half, p.eta_h, p.stark_h, p.w2_h, p.drives[0], p.e_in_h, p.omegas_h,
+    return [a[..., :n] for a in (p.t_half, p.eta_h, p.stark_h, p.w2_h, p.drive, p.e_in_h, p.omegas_h,
                                  kappa, mismatch)]
 
 
@@ -289,17 +294,18 @@ def run(
     node differ from the record's by a bit, or its stride is neither the
     record's nor 0.
 
-    With per_pulse=True the coherence carries one row per distinct pulse
-    drive, each row driven by that drive alone on the time grid of the whole
-    scenario; pulses with equal drives share a row.  The record then holds
-    the per-pulse boundary traces in `pulse_out` (one per pulse, shared rows
-    included), their sum in `boundary_out`, and no snapshots or k-spectra:
-    the equations are linear in the boundary pulses, so the energy of any
-    weighted superposition of the pulses follows from `record.window_grams()`.
+    With per_pulse=True the run is a batch of one-pulse configs, config r
+    keeping pulse r and silencing the others on the same time grid, solved
+    together from zero coherence as direct configs are by `run_many`.  The
+    record then holds their boundary traces in `pulse_out` (one per pulse),
+    their sum in `boundary_out` and `boundary_in`, their coherence norms as
+    one row per pulse, and no snapshots or k-spectra: the equations are
+    linear in the boundary pulses, so the energy of any weighted
+    superposition of the pulses follows from `record.window_grams()`.
 
     `record.diagnostics` counts the steps this run integrated (the skipped
-    lead-in and a continued prefix excluded) and the coherence rows
-    integrated (1 for a direct run).
+    lead-in and a continued prefix excluded) and the coherence rows of the
+    solve that produced it (1 for a direct run).
 
     The snapshots live in one store sized before the loop: times (n,) and
     values (n, nch + 1, nz), the fields of snapshot i in values[i, :nch] and
@@ -317,34 +323,39 @@ def run(
         if not (math.isfinite(until) and 0.0 < until <= config.grid.t_end):
             raise ValueError(f"until must lie in (0, t_end={config.grid.t_end}], got {until}")
         t_nodes = t_nodes[: min(int(np.searchsorted(t_nodes, until)), steps) + 1]
-    controls = _Controls(config, t_nodes, per_pulse)
-    if start is not None:
-        if per_pulse:
+    if per_pulse:
+        if start is not None:
             raise ValueError("per-pulse runs start from zero coherence")
-        if isinstance(start, SimulationRecord):
-            if stride not in (0, start.snapshot_stride):
-                raise ValueError(f"a continuation's stride is its record's ({start.snapshot_stride}) or 0, "
-                                 f"got {stride}")
-            n = 2 * len(start.t) - 1
-            prefix = _Controls(start.config, start.t, False)
-            if start.coherence_end is None or _key(start.config) != _key(config) or not all(
-                    a.tobytes() == b.tobytes() for a, b in zip(_record_inputs(prefix, n), _record_inputs(controls, n))):
-                raise ValueError("the run does not repeat the record it continues up to that record's last node")
-        elif np.shape(start) != (config.grid.nz,):
-            raise ValueError(f"a start coherence has shape ({config.grid.nz},), got {np.shape(start)}")
+        singles = _one_pulse_configs(config) or [config]
+        return _per_pulse_record(config, _integrate([_Controls(c, t_nodes) for c in singles], 0))
+    controls = _Controls(config, t_nodes)
+    if isinstance(start, SimulationRecord):
+        if stride not in (0, start.snapshot_stride):
+            raise ValueError(f"a continuation's stride is its record's ({start.snapshot_stride}) or 0, "
+                             f"got {stride}")
+        n = 2 * len(start.t) - 1
+        prefix = _Controls(start.config, start.t)
+        if start.coherence_end is None or _key(start.config) != _key(config) or not all(
+                a.tobytes() == b.tobytes() for a, b in zip(_record_inputs(prefix, n), _record_inputs(controls, n))):
+            raise ValueError("the run does not repeat the record it continues up to that record's last node")
+    elif start is not None and np.shape(start) != (config.grid.nz,):
+        raise ValueError(f"a start coherence has shape ({config.grid.nz},), got {np.shape(start)}")
     return _integrate([controls], stride, start, sink, steps)[0]
 
 
 def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list[SimulationRecord]:
     """`run(config, stride=0, per_pulse=per_pulse)` of each config, in input order.
 
-    Configs with the same time grid, nz, ensemble and channel count are
-    integrated as the rows of one state, at most MAX_ROWS rows a solve (a
-    per-pulse config counted as one row per pulse).  No row's arithmetic
-    depends on the other rows, so each record holds the same bits as its
-    lone run.  Every config is checked against the stability bounds before
-    the first solve.
+    Per-pulse configs are expanded into their one-pulse configs.  Configs
+    with the same time grid, nz, ensemble and channel count are integrated
+    together, at most MAX_ROWS a solve, equal ones sharing a state row; no
+    row's arithmetic depends on the others, so each record holds the bits
+    of its lone run.  All configs are checked for stability before solving.
     """
+    if per_pulse:
+        members = [_one_pulse_configs(c) or [c] for c in configs]
+        solved = iter(run_many([c for m in members for c in m]))
+        return [_per_pulse_record(c, [next(solved) for _ in m]) for c, m in zip(configs, members)]
     groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
     for i, config in enumerate(configs):
         _check_stability(config)
@@ -353,18 +364,26 @@ def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list
         groups.setdefault(key, (t_nodes, []))[1].append(i)
     records: list = [None] * len(configs)
     for t_nodes, members in groups.values():
-        chunks, rows = [[]], 0
-        for i in members:
-            n = len(configs[i].pulses) if per_pulse else 1  # its rows at most
-            if chunks[-1] and rows + n > MAX_ROWS:
-                chunks.append([])
-                rows = 0
-            chunks[-1].append(i)
-            rows += n
-        for chunk in chunks:
-            for i, record in zip(chunk, _integrate([_Controls(configs[i], t_nodes, per_pulse) for i in chunk], 0)):
+        for k in range(0, len(members), MAX_ROWS):
+            chunk = members[k:k + MAX_ROWS]
+            for i, record in zip(chunk, _integrate([_Controls(configs[i], t_nodes) for i in chunk], 0)):
                 records[i] = record
     return records
+
+
+def _per_pulse_record(config: ScenarioConfig, records: list[SimulationRecord]) -> SimulationRecord:
+    """The per-pulse record of `config` from the records of its one-pulse configs.
+
+    A config without pulses is solved as itself, its record giving the layout.
+    """
+    n, shape = len(config.pulses), records[0].boundary_out.shape
+    pulse_out, inputs = (np.array([getattr(r, name) for r in records[:n]], complex).reshape((n,) + shape)
+                         for name in ("boundary_out", "boundary_in"))
+    norms = np.array([r.coherence_norm for r in records[:n]]).reshape(n, shape[0])
+    record = replace(records[0], config=config, boundary_out=pulse_out.sum(axis=0), boundary_in=inputs.sum(axis=0),
+                     coherence_norm=norms, pulse_out=pulse_out, coherence_end=None)
+    record.window_energies = record.recompute_window_energies()
+    return record
 
 
 def _integrate(
@@ -376,34 +395,35 @@ def _integrate(
 ) -> list[SimulationRecord]:
     """The records of configs on one time grid, integrated as the rows of one state.
 
-    Snapshots (stride > 0), a sink and a start need a single direct part;
-    `steps` is the whole grid's step count, which the snapshot plan follows.
+    Each distinct row gets one coherence norm and one finiteness check.
+    Snapshots (stride > 0), a sink and a start need a single part; `steps`
+    is the whole grid's step count, which the snapshot plan follows.
     """
     first = parts[0]
     ens, z, t_nodes = first.config.ensemble, first.z, first.t_nodes
     nz, nch, dz = len(z), first.config.n_channels, z[1] - z[0]
     n_steps = len(t_nodes) - 1
-    counts = [p.rows for p in parts]
     node = len(start.t) - 1 if isinstance(start, SimulationRecord) else 0  # where a continued record ends
+    firsts, inverse = _distinct_rows(parts)
+    rows = [parts[i] for i in firsts]
 
-    # one config with one row keeps a 1-D state and scalar stage coefficients;
-    # otherwise the state is (rows, nz), each config's rows a span of it, with
-    # one (rows, 1) column per stage of each row's own eta, stark, w2 and drive
-    single = counts == [1]
+    # one row keeps a 1-D state and scalar stage coefficients; otherwise the
+    # state is (rows, nz), with one (rows, 1) column per stage of each row's
+    # own eta, stark, w2 and drive
+    single = len(rows) == 1
     if single:
-        spans = [...]  # the whole state
-        eta_h, stark_h, w2_h, drive_h = first.eta_h, first.stark_h, first.w2_h, first.drives[0]
+        eta_h, stark_h, w2_h, drive_h = first.eta_h, first.stark_h, first.w2_h, first.drive
         sigma = np.zeros(nz, dtype=complex) if start is None else np.array(
             start.coherence_end if node else start, complex)
     else:
-        spans = [slice(end - rows, end) for rows, end in zip(counts, np.cumsum(counts).tolist())]
-        eta_h, stark_h, w2_h = (np.repeat(np.stack([getattr(p, name) for p in parts], axis=1), counts, axis=1)[..., None]
-                                for name in ("eta_h", "stark_h", "w2_h"))
-        drive_h = np.concatenate([p.drives for p in parts]).T[:, :, None]
-        sigma = np.zeros((sum(counts), nz), dtype=complex)
-    changed = np.logical_or.reduce([p.changed for p in parts])
-    eta_changed = np.logical_or.reduce([p.eta_changed for p in parts]).tobytes()
-    driven = np.logical_or.reduce([p.driven for p in parts])
+        eta_h, stark_h, w2_h, drive_h = (np.stack([getattr(p, name) for p in rows], axis=1)[..., None]
+                                         for name in ("eta_h", "stark_h", "w2_h", "drive"))
+        sigma = np.zeros((len(rows), nz), dtype=complex)
+    changed = np.logical_or.reduce([p.changed for p in rows])
+    eta_changed = np.logical_or.reduce([p.eta_changed for p in rows]).tobytes()
+    # stages with a nonzero drive; adding a +-0 drive could flip only the sign
+    # of a zero, and tests/test_reference.py checks that no recorded bit shows it
+    driven = np.logical_or.reduce([p.drive != 0 for p in rows])
 
     # RK4 works in place in these buffers and views: k1..k4 are the rows of K,
     # and c holds the integral of the state integrated last (w2 >= 0 keeps
@@ -442,20 +462,10 @@ def _integrate(
             eta_z = eta_h[i] * z
         return -(ens.gamma0 + 1j * (eta_z + stark_h[i])), w2_h[i] if single else np.repeat(w2_h[i], nz, -1)
 
-    # c[..., -1] per node in the first channel, made into the boundary outputs
-    # after the loop; c_end is its node-major view
-    boundary_out = np.zeros(sigma.shape[:-1] + (n_steps + 1, nch), dtype=complex)
-    c_end = np.moveaxis(boundary_out[..., 0], -1, 0)
-
-    # per config: its rows, the coherence it sums to (the pulse rows' sum in a
-    # per-pulse run), where that sum is reduced from (a view of the pulse rows,
-    # or None where some but not all share a row), and its coherence norm
-    tallies = []
-    for p, span in zip(parts, spans):
-        own = sigma[span]
-        shared = p.per_pulse and p.rows in (1, len(p.inverse))
-        tallies.append((p.per_pulse, own, p.inverse, np.broadcast_to(own, (len(p.inverse), nz)) if shared else None,
-                        np.empty(nz, dtype=complex) if p.per_pulse else own.reshape(nz), np.zeros(n_steps + 1)))
+    # c[..., -1] per node, made into the boundary outputs after the loop
+    c_end = np.zeros((n_steps + 1,) + sigma.shape[:-1], dtype=complex)
+    own = [sigma] if single else list(sigma)  # each row's state
+    norms = [np.zeros(n_steps + 1) for _ in rows]
 
     # a snapshot at every multiple of stride and at the whole grid's last step;
     # a run stopped early leaves one at its last node to the run continuing it,
@@ -502,7 +512,7 @@ def _integrate(
     else:  # a coherence at node 0, or a continued record's at its last node
         m0 = node
         if node:
-            tallies[0][-1][:node] = start.coherence_norm[:node]
+            norms[0][:node] = start.coherence_norm[:node]
     # the nodes where the loop records a snapshot, in the order popped; those
     # in a skipped lead-in are recorded here
     for m in due:
@@ -511,10 +521,10 @@ def _integrate(
     stops = [m for m in due if m >= m0]
     stops.reverse()
     next_stop = stops.pop() if stops else -1
-    # mode mismatch, applied to a config's rows after the first step ending at
-    # or after its time; a skipped step applied it, to a zero state
-    mismatches = sorted(((p.config.mismatch_time - 1e-12, own, p.config.mode_mismatch)
-                         for p, (_, own, *_) in zip(parts, tallies)
+    # mode mismatch, applied to a row after the first step ending at or after
+    # its time; a skipped step applied it, to a zero state
+    mismatches = sorted(((p.config.mismatch_time - 1e-12, row, p.config.mode_mismatch)
+                         for p, row in zip(rows, own)
                          if p.config.mismatch_time is not None and p.config.mode_mismatch != 1.0
                          and not (m0 > 0 and t_nodes[m0] >= p.config.mismatch_time - 1e-12)),
                         key=lambda item: item[0], reverse=True)
@@ -533,13 +543,11 @@ def _integrate(
         np.add(sigma_hi, sigma_lo, out=pair_flat)
         np.add.accumulate(pair, axis=-1, out=c_tail)
         c_end[m] = c_last
-        for per_pulse, own, inverse, pulse_rows, total, norms in tallies:
-            if per_pulse:
-                np.add.reduce(own[inverse] if pulse_rows is None else pulse_rows, axis=0, out=total)
-            np.multiply(weights, total, out=weighted)
-            norm = norms[m] = n_density * np.vdot(total, weighted).real
+        for row, row_norms in zip(own, norms):
+            np.multiply(weights, row, out=weighted)
+            norm = row_norms[m] = n_density * np.vdot(row, weighted).real
             if not math.isfinite(norm):
-                finite = np.abs(own[np.isfinite(own)])
+                finite = np.abs(row[np.isfinite(row)])
                 amax = float(finite.max()) if finite.size else math.inf
                 raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
         if m == next_stop:
@@ -591,27 +599,24 @@ def _integrate(
         np.dot(rk4_weights, K_flat, out=update)
         np.add(sigma, update_state, out=sigma)
         while t_at[m + 1] >= next_mismatch:
-            _, own, factor = mismatches.pop()
-            np.multiply(own, factor, out=own)
+            _, row, factor = mismatches.pop()
+            np.multiply(row, factor, out=row)
             next_mismatch = mismatches[-1][0] if mismatches else math.inf
 
     records = []
-    for p, span, (*_, norms) in zip(parts, spans, tallies):
+    for p, j in zip(parts, inverse):
         # E_j(t, L) = E_j(t, 0) + kappa_j(t) integral_0^L sigma dz, one integral
         # for every channel (dz/2 in kappa; a + b == b + a to the bit); a
         # skipped lead-in has zero source and integral
-        out = boundary_out[span].reshape(-1, n_steps + 1, nch)
-        out[..., 1:] = out[..., :1]
-        np.multiply(p.kappa.T, out, out=out)
-        out = out[p.inverse] if p.per_pulse else out[0]  # one row per pulse, or the run's
-        np.add(out, np.swapaxes(p.sources[..., 0::2], -1, -2), out=out)
+        out = np.multiply(p.kappa.T, (c_end if single else c_end[:, j])[:, None], order="C")
+        np.add(out, p.e_in_h[:, 0::2].T, out=out)
         if node:
             out[:node] = start.boundary_out[:node]  # a continued prefix's
         record = SimulationRecord(
             config=p.config,
             t=t_nodes,
             z=z,
-            boundary_out=out.sum(axis=0) if p.per_pulse else out,
+            boundary_out=out,
             boundary_in=np.ascontiguousarray(p.e_in_h[:, 0::2].T),
             snapshots=[(FieldState(t=t, fields=v[:nch]), CoherenceState(t=t, sigma=v[nch]))
                        for t, v in zip(snap_t[:count], snap)],
@@ -621,10 +626,9 @@ def _integrate(
             window_energies={},
             snapshot_stride=stride,
             kspec_stride=stride,
-            coherence_norm=norms,
-            pulse_out=out if p.per_pulse else None,
-            coherence_end=None if p.per_pulse else sigma[span].reshape(nz).copy(),
-            diagnostics={"steps_integrated": n_steps - m0, "rows_integrated": p.rows},
+            coherence_norm=norms[j],
+            coherence_end=own[j].copy(),
+            diagnostics={"steps_integrated": n_steps - m0, "rows_integrated": len(rows)},
         )
         record.window_energies = record.recompute_window_energies()
         records.append(record)

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from gemsim import oracle
 from gemsim.cli import SIMULATE_OUTPUTS, main
 from gemsim.model import config_sha256, config_to_dict, load_config
-from gemsim.scenarios import FrequencyDomainParams
+from gemsim.scenarios import FrequencyDomainParams, preset_family
 from conftest import FAST_FIG2, storage_config
 
 
@@ -510,6 +510,13 @@ def _full_doc(*path, value):
     return doc
 
 
+def _sampled_doc(t, values):
+    """The freq-domain document with one more pulse, sampled at times t."""
+    doc = config_to_dict(preset_family("freq-domain").config_for_phase(0.0))
+    doc["pulses"].append({"kind": "sampled", "label": "extra", "channel": 0, "t": t, "values": values})
+    return doc
+
+
 @pytest.mark.parametrize("argv, doc, message", [
     (FULL, _full_doc("gradient", "segments", 1, "t_start", value="a"), "gradient segments 1 t_start"),
     (FULL, _full_doc("ensemble", "delta", value="1"), "ensemble delta"),
@@ -525,9 +532,14 @@ def _full_doc(*path, value):
     (["oracle"], [1, 2], "JSON object"),
     (["oracle"], {"events": [1]}, "event 0 must be an object"),
     (["oracle"], {"pulses": [1e308], "events": [{"kind": "write", "beta": 0.3}]}, "range"),
+    (FULL, _sampled_doc([], []), "pulse 2 (extra): sample times t must be a non-empty list"),
+    (FULL, _sampled_doc([1.0, 3.0, 2.0], [0.1, 0.2, 0.1]),
+     "pulse 2 (extra): sample times t must be strictly increasing"),
+    (FULL, _sampled_doc([1.0, 2.0, 3.0], [0.1, 0.2]), "pulse 2 (extra): 2 values for 3 sample times t"),
 ], ids=["t_start-str", "delta-str", "sigma-null", "mode_mismatch-str", "gamma0-nan", "nz-huge",
         "fd-gamma0-str", "fd-gamma0-null", "fd-delta-0", "fd-dt_factor-0", "fd-tau-huge",
-        "oracle-list", "oracle-event-int", "oracle-energy-overflow"])
+        "oracle-list", "oracle-event-int", "oracle-energy-overflow",
+        "sampled-t-empty", "sampled-t-unsorted", "sampled-length-mismatch"])
 def test_malformed_document_exits_2(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

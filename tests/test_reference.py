@@ -106,7 +106,7 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
 
     boundary_out = np.zeros(sources.shape[:-2] + (n_steps + 1, nch), dtype=complex)
     boundary_in = np.zeros((n_steps + 1, nch), dtype=complex)
-    coherence_norm = np.zeros(n_steps + 1)
+    coherence_norm = np.zeros(sources.shape[:-2] + (n_steps + 1,))  # one row per pulse in a per-pulse run
     snapshots = []
     kspec_t = []
     kspec_mag = []
@@ -119,18 +119,17 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
         c_full = cumint(sigma)
         boundary_in[m] = e_in_h[:, i]
         boundary_out[..., m, :] = sources[..., i] + kappa_h[:, i] * c_full[..., -1:]
-        total = sigma.sum(axis=0) if per_pulse else sigma
-        coherence_norm[m] = ens.n_density * np.trapezoid(np.abs(total) ** 2, z)
+        coherence_norm[..., m] = ens.n_density * np.trapezoid(np.abs(sigma) ** 2, z, axis=-1)
         if per_pulse:
             return
         if m % snap_stride == 0 or m == n_steps:
             fields = fields_at(i, c_full)
             snapshots.append(
-                (FieldState(t=t_nodes[m], fields=fields), CoherenceState(t=t_nodes[m], sigma=total.copy()))
+                (FieldState(t=t_nodes[m], fields=fields), CoherenceState(t=t_nodes[m], sigma=sigma.copy()))
             )
         if m % kspec_stride == 0 or m == n_steps:
             fields = fields_at(i, c_full)
-            psi = _bright_polariton(fields, total, ens, omegas_h[:, i])
+            psi = _bright_polariton(fields, sigma, ens, omegas_h[:, i])
             kspec_t.append(float(t_nodes[m]))
             kspec_mag.append(np.abs(np.fft.fftshift(psi)))
 

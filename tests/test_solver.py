@@ -30,6 +30,7 @@ from gemsim.solver import (
     polariton_spectrum,
     run,
     run_many,
+    _one_pulse_configs,
     _time_grid,
 )
 from gemsim.scenarios import preset_family
@@ -270,7 +271,7 @@ def test_run_until_keeps_the_prefix_of_the_full_run(config, per_pulse):
     assert np.array_equal(short.t, full.t[: n + 1])
     assert np.array_equal(short.boundary_out, full.boundary_out[: n + 1])
     assert np.array_equal(short.boundary_in, full.boundary_in[: n + 1])
-    assert np.array_equal(short.coherence_norm, full.coherence_norm[: n + 1])
+    assert np.array_equal(short.coherence_norm, full.coherence_norm[..., : n + 1])
     if per_pulse:
         assert np.array_equal(short.pulse_out, full.pulse_out[:, : n + 1])
     assert short.window_energies["E1"] == full.window_energies["E1"]
@@ -368,6 +369,35 @@ def test_batched_per_pulse_solves_match_lone_runs(fast_fig2_family):
         grams, lone_grams = record.window_grams(), lone.window_grams()
         assert grams.keys() == lone_grams.keys()
         assert all(grams[name].tobytes() == lone_grams[name].tobytes() for name in grams)
+
+
+@pytest.mark.parametrize("case", [
+    "fig2-theta", "fig2-mu-1", "fig2-power-2", "time-domain", "freq-domain-0", "freq-domain-0.4", "beat-note",
+])
+def test_per_pulse_records_are_batches_of_one_pulse_runs(case, fast_fig2_family, td_family, fd_family):
+    config = {
+        "fig2-theta": lambda: fast_fig2_family.config_for_phase(fast_fig2_family.params.theta),
+        "fig2-mu-1": lambda: fast_fig2_family.config_for_phase(0.0, mu=1.0),
+        "fig2-power-2": lambda: fast_fig2_family.config_for_phase(0.0, power_factor=2.0),
+        "time-domain": lambda: td_family.config_for_phase(0.0),
+        "freq-domain-0": lambda: fd_family.config_for_phase(0.0),
+        "freq-domain-0.4": lambda: fd_family.config_for_phase(0.4),
+        "beat-note": lambda: preset_family("freq-domain", nz=128, beat_note=True).config_for_phase(0.7),
+    }[case]()
+    basis = run(config, stride=0, per_pulse=True)
+    singles = _one_pulse_configs(config)
+    assert len(singles) == len(config.pulses) == len(basis.pulse_out) == len(basis.coherence_norm)
+    for r, single in enumerate(singles):
+        assert single.pulses[r] is config.pulses[r]
+        assert _time_grid(single).tobytes() == _time_grid(config).tobytes()
+        lone = run(single, stride=0)
+        assert basis.pulse_out[r].tobytes() == lone.boundary_out.tobytes()
+        assert basis.coherence_norm[r].tobytes() == lone.coherence_norm.tobytes()
+    lone = run(config, stride=0)
+    twice = run_many([config, config])
+    for record in twice:
+        assert record.diagnostics["rows_integrated"] == 1
+        assert _record_bits(record) == _record_bits(lone)
 
 
 @pytest.mark.parametrize("phase, per_pulse, rows", [
