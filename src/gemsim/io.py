@@ -18,13 +18,11 @@ import sys
 import threading
 import traceback
 from contextlib import suppress
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
 from .model import (
-    CoherenceState,
-    FieldState,
     KSpectrumHistory,
     SimulationRecord,
     canonical_json,
@@ -60,10 +58,17 @@ def _snapshot_head(config_hash: str, n_channels: int) -> str:
     return f"# config_sha256={config_hash}\n" + ",".join(header) + "\n"
 
 
-def _snapshot_block(t, zs: list[str], values) -> str:
-    """The nz rows of one snapshot: its time, z, then each complex profile in `values` as re, im."""
-    columns = [map(repr, v.tolist()) for p in values for v in (p.real, p.imag)]
+def _snapshot_block(zs: list[str], t, fields: np.ndarray, sigma: np.ndarray) -> str:
+    """The nz rows of one snapshot: its time, z, then each field and the coherence as re, im."""
+    columns = [map(repr, v.tolist()) for p in (*fields, sigma) for v in (p.real, p.imag)]
     return _rows(repeat(repr(float(t))), zs, *columns)
+
+
+def _write_snapshots(path, config_hash: str, n_channels: int, zs: list[str], t, fields, sigma) -> None:
+    """snapshots.csv of the snapshot arrays: one block of nz rows per snapshot."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_snapshot_head(config_hash, n_channels))
+        fh.writelines(_snapshot_block(zs, *row) for row in zip(t, fields, sigma))
 
 
 _FAILED = 255  # the child's exit status for a failure other than an OSError
@@ -72,10 +77,11 @@ _FAILED = 255  # the child's exit status for a failure other than an OSError
 class SnapshotWriter:
     """Writes snapshots.csv while `solver.run(..., sink=writer)` is solving.
 
-    `allocate` places the run's snapshot store in an anonymous shared mapping
-    and forks one child; `publish(i)` sends the child the index of each
-    finished snapshot through a pipe, 4 bytes a snapshot, and the child
-    formats and writes the blocks in order.  `close` waits for the child.
+    `allocate` carves the run's snapshot store, its four arrays, from one
+    anonymous shared mapping and forks one child; `publish(i)` sends the
+    child the index of each finished snapshot through a pipe, 4 bytes a
+    snapshot, and the child formats and writes the blocks in order.  `close`
+    waits for the child.
     Where fork is unavailable or unsafe (not Linux, or another thread
     running: fork copies the locks other threads hold, not the threads),
     `close` formats the store in this process instead.  Leaving the `with`
@@ -95,7 +101,7 @@ class SnapshotWriter:
         self.pid: int | None = None  # the child, until it is reaped
         self._pipe: int | None = None  # the write end, while the child may read it
         self._finished = False
-        self.values: np.ndarray | None = None  # the store, once allocated
+        self.store: tuple[np.ndarray, ...] | None = None  # once allocated
 
     def __enter__(self) -> "SnapshotWriter":
         return self
@@ -104,22 +110,22 @@ class SnapshotWriter:
         if not self._finished:
             self._discard()
 
-    def allocate(self, n: int, n_channels: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The snapshot times (n,) and values (n, n_channels + 1, nz) for the run to fill."""
-        shape = (n, n_channels + 1, len(z))
-        if self.values is not None:
-            if self.values.shape != shape:
-                raise ValueError(f"the snapshot store has shape {self.values.shape}, not {shape}")
-            return self.t, self.values
-        self._n_channels = n_channels
+    def allocate(self, n: int, n_channels: int, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The store for the run to fill: times (n,), fields (n, n_channels, nz), coherences and |psi(k)| (n, nz)."""
+        nz = len(z)
+        layout = ((float, (n,)), (complex, (n, n_channels, nz)), (complex, (n, nz)), (float, (n, nz)))
+        if self.store is not None:
+            if self.store[1].shape != layout[1][1]:
+                raise ValueError(f"the snapshot store has fields of shape {self.store[1].shape}, not {layout[1][1]}")
+            return self.store
         self._zs = list(map(repr, z.tolist()))
-        size = 16 * math.prod(shape)
-        store = mmap.mmap(-1, size + 8 * n or 1)  # MAP_SHARED: the child reads what the run writes
-        self.values = np.frombuffer(store, dtype=complex, count=size // 16).reshape(shape)
-        self.t = np.frombuffer(store, dtype=float, count=n, offset=size)
+        sizes = [np.dtype(kind).itemsize * math.prod(shape) for kind, shape in layout]
+        mapping = mmap.mmap(-1, sum(sizes) or 1)  # MAP_SHARED: the child reads what the run writes
+        self.store = tuple(np.frombuffer(mapping, dtype=kind, count=math.prod(shape), offset=at).reshape(shape)
+                           for (kind, shape), at in zip(layout, accumulate(sizes, initial=0)))
         if n and sys.platform == "linux" and threading.active_count() == 1:
             self._fork(n)
-        return self.t, self.values
+        return self.store
 
     def _fork(self, n: int) -> None:
         read, self._pipe = os.pipe()
@@ -143,8 +149,9 @@ class SnapshotWriter:
 
     def _serve(self, read: int, n: int) -> int:
         """The child: write each published block, then exit 0; _FAILED if the pipe closes first."""
+        t, fields, sigma, _ = self.store
         with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(_snapshot_head(_PLACEHOLDER, self._n_channels))
+            fh.write(_snapshot_head(_PLACEHOLDER, fields.shape[1]))
             pending, done = b"", 0
             while done < n:
                 data = os.read(read, 4 * (n - done))
@@ -153,7 +160,7 @@ class SnapshotWriter:
                 pending += data
                 whole = len(pending) - len(pending) % 4
                 for (i,) in struct.iter_unpack("=I", pending[:whole]):
-                    fh.write(_snapshot_block(self.t[i], self._zs, self.values[i]))
+                    fh.write(_snapshot_block(self._zs, t[i], fields[i], sigma[i]))
                 pending, done = pending[whole:], done + whole // 4
         return 0
 
@@ -171,9 +178,7 @@ class SnapshotWriter:
         if len(config_hash) != len(_PLACEHOLDER):
             raise ValueError(f"the configuration hash must be a sha256 hex digest, got {config_hash!r}")
         if self.pid is None:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(_snapshot_head(config_hash, self._n_channels))
-                fh.writelines(_snapshot_block(t, self._zs, v) for t, v in zip(self.t, self.values))
+            _write_snapshots(self.path, config_hash, self.store[1].shape[1], self._zs, *self.store[:3])
         else:
             if self._pipe is not None:
                 os.close(self._pipe)
@@ -223,10 +228,8 @@ def write_boundary_csv(record: SimulationRecord, path, config_hash: str) -> None
 
 def write_snapshots_csv(record: SimulationRecord, path, config_hash: str) -> None:
     """One block of nz rows per snapshot."""
-    zs = list(map(repr, record.z.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_snapshot_head(config_hash, record.boundary_out.shape[1]))
-        fh.writelines(_snapshot_block(fs.t, zs, (*fs.fields, cs.sigma)) for fs, cs in record.snapshots)
+    _write_snapshots(path, config_hash, record.boundary_out.shape[1], list(map(repr, record.z.tolist())),
+                     record.snapshot_t, record.snapshot_fields, record.snapshot_sigma)
 
 
 def write_kspectra_csv(record: SimulationRecord, path, config_hash: str) -> None:
@@ -255,9 +258,6 @@ def save_record(record: SimulationRecord, path, config_hash: str) -> None:
     Complex doubles barely compress, so compression would cost far more
     time than the few bytes it saves.
     """
-    snap_t = np.array([fs.t for fs, _ in record.snapshots])
-    snap_fields = np.array([fs.fields for fs, _ in record.snapshots])
-    snap_sigma = np.array([cs.sigma for _, cs in record.snapshots])
     np.savez(
         path,
         config_json=canonical_json(config_to_dict(record.config)),
@@ -266,15 +266,15 @@ def save_record(record: SimulationRecord, path, config_hash: str) -> None:
         z=record.z,
         boundary_out=record.boundary_out,
         boundary_in=record.boundary_in,
-        snap_t=snap_t,
-        snap_fields=snap_fields,
-        snap_sigma=snap_sigma,
+        snap_t=record.snapshot_t,
+        snap_fields=record.snapshot_fields,
+        snap_sigma=record.snapshot_sigma,
         kspec_t=record.k_spectra.t,
         kspec_k=record.k_spectra.k,
         kspec_mag=record.k_spectra.magnitude,
         window_names=np.array(sorted(record.window_energies), dtype=str),
         window_values=np.array([record.window_energies[k] for k in sorted(record.window_energies)]),
-        strides=np.array([record.snapshot_stride, record.kspec_stride]),
+        strides=np.array([record.snapshot_stride] * 2),  # snapshots and k-spectra, taken together
         coherence_norm=record.coherence_norm,
     )
 
@@ -283,20 +283,17 @@ def load_record(path) -> SimulationRecord:
     """Inverse of save_record; refuses object arrays, so loading never unpickles."""
     with np.load(path, allow_pickle=False) as data:
         config = config_from_dict(json.loads(str(data["config_json"])))
-        snapshots = [
-            (FieldState(t=float(t), fields=f), CoherenceState(t=float(t), sigma=s))
-            for t, f, s in zip(data["snap_t"], data["snap_fields"], data["snap_sigma"])
-        ]
         return SimulationRecord(
             config=config,
             t=data["t"],
             z=data["z"],
             boundary_out=data["boundary_out"],
             boundary_in=data["boundary_in"],
-            snapshots=snapshots,
+            snapshot_t=data["snap_t"],
+            snapshot_fields=data["snap_fields"],
+            snapshot_sigma=data["snap_sigma"],
             k_spectra=KSpectrumHistory(t=data["kspec_t"], k=data["kspec_k"], magnitude=data["kspec_mag"]),
             window_energies={str(k): float(v) for k, v in zip(data["window_names"], data["window_values"])},
             snapshot_stride=int(data["strides"][0]),
-            kspec_stride=int(data["strides"][1]),
             coherence_norm=data["coherence_norm"],
         )

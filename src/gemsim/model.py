@@ -529,11 +529,12 @@ class SimulationRecord:
     z: np.ndarray  # (nz,)
     boundary_out: np.ndarray  # (n_steps+1, n_channels), E_j(t, z=L)
     boundary_in: np.ndarray  # (n_steps+1, n_channels), E_j(t, z=0)
-    snapshots: list[tuple[FieldState, CoherenceState]]
-    k_spectra: KSpectrumHistory
+    snapshot_t: np.ndarray  # (n,), every snapshot_stride steps and at the last
+    snapshot_fields: np.ndarray  # (n, n_channels, nz)
+    snapshot_sigma: np.ndarray  # (n, nz)
+    k_spectra: KSpectrumHistory  # a run's at snapshot_t
     window_energies: dict[str, float]
     snapshot_stride: int
-    kspec_stride: int
     coherence_norm: np.ndarray  # N * integral |sigma|^2 dz: (n_steps+1,), per-pulse (n_pulses, n_steps+1)
     pulse_out: Optional[np.ndarray] = None  # (n_pulses, n_steps+1, n_channels), per-pulse runs only
     # (nz,), sigma at the last node of a direct run, which run(start=record)
@@ -542,6 +543,12 @@ class SimulationRecord:
     # deterministic counts of the work a run did: "steps_integrated" (the skipped lead-in
     # excluded) and "rows_integrated" (of the solve that made it); empty for a loaded record
     diagnostics: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def snapshots(self) -> list[tuple[FieldState, CoherenceState]]:
+        """Each snapshot as (field, coherence) views into the snapshot arrays."""
+        return [(FieldState(t=t, fields=f), CoherenceState(t=t, sigma=s))
+                for t, f, s in zip(self.snapshot_t, self.snapshot_fields, self.snapshot_sigma)]
 
     def recompute_window_energies(self) -> dict[str, float]:
         """The output energy in each window; 0 where it holds fewer than two nodes."""

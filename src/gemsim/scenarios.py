@@ -150,6 +150,8 @@ class TimeDomainFamily:
     def __init__(self, params: TimeDomainParams):
         p = params
         self.params = p
+        if p.phase_knob not in ("steering", "coupling"):
+            raise ValueError(f"phase_knob must be 'steering' or 'coupling', got {p.phase_knob!r}")
         w_half = (p.probe_truncate + 1.0) * p.probe_sigma
         probe_end = p.probe_center + p.probe_truncate * p.probe_sigma
         self.te1 = p.probe_center + p.tau1
@@ -395,6 +397,8 @@ class FrequencyDomainFamily:
     def __init__(self, params: FrequencyDomainParams):
         p = params
         self.params = p
+        if not isinstance(p.beat_note, bool):
+            raise ValueError(f"beat_note must be true or false, got {p.beat_note!r}")
         if not p.beat_note and p.separation_mhz <= p.bandwidth_mhz:
             raise SeparationTooSmall(
                 f"channel separation {p.separation_mhz} MHz must exceed the memory "

@@ -252,14 +252,6 @@ def _record_inputs(p: _Controls, n: int) -> list[np.ndarray]:
                                  kappa, mismatch)]
 
 
-def _stride(stride: int | None, n_steps: int) -> int:
-    if stride is None:
-        return max(1, round(n_steps / 512))
-    if stride < 0:
-        raise ValueError(f"stride must be >= 0, got {stride}")
-    return stride
-
-
 def run(
     config: ScenarioConfig,
     stride: int | None = None,
@@ -272,8 +264,8 @@ def run(
 
     Raises StabilityBound when the grid step breaks a bound of
     model.dt_bounds.  Window energies and boundary traces are always
-    recorded; a (field, coherence) snapshot and a |psi(k)| spectrum every
-    `stride` steps and at the last step: about 512 of each for None, none for 0.
+    recorded; a (field, coherence) snapshot and its |psi(k)| spectrum every
+    `stride` steps and at the last step: about 512 for None, none for 0.
 
     With `until` in (0, t_end] the run stops at the first node at or after
     it, and its record is the prefix of the whole run's: its times, traces
@@ -288,46 +280,41 @@ def run(
     continue: the direct run of `until` above, carrying its coherence at its
     last node in `coherence_end`.  A continuation integrates from that node
     and holds the same bits as an uninterrupted run (the prefix's traces,
-    norms, snapshots and k-spectra taken from the record; with stride 0, no
-    snapshots at all), and its steps_integrated counts only the steps it
-    integrated.  It raises ValueError where its record inputs up to that
-    node differ from the record's by a bit, or its stride is neither the
-    record's nor 0.
+    norms and snapshots taken from the record; with stride 0, no snapshots
+    at all), and its steps_integrated counts only the steps it integrated.
+    It raises ValueError where its record inputs up to that node differ
+    from the record's by a bit, or its stride is neither the record's nor 0.
 
-    With per_pulse=True the run is a batch of one-pulse configs, config r
-    keeping pulse r and silencing the others on the same time grid, solved
-    together from zero coherence as direct configs are by `run_many`.  The
-    record then holds their boundary traces in `pulse_out` (one per pulse),
-    their sum in `boundary_out` and `boundary_in`, their coherence norms as
-    one row per pulse, and no snapshots or k-spectra: the equations are
-    linear in the boundary pulses, so the energy of any weighted
-    superposition of the pulses follows from `record.window_grams()`.
+    With per_pulse=True the run is `run_many([config], per_pulse=True)[0]`,
+    whatever the stride, and takes no `start`, `until` or `sink`.
 
     `record.diagnostics` counts the steps this run integrated (the skipped
     lead-in and a continued prefix excluded) and the coherence rows of the
     solve that produced it (1 for a direct run).
 
-    The snapshots live in one store sized before the loop: times (n,) and
-    values (n, nch + 1, nz), the fields of snapshot i in values[i, :nch] and
-    its coherence in values[i, nch]; the record's states are views into it.
-    A `sink` places the store, `sink.allocate(n, nch, z)` returning the two
-    arrays, and `sink.publish(i)` is called once snapshot i is complete
-    (io.SnapshotWriter formats them while the run goes on).  A continuation
-    given the store its record's snapshots are in publishes only its own.
+    The snapshots live in one store sized before the loop, four arrays laid
+    out as record.npz holds them: times (n,), fields (n, nch, nz),
+    coherences (n, nz) and |psi(k)| (n, nz).  The record's snapshot arrays
+    and k-spectra are their first rows.  A `sink` places the store,
+    `sink.allocate(n, nch, z)` returning the four arrays, and
+    `sink.publish(i)` is called once row i is complete (io.SnapshotWriter
+    formats them while the run goes on).  A continuation given the store
+    its record's snapshots are in publishes only its own.
     """
+    if per_pulse:
+        if start is not None or until is not None or sink is not None:
+            raise ValueError("a per-pulse run takes no start, until or sink")
+        return run_many([config], per_pulse=True)[0]
     _check_stability(config)
     t_nodes = _time_grid(config)
     steps = len(t_nodes) - 1  # the whole grid's, which the snapshot plan follows
-    stride = 0 if per_pulse else _stride(stride, steps)
+    stride = max(1, round(steps / 512)) if stride is None else stride
+    if stride < 0:
+        raise ValueError(f"stride must be >= 0, got {stride}")
     if until is not None:
         if not (math.isfinite(until) and 0.0 < until <= config.grid.t_end):
             raise ValueError(f"until must lie in (0, t_end={config.grid.t_end}], got {until}")
         t_nodes = t_nodes[: min(int(np.searchsorted(t_nodes, until)), steps) + 1]
-    if per_pulse:
-        if start is not None:
-            raise ValueError("per-pulse runs start from zero coherence")
-        singles = _one_pulse_configs(config) or [config]
-        return _per_pulse_record(config, _integrate([_Controls(c, t_nodes) for c in singles], 0))
     controls = _Controls(config, t_nodes)
     if isinstance(start, SimulationRecord):
         if stride not in (0, start.snapshot_stride):
@@ -344,13 +331,20 @@ def run(
 
 
 def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list[SimulationRecord]:
-    """`run(config, stride=0, per_pulse=per_pulse)` of each config, in input order.
+    """`run(config, stride=0)` of each config, or with per_pulse=True its per-pulse record, in input order.
 
-    Per-pulse configs are expanded into their one-pulse configs.  Configs
-    with the same time grid, nz, ensemble and channel count are integrated
-    together, at most MAX_ROWS a solve, equal ones sharing a state row; no
-    row's arithmetic depends on the others, so each record holds the bits
-    of its lone run.  All configs are checked for stability before solving.
+    A per-pulse record is that of config r of each pulse r (pulse r kept,
+    the others silenced on the same time grid), solved together from zero
+    coherence: their boundary traces in `pulse_out`, their sums in
+    `boundary_out` and `boundary_in`, their coherence norms one row per
+    pulse, and no snapshots.  The equations are linear in the boundary
+    pulses, so `record.window_grams()` gives the energy of any superposition.
+
+    Configs with the same time grid, nz, ensemble and channel count are
+    integrated together, at most MAX_ROWS a solve, equal ones sharing a
+    state row; no row's arithmetic depends on the others, so each record
+    holds the bits of its lone run.  All configs are checked for stability
+    before solving.
     """
     if per_pulse:
         members = [_one_pulse_configs(c) or [c] for c in configs]
@@ -470,38 +464,34 @@ def _integrate(
     # a snapshot at every multiple of stride and at the whole grid's last step;
     # a run stopped early leaves one at its last node to the run continuing it,
     # and a continuation takes those before its first node from its record
-    before = len(start.snapshots) if node and stride else 0
+    before = len(start.snapshot_t) if node and stride else 0
     end = n_steps + (n_steps == steps)  # a stopped run leaves its last node's to the run continuing it
     due = [m for m in [*range(0, steps, stride), steps] if node <= m < end] if stride else []
     count = before + len(due)  # the snapshots the record holds
     n_snap = steps // stride + 1 + (steps % stride != 0) if stride else 0
-    if sink is None:
-        snap_t, snap = np.empty(n_snap), np.empty((n_snap, nch + 1, nz), dtype=complex)
-    else:
-        snap_t, snap = sink.allocate(n_snap, nch, z)
-    if before and not np.shares_memory(snap, start.snapshots[0][1].sigma):  # not the record's own store
-        for k, (fs, cs) in enumerate(start.snapshots):
-            snap_t[k], snap[k, :nch], snap[k, nch] = fs.t, fs.fields, cs.sigma
-            if sink is not None:
+    store = (np.empty(n_snap), np.empty((n_snap, nch, nz), complex), np.empty((n_snap, nz), complex),
+             np.empty((n_snap, nz))) if sink is None else sink.allocate(n_snap, nch, z)
+    snap_t, snap_fields, snap_sigma, snap_psi = store
+    if before and not np.shares_memory(snap_t, start.snapshot_t):  # not the record's own store
+        prefix = (start.snapshot_t, start.snapshot_fields, start.snapshot_sigma, start.k_spectra.magnitude)
+        for a, b in zip(store, prefix):
+            a[:before] = b
+        if sink is not None:
+            for k in range(before):
                 sink.publish(k)
-    kspec_t, kspec_mag = np.empty(count), np.empty((count, nz) if count else 0)
-    if before:
-        kspec_t[:before], kspec_mag[:before] = start.k_spectra.t, start.k_spectra.magnitude
-    kvec = k_grid(nz, dz)
 
     def snapshot(m: int) -> None:
-        """Record a snapshot and a k-spectrum of node m, whose state's integral c holds."""
+        """Record the snapshot and k-spectrum of node m, whose state's integral c holds."""
         k = -(-m // stride)  # m / stride, rounded up at a last step off the stride
         snap_t[k] = t_nodes[m]
-        fields = snap[k, :nch]
+        fields = snap_fields[k]
         np.multiply(first.kappa[:, m][:, None], c, out=fields)
         np.add(first.e_in_h[:, 2 * m][:, None], fields, out=fields)
-        snap[k, nch] = sigma
+        snap_sigma[k] = sigma
+        psi = _bright_polariton(fields, sigma, ens, first.omegas_h[:, 2 * m])
+        np.abs(np.fft.fftshift(psi), out=snap_psi[k])
         if sink is not None:
             sink.publish(k)
-        psi = _bright_polariton(fields, sigma, ens, first.omegas_h[:, 2 * m])
-        kspec_t[k] = t_nodes[m]
-        np.abs(np.fft.fftshift(psi), out=kspec_mag[k])
 
     # from zero coherence, steps before m0 see no drive and keep sigma (and
     # its integral c) at +0: each stage is +-0 and +0 + (-0) = +0, and the
@@ -603,6 +593,7 @@ def _integrate(
             np.multiply(row, factor, out=row)
             next_mismatch = mismatches[-1][0] if mismatches else math.inf
 
+    k_axis = np.fft.fftshift(k_grid(nz, dz))
     records = []
     for p, j in zip(parts, inverse):
         # E_j(t, L) = E_j(t, 0) + kappa_j(t) integral_0^L sigma dz, one integral
@@ -618,14 +609,12 @@ def _integrate(
             z=z,
             boundary_out=out,
             boundary_in=np.ascontiguousarray(p.e_in_h[:, 0::2].T),
-            snapshots=[(FieldState(t=t, fields=v[:nch]), CoherenceState(t=t, sigma=v[nch]))
-                       for t, v in zip(snap_t[:count], snap)],
-            k_spectra=KSpectrumHistory(
-                t=kspec_t, k=np.fft.fftshift(kvec), magnitude=kspec_mag
-            ),
+            snapshot_t=snap_t[:count],
+            snapshot_fields=snap_fields[:count],
+            snapshot_sigma=snap_sigma[:count],
+            k_spectra=KSpectrumHistory(t=snap_t[:count], k=k_axis, magnitude=snap_psi[:count]),
             window_energies={},
             snapshot_stride=stride,
-            kspec_stride=stride,
             coherence_norm=norms[j],
             coherence_end=own[j].copy(),
             diagnostics={"steps_integrated": n_steps - m0, "rows_integrated": len(rows)},

@@ -501,6 +501,7 @@ def test_negative_snapshot_stride_exits_2(capsys):
 
 FULL = ["simulate", "--dry-run", "--config"]
 FREQ_OVERRIDES = ["simulate", "--dry-run", "--preset", "freq-domain", "--config"]
+FIG2_OVERRIDES = ["simulate", "--dry-run", "--preset", "fig2", "--config"]
 
 
 def _full_doc(*path, value):
@@ -529,6 +530,8 @@ def _sampled_doc(t, values):
     (FREQ_OVERRIDES, {"delta": 0}, "division by zero"),
     (FREQ_OVERRIDES, {"dt_factor": 0}, "division by zero"),
     (FREQ_OVERRIDES, {"tau": 1e308}, "infinity"),
+    (FREQ_OVERRIDES, {"beat_note": "false"}, "beat_note"),
+    (FIG2_OVERRIDES, {"phase_knob": "couplng"}, "phase_knob"),
     (["oracle"], [1, 2], "JSON object"),
     (["oracle"], {"events": [1]}, "event 0 must be an object"),
     (["oracle"], {"pulses": [1e308], "events": [{"kind": "write", "beta": 0.3}]}, "range"),
@@ -538,6 +541,7 @@ def _sampled_doc(t, values):
     (FULL, _sampled_doc([1.0, 2.0, 3.0], [0.1, 0.2]), "pulse 2 (extra): 2 values for 3 sample times t"),
 ], ids=["t_start-str", "delta-str", "sigma-null", "mode_mismatch-str", "gamma0-nan", "nz-huge",
         "fd-gamma0-str", "fd-gamma0-null", "fd-delta-0", "fd-dt_factor-0", "fd-tau-huge",
+        "fd-beat_note-str", "fig2-phase_knob-typo",
         "oracle-list", "oracle-event-int", "oracle-energy-overflow",
         "sampled-t-empty", "sampled-t-unsorted", "sampled-length-mismatch"])
 def test_malformed_document_exits_2(tmp_path, capsys, argv, doc, message):

@@ -25,8 +25,6 @@ import pytest
 
 from gemsim import io
 from gemsim.model import (
-    CoherenceState,
-    FieldState,
     KSpectrumHistory,
     SimulationRecord,
     config_sha256,
@@ -102,13 +100,14 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
     else:
         sigma = np.zeros(sources.shape[:-2] + (nz,), dtype=complex)
 
-    snap_stride = kspec_stride = stride or max(1, round(n_steps / 512))
+    snap_stride = stride or max(1, round(n_steps / 512))
 
     boundary_out = np.zeros(sources.shape[:-2] + (n_steps + 1, nch), dtype=complex)
     boundary_in = np.zeros((n_steps + 1, nch), dtype=complex)
     coherence_norm = np.zeros(sources.shape[:-2] + (n_steps + 1,))  # one row per pulse in a per-pulse run
-    snapshots = []
-    kspec_t = []
+    snap_t = []
+    snap_fields = []
+    snap_sigma = []
     kspec_mag = []
     kvec = k_grid(nz, dz)
 
@@ -124,13 +123,10 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
             return
         if m % snap_stride == 0 or m == n_steps:
             fields = fields_at(i, c_full)
-            snapshots.append(
-                (FieldState(t=t_nodes[m], fields=fields), CoherenceState(t=t_nodes[m], sigma=sigma.copy()))
-            )
-        if m % kspec_stride == 0 or m == n_steps:
-            fields = fields_at(i, c_full)
+            snap_t.append(t_nodes[m])
+            snap_fields.append(fields)
+            snap_sigma.append(sigma.copy())
             psi = _bright_polariton(fields, sigma, ens, omegas_h[:, i])
-            kspec_t.append(float(t_nodes[m]))
             kspec_mag.append(np.abs(np.fft.fftshift(psi)))
 
     record_step(0, 0)
@@ -156,13 +152,14 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
         z=z,
         boundary_out=boundary_out.sum(axis=0) if per_pulse else boundary_out,
         boundary_in=boundary_in,
-        snapshots=snapshots,
+        snapshot_t=np.array(snap_t),
+        snapshot_fields=np.array(snap_fields),
+        snapshot_sigma=np.array(snap_sigma),
         k_spectra=KSpectrumHistory(
-            t=np.array(kspec_t), k=np.fft.fftshift(kvec), magnitude=np.array(kspec_mag)
+            t=np.array(snap_t), k=np.fft.fftshift(kvec), magnitude=np.array(kspec_mag)
         ),
         window_energies={},
         snapshot_stride=0 if per_pulse else snap_stride,
-        kspec_stride=0 if per_pulse else kspec_stride,
         coherence_norm=coherence_norm,
         pulse_out=boundary_out if per_pulse else None,
     )
@@ -245,11 +242,10 @@ def test_step_loop_matches_the_allocating_reference(scenario):
     if kwargs.get("per_pulse"):
         assert _same_bits(new.pulse_out, ref.pulse_out)
     else:
-        assert len(new.snapshots) == len(ref.snapshots) > 0
-        for (fs_new, cs_new), (fs_ref, cs_ref) in zip(new.snapshots, ref.snapshots):
-            assert fs_new.t == fs_ref.t
-            assert _same_bits(fs_new.fields, fs_ref.fields)
-            assert _same_bits(cs_new.sigma, cs_ref.sigma)
+        assert len(new.snapshot_t) == len(ref.snapshot_t) > 0
+        assert _same_bits(new.snapshot_t, ref.snapshot_t)
+        assert _same_bits(new.snapshot_fields, ref.snapshot_fields)
+        assert _same_bits(new.snapshot_sigma, ref.snapshot_sigma)
         assert _same_bits(new.k_spectra.t, ref.k_spectra.t)
         assert _same_bits(new.k_spectra.magnitude, ref.k_spectra.magnitude)
     assert new.window_energies == ref.window_energies
@@ -334,13 +330,9 @@ def _hand_set_record(n_channels, n_snap=3):
     if n_channels == 2:
         config = preset_family("freq-domain").config_for_phase(0.0)
     z = np.concatenate([[-0.0, 5e-324, 1e16], np.linspace(0.1, 1.0, nz - 3)])
-    times = [0.0, -0.0, 1e16][:n_snap]
-    snapshots = [
-        (FieldState(t=np.float64(t), fields=_complex(rng, (n_channels, nz))),
-         CoherenceState(t=np.float64(t), sigma=_complex(rng, (nz,))))
-        for t in times
-    ]
-    spectra = KSpectrumHistory(t=np.array(times), k=_values(rng, (nz,)),
+    times = np.array([0.0, -0.0, 1e16][:n_snap])
+    snapshots = [(_complex(rng, (n_channels, nz)), _complex(rng, (nz,))) for _ in times]
+    spectra = KSpectrumHistory(t=times, k=_values(rng, (nz,)),
                                magnitude=np.abs(_values(rng, (n_snap, nz))))
     # boundary parts are set directly: re + 1j*im would turn -0.0 into 0.0
     n_t = SPECIAL.size
@@ -349,8 +341,10 @@ def _hand_set_record(n_channels, n_snap=3):
         part[...] = _values(rng, (n_t, n_channels))
     return SimulationRecord(
         config=config, t=_values(rng, (n_t,)), z=z, boundary_out=out, boundary_in=inp,
-        snapshots=snapshots, k_spectra=spectra, window_energies={},
-        snapshot_stride=1, kspec_stride=1, coherence_norm=np.zeros(n_t),
+        snapshot_t=times,
+        snapshot_fields=np.array([f for f, _ in snapshots], dtype=complex).reshape(n_snap, n_channels, nz),
+        snapshot_sigma=np.array([s for _, s in snapshots], dtype=complex).reshape(n_snap, nz),
+        k_spectra=spectra, window_energies={}, snapshot_stride=1, coherence_norm=np.zeros(n_t),
     )
 
 
@@ -373,9 +367,9 @@ def _stream_snapshots(record, path, config_hash):
     """Write snapshots.csv as `run` drives the writer: fill each snapshot, then publish it."""
     nch = record.boundary_out.shape[1]
     with io.SnapshotWriter(path) as writer:
-        t, values = writer.allocate(len(record.snapshots), nch, record.z)
-        for i, (fs, cs) in enumerate(record.snapshots):
-            t[i], values[i, :nch], values[i, nch] = fs.t, fs.fields, cs.sigma
+        t, fields, sigma, _ = writer.allocate(len(record.snapshot_t), nch, record.z)
+        for i in range(len(t)):
+            t[i], fields[i], sigma[i] = record.snapshot_t[i], record.snapshot_fields[i], record.snapshot_sigma[i]
             writer.publish(i)
         writer.close(config_hash)
     return writer
@@ -495,7 +489,7 @@ def test_a_failing_solve_kills_and_reaps_the_child(tmp_path, monkeypatch):
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="solve failed"):
         with io.SnapshotWriter(tmp_path / "new.csv") as writer:
-            writer.allocate(len(record.snapshots), 1, record.z)
+            writer.allocate(len(record.snapshot_t), 1, record.z)
             writer.publish(0)
             raise RuntimeError("solve failed")
     assert time.perf_counter() - start < 30
@@ -509,18 +503,20 @@ def test_a_second_allocate_of_the_same_shape_returns_the_same_store(tmp_path, mo
     # a run continuing one that stopped early fills the store that run began
     children = _note_children(monkeypatch)
     record = _hand_set_record(2)
-    nch, n = record.boundary_out.shape[1], len(record.snapshots)
+    nch, n = record.boundary_out.shape[1], len(record.snapshot_t)
+    rows = (record.snapshot_t, record.snapshot_fields, record.snapshot_sigma, record.k_spectra.magnitude)
     with io.SnapshotWriter(tmp_path / "new.csv") as writer:
-        t, values = writer.allocate(n, nch, record.z)
-        fs, cs = record.snapshots[0]
-        t[0], values[0, :nch], values[0, nch] = fs.t, fs.fields, cs.sigma
+        store = writer.allocate(n, nch, record.z)
+        for a, b in zip(store, rows):
+            a[0] = b[0]
         writer.publish(0)  # the early-stopped run's snapshot
         again = writer.allocate(n, nch, record.z)
-        assert again[0] is t and again[1] is values
+        assert len(again) == 4 and all(a is b for a, b in zip(again, store))
         with pytest.raises(ValueError, match="shape"):
             writer.allocate(n + 1, nch, record.z)
-        for i, (fs, cs) in enumerate(record.snapshots[1:], 1):
-            t[i], values[i, :nch], values[i, nch] = fs.t, fs.fields, cs.sigma
+        for i in range(1, n):
+            for a, b in zip(store, rows):
+                a[i] = b[i]
             writer.publish(i)
         writer.close(config_sha256(record.config))
     first, second = children  # one child, there after both allocates
