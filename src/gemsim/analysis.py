@@ -4,10 +4,12 @@ A fringe is I(phi) = A + B cos(phi - phi0) in a known phase phi, with
 visibility B/A: (Imax - Imin)/(Imax + Imin), invariant under a global
 energy rescale.
 
-Where a family's phase and mode overlap mu are weights on pulse rows
-(pulse_weights), every (phase, mu) energy is w^H G w on one per-pulse solve,
-an exact sinusoid in phi: A, B and phi0 are read from the window's Gram
-matrix G in closed form, and V = balance x overlap, with balance
+A family names its basis rows (family.basis: one direct config per pulse,
+a time-domain row continuing its calibration record where it can) and the
+weights on them that carry the phase, the pulse scales and the mode overlap
+mu (pulse_weights).  Every (phase, mu) energy is w^H G w on the rows' window
+Gram matrices G, an exact sinusoid in phi: A, B and phi0 are read from G in
+closed form, and V = balance x overlap, with balance
 2 sqrt(|u|^2 G00 |v|^2 G11) / (|u|^2 G00 + |v|^2 G11) and overlap
 |G01| / sqrt(G00 G11).  So the visibility curves and the mu that reaches a
 visibility need no fit and no search.  Only the frequency-domain beat note,
@@ -26,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFit, GemSimError, NoRoot
-from .model import ScenarioConfig
+from .model import ScenarioConfig, SimulationRecord
 from .solver import run, run_many
 
 __all__ = [
@@ -89,9 +91,26 @@ def fit_fringe(phases: Sequence[float], energies: Sequence[float], port: str = "
 PORTS = ("E1", "E2")
 
 
-def _grams(config: ScenarioConfig) -> dict:
-    """Window Gram matrices of a per-pulse run."""
-    return run(config, stride=0, per_pulse=True).window_grams()
+def _solve(rows: Sequence[tuple[ScenarioConfig, SimulationRecord | None]]) -> list[SimulationRecord]:
+    """The records of basis rows, in order: a row with a record continues it,
+    and the others are solved together from zero coherence (solver.run_many)."""
+    fresh = iter(run_many([config for config, start in rows if start is None]))
+    return [next(fresh) if start is None else run(config, stride=0, start=start) for config, start in rows]
+
+
+def _grams(records: Sequence[SimulationRecord]) -> dict[str, np.ndarray]:
+    """Per-window Gram matrices of the boundary traces of rows on one time grid.
+
+    G[r, s] = integral over the window of sum_j conj(b_rj) b_sj dt, so the
+    window energy of the superposition sum_r w_r b_r is w^H G w.
+    """
+    t, traces = records[0].t, np.array([r.boundary_out for r in records])
+    out = {}
+    for name, (w0, w1) in records[0].config.windows.items():
+        mask = (t >= w0) & (t <= w1)
+        products = np.einsum("rkj,skj->rsk", np.conj(traces[:, mask]), traces[:, mask])
+        out[name] = np.trapezoid(products, t[mask], axis=-1)
+    return out
 
 
 def _terms(gram: np.ndarray, w: np.ndarray) -> tuple[float, float, complex]:
@@ -104,8 +123,8 @@ def _terms(gram: np.ndarray, w: np.ndarray) -> tuple[float, float, complex]:
 def _sinusoid(gram: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
     """Offset A, amplitude B and phi0 of w(theta)^H G w(theta) = A + B cos(theta - phi0).
 
-    w = (u, v) are the weights at phase 0; pulse_weights puts e^{i theta} on
-    row 1, so the energy is |u|^2 G00 + |v|^2 G11 + 2 Re(e^{i theta} conj(u) v G01).
+    w = (u, v) are the weights at phase 0; pulse_weights multiplies row 1 by
+    e^{i theta}, so the energy is |u|^2 G00 + |v|^2 G11 + 2 Re(e^{i theta} conj(u) v G01).
     """
     a, b, k = _terms(gram, w)
     if a + b <= 0.0:
@@ -121,7 +140,7 @@ def _visibility(gram: np.ndarray, w: np.ndarray) -> float:
 def scan_both_ports(family, phases: Sequence[float]) -> dict[str, FringeDataset]:
     """Window energies of both output ports at every phase, with their sinusoids.
 
-    A family whose phase is a pulse-row factor needs one per-pulse solve for
+    A family whose phase is a weight on a basis row needs one basis solve for
     all phases, and A, B and phi0 follow from each window's Gram matrix.
     Otherwise (the beat note) each phase is a direct run, the phases sharing
     a time grid integrated as the rows of one state (solver.run_many), and
@@ -134,7 +153,7 @@ def scan_both_ports(family, phases: Sequence[float]) -> dict[str, FringeDataset]
     if weights is None:
         energies = [r.window_energies for r in run_many([family.config_for_phase(p) for p in phases])]
         return {port: fit_fringe(phases, [e[port] for e in energies], port=port) for port in PORTS}
-    grams = _grams(family.config_for_phase(0.0))
+    grams = _grams(_solve(family.basis()))
     sampled = [family.pulse_weights(p) for p in phases]  # energies w^H G w
     return {port: FringeDataset(port, np.asarray(phases, dtype=float),
                                 np.array([np.real(np.conj(w[port]) @ grams[port] @ w[port]) for w in sampled]),
@@ -143,10 +162,10 @@ def scan_both_ports(family, phases: Sequence[float]) -> dict[str, FringeDataset]
 
 
 def coupling_sweep(family, relative_powers: Sequence[float]) -> dict[str, list[tuple[float, float]]]:
-    """Visibility B/A of both ports vs event coupling power, from per-pulse solves.
+    """Visibility B/A of both ports vs event coupling power, from one basis per power.
 
-    The one-pulse configs of every power that shares a time grid are solved
-    together (solver.run_many), up to solver.MAX_ROWS a solve.
+    The rows of every power that shares a time grid are solved together
+    (solver.run_many), up to solver.MAX_ROWS a solve.
 
     Powers are normalised to the family's balanced-suppression power
     (power 1.0 reproduces the family's own event coupling).
@@ -154,8 +173,9 @@ def coupling_sweep(family, relative_powers: Sequence[float]) -> dict[str, list[t
     if any(p <= 0 for p in relative_powers):
         raise ValueError("relative powers must be positive")
     weights = family.pulse_weights(0.0)
-    configs = [family.config_for_phase(0.0, power_factor=power) for power in relative_powers]
-    grams = [r.window_grams() for r in run_many(configs, per_pulse=True)]
+    bases = [family.basis(power) for power in relative_powers]
+    solved = iter(_solve([row for basis in bases for row in basis]))
+    grams = [_grams([next(solved) for _ in basis]) for basis in bases]
     return {port: [(float(power), _visibility(g[port], weights[port])) for power, g in zip(relative_powers, grams)]
             for port in PORTS}
 
@@ -164,11 +184,11 @@ def _mu_basis(family) -> dict:
     """Window Gram matrices at mu = 1; mu enters as a weight on the probe row."""
     if not hasattr(family.params, "mode_mismatch"):
         raise GemSimError(f"{type(family).__name__} has no mode-overlap factor mu to sweep")
-    return _grams(family.config_for_phase(0.0, mu=1.0))
+    return _grams(_solve(family.basis()))
 
 
 def mismatch_curve(family, mus: Sequence[float]) -> list[tuple[float, float]]:
-    """Visibility of port E1 vs the mode-overlap factor mu; every mu shares one per-pulse solve."""
+    """Visibility of port E1 vs the mode-overlap factor mu; every mu shares one basis solve."""
     if any(not 0.0 <= m <= 1.0 for m in mus):
         raise ValueError("mu values must lie in [0, 1]")
     gram = _mu_basis(family)["E1"]
@@ -183,7 +203,7 @@ def find_mu_for_visibility(family, target: float) -> float:
     is the smaller root of target a mu^2 - 2 k mu + target b = 0, taken in a
     form free of cancellation.  NoRoot when no mu in [0, 1] reaches it.
     """
-    a, b, k = _terms(_mu_basis(family)["E1"], family.pulse_weights(0.0)["E1"])
+    a, b, k = _terms(_mu_basis(family)["E1"], family.pulse_weights(0.0, 1.0)["E1"])
     k = abs(k)
     peak = 1.0 if b >= a else math.sqrt(b / a)  # V rises up to mu = sqrt(b / a)
     reach = 2.0 * k * peak / (a * peak**2 + b)

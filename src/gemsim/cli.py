@@ -137,6 +137,7 @@ def cmd_simulate(args) -> int:
             if snapshots is not None and isinstance(family, scenarios.TimeDomainFamily):
                 prefix = family.shared_prefix(args.snapshot_stride, snapshots)
             config = _calibrated(family, config, prefix=prefix)
+            del family  # its calibration records are not held through the main solve and the export
             if config is None:
                 return EXIT_CONFIG
             if out is None:

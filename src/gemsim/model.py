@@ -535,8 +535,7 @@ class SimulationRecord:
     k_spectra: KSpectrumHistory  # a run's at snapshot_t
     window_energies: dict[str, float]
     snapshot_stride: int
-    coherence_norm: np.ndarray  # N * integral |sigma|^2 dz: (n_steps+1,), per-pulse (n_pulses, n_steps+1)
-    pulse_out: Optional[np.ndarray] = None  # (n_pulses, n_steps+1, n_channels), per-pulse runs only
+    coherence_norm: np.ndarray  # (n_steps+1,), N * integral |sigma|^2 dz
     # (nz,), sigma at the last node of a direct run, which run(start=record)
     # continues from; not saved, so None for a loaded record
     coherence_end: Optional[np.ndarray] = None
@@ -557,22 +556,6 @@ class SimulationRecord:
         for name, (w0, w1) in self.config.windows.items():
             mask = (self.t >= w0) & (self.t <= w1)
             out[name] = float(np.trapezoid(power[mask], self.t[mask]))
-        return out
-
-    def window_grams(self) -> dict[str, np.ndarray]:
-        """Per-window Gram matrices of the per-pulse boundary traces.
-
-        G[r, s] = integral over the window of sum_j conj(b_rj) b_sj dt, so the
-        window energy of the superposition sum_r w_r b_r is w^H G w.
-        """
-        if self.pulse_out is None:
-            raise ValueError("window Gram matrices need a per-pulse record")
-        out = {}
-        for name, (w0, w1) in self.config.windows.items():
-            mask = (self.t >= w0) & (self.t <= w1)
-            traces = self.pulse_out[:, mask]
-            products = np.einsum("rkj,skj->rsk", np.conj(traces), traces)
-            out[name] = np.trapezoid(products, self.t[mask], axis=-1)
         return out
 
     def input_energy(self) -> float:

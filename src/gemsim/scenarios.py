@@ -131,13 +131,24 @@ class TimeDomainParams:
         return math.sqrt(beta2 / self.beta_write)
 
 
+def _e1_output(record: SimulationRecord) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of a record in its E1 window, and its channel-0 output there."""
+    e1 = record.config.windows["E1"]
+    mask = (record.t >= e1[0]) & (record.t <= e1[1])
+    return record.t[mask], record.boundary_out[mask, 0]
+
+
 @dataclass
 class _TdCalibration:
     steer_t: np.ndarray
-    steer_values: np.ndarray  # raw echo-matched copy, unit theta, unscaled
-    t_e1: np.ndarray          # E1 nodes of both dry runs and of the full config
-    echo: np.ndarray          # bare output on t_e1: the probe row
-    trans: np.ndarray         # steering-only output on t_e1: the raw steering row
+    steer_values: np.ndarray     # raw echo-matched copy, unit theta, unscaled
+    bare: SimulationRecord       # the probe row: the probe-only run, stopped where E1 closes
+    steering: SimulationRecord   # the raw steering row, probe silenced, stopped there too
+
+    # E1 nodes of both dry runs and of the full config, and the two rows' outputs on them
+    t_e1 = property(lambda self: _e1_output(self.bare)[0])
+    echo = property(lambda self: _e1_output(self.bare)[1])
+    trans = property(lambda self: _e1_output(self.steering)[1])
 
     def e1_energy(self, trace: np.ndarray) -> float:
         """E1 of an output trace on t_e1, by the trapezoid of the window energies."""
@@ -237,20 +248,17 @@ class TimeDomainFamily:
     def calibrate(self, prefix: SimulationRecord | None = None) -> _TdCalibration:
         """Dry runs fixing the steering waveform and the arm-matching scale.
 
-        Both read only the first echo window, so they stop where it closes, and
-        keep their outputs there: the probe and raw steering rows on E1's nodes.
-        The bare run continues `prefix` (from `shared_prefix`), if given.
+        Both read only the first echo window, so they stop where it closes; their
+        records are the probe and raw steering rows up to there, which `basis`
+        continues.  The steering run carries the probe silenced, so that its time
+        grid is the bare run's.  The bare run continues `prefix` (from
+        `shared_prefix`), if given.
         """
         if self._calibration is not None:
             return self._calibration
-        e1 = self.windows["E1"]
-
-        def e1_output(config: ScenarioConfig, start=None) -> tuple[np.ndarray, np.ndarray]:
-            record = run(config, stride=0, start=start, until=e1[1])
-            mask = (record.t >= e1[0]) & (record.t <= e1[1])
-            return record.t[mask], record.boundary_out[mask, 0]
-
-        t_echo, v_echo = e1_output(self.bare_config(), prefix)
+        until = self.windows["E1"][1]
+        bare = run(self.bare_config(), stride=0, start=prefix, until=until)
+        t_echo, v_echo = _e1_output(bare)
         tt = np.linspace(t_echo[0], t_echo[-1], len(t_echo))
 
         def resample(times: np.ndarray) -> np.ndarray:
@@ -265,8 +273,9 @@ class TimeDomainFamily:
         if abs(v_ref) != 0.0 and abs(v_cen) != 0.0:
             vals = vals * ((v_ref / abs(v_ref)) * (abs(v_cen) / v_cen))
 
-        _, trans = e1_output(self._assemble((SampledPulse(t=tt, values=vals, label="steering", channel=0),)))
-        self._calibration = _TdCalibration(steer_t=tt, steer_values=vals, t_e1=t_echo, echo=v_echo, trans=trans)
+        pulses = (replace(self._probe(), amplitude=0.0), SampledPulse(t=tt, values=vals, label="steering", channel=0))
+        steering = run(self._assemble(pulses), stride=0, until=until)
+        self._calibration = _TdCalibration(steer_t=tt, steer_values=vals, bare=bare, steering=steering)
         return self._calibration
 
     def shared_prefix(self, stride: int | None = None, sink=None) -> SimulationRecord:
@@ -305,19 +314,34 @@ class TimeDomainFamily:
         return self._assemble((self._probe(), steer), power_factor,
                               coupling_phase=phase if on_coupling else 0.0, mu=mu)
 
-    def pulse_weights(self, phase: float, mu: float = 1.0) -> dict[str, np.ndarray] | None:
-        """Per-window weights on the (probe, steering) rows of a per-pulse basis.
+    def basis(self, power_factor: float = 1.0) -> list[tuple[ScenarioConfig, SimulationRecord | None]]:
+        """The (probe, steering) rows at `power_factor`, each with the record it continues, or None.
 
-        The steering row carries e^{i phase}.  The overlap mu scales the probe
-        row from mismatch_time, where E1 and the steering support start after
-        the probe's has ended: in windows starting there or later, and a window
-        straddling it is refused.  The coupling knob has the same weights: its
-        event-era phase e^{i phi} multiplies the coherence the steering writes
-        and conjugates only the probe's E1 read-out, so E1 = |e^{-i phi} mu a +
-        b|^2 = |mu a + e^{i phi} b|^2, and E2 = |mu a + e^{i phi} b|^2.
+        They are the two calibration configs at mu = 1 (the steering at unit
+        scale and theta = 0); pulse_weights carries the scale, the phase and
+        mu.  At power 1 in a family at mu = 1 they are the calibration's own
+        configs, and continue its records from where E1 closes.
         """
+        cal = self.calibrate()
+        own = power_factor == 1.0 and self.params.mode_mismatch == 1.0
+        return [(r.config, r) if own else (self._assemble(r.config.pulses, power_factor, mu=1.0), None)
+                for r in (cal.bare, cal.steering)]
+
+    def pulse_weights(self, phase: float, mu: float | None = None) -> dict[str, np.ndarray]:
+        """Per-window weights on the (probe, steering) rows of `basis`.
+
+        The steering row carries steering_scale() e^{i phase}.  The overlap mu
+        (the family's own if None) scales the probe row from mismatch_time,
+        where E1 and the steering support start after the probe's has ended: in
+        windows starting there or later, and a window straddling it is refused.
+        The coupling knob has the same weights: its event-era phase e^{i phi}
+        multiplies the coherence the steering writes and conjugates only the
+        probe's E1 read-out, so E1 = |e^{-i phi} mu a + b|^2 = |mu a + e^{i phi} b|^2,
+        and E2 = |mu a + e^{i phi} b|^2.
+        """
+        mu = self.params.mode_mismatch if mu is None else mu
         t_mis = self.windows["E1"][0]
-        steer = complex(math.cos(phase), math.sin(phase))
+        steer = self.steering_scale() * complex(math.cos(phase), math.sin(phase))
         weights = {}
         for name, (w0, w1) in self.windows.items():
             if mu != 1.0 and w0 < t_mis <= w1:
@@ -469,20 +493,29 @@ class FrequencyDomainFamily:
             metadata=dict(p.metadata),
         )
 
-    def pulse_weights(self, phase: float, mu: float = 1.0) -> dict[str, np.ndarray] | None:
-        """Per-window weights on the (probe, steering) rows of a per-pulse basis.
+    def basis(self) -> list[tuple[ScenarioConfig, None]]:
+        """The (probe, steering) rows: the phase-0 config with one pulse at unit
+        amplitude and the other at 0, and no record to continue."""
+        config = self.config_for_phase(0.0)
+        return [(replace(config, pulses=tuple(replace(p, amplitude=float(k == r)) for k, p in enumerate(config.pulses))),
+                 None) for r in range(len(config.pulses))]
+
+    def pulse_weights(self, phase: float, mu: float | None = None) -> dict[str, np.ndarray] | None:
+        """Per-window weights on the (probe, steering) rows of `basis`: the
+        pulse amplitudes, the steering's times e^{i phase}.
 
         The phase of coupling channel 1 is a gauge: |Omega| does not depend on
         it, and rotating channel 1's field by e^{-i phi} moves it onto the
         steering pulse, which leaves every channel's output energy unchanged.
         The beat-note mode puts the phase on a coupling modulation that
         changes |Omega(t)|, so it has no such weights (None).  The scheme has
-        no mode-overlap factor: mu must be 1.
+        no mode-overlap factor: mu must be 1 (or None).
         """
-        if mu != 1.0:
+        if mu not in (None, 1.0):
             raise ValueError("the frequency-domain family has no mode-overlap factor")
-        steer = complex(math.cos(phase), math.sin(phase))
-        return None if self.params.beat_note else dict.fromkeys(self.windows, np.array([1.0, steer]))
+        p = self.params
+        steer = p.steering_amplitude * complex(math.cos(phase), math.sin(phase))
+        return None if p.beat_note else dict.fromkeys(self.windows, np.array([p.probe_amplitude, steer]))
 
     def with_params(self, **changes) -> "FrequencyDomainFamily":
         return FrequencyDomainFamily(replace(self.params, **changes))

@@ -42,7 +42,8 @@ continues an early-stopped record holds the same bits as an uninterrupted
 one, once the stage arrays its record reads (the time grid included) are
 checked equal to the record's, bit for bit, up to that node.  `simulate`
 so continues the probe-only run, stopped before the steering starts, into
-both the bare calibration and the main solve.
+both the bare calibration and the main solve, and a time-domain sweep its
+two calibration runs, stopped where E1 closes, into its basis rows.
 Many solves share the same loop.  `run_many` integrates configs on one time
 grid as the rows of one state, at most MAX_ROWS configs a solve; each row
 carries its own eta, stark, w2 and drive as one (rows, 1) column per stage,
@@ -53,8 +54,6 @@ its own kappa and boundary traces.  A one-row solve keeps a 1-D state and
 scalar stage coefficients.  Every operation is elementwise in the rows
 except the update's dot product, whose rows OpenBLAS computes alike however
 many there are; tests compare batched records with lone runs to the bit.
-A per-pulse run is such a solve of its one-pulse configs, each keeping one
-pulse and silencing the others on the same time grid.
 
 Energy bookkeeping uses the normalisation constant s = 1: the conserved
 quantity at gamma0 = 0 is N * integral |sigma|^2 dz plus the net boundary
@@ -72,7 +71,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +80,6 @@ from .model import (
     CoherenceState,
     EnsembleParams,
     FieldState,
-    GaussianPulse,
     KSpectrumHistory,
     ScenarioConfig,
     SimulationRecord,
@@ -224,16 +221,6 @@ def _key(config: ScenarioConfig) -> tuple:
     return config.grid.nz, config.ensemble, config.n_channels
 
 
-def _one_pulse_configs(config: ScenarioConfig) -> list[ScenarioConfig]:
-    """Config r of each pulse r: pulse r as given, every other at zero amplitude.
-
-    The silenced pulses keep their supports, and so the time grid, to the bit.
-    """
-    silent = [replace(p, amplitude=0.0) if isinstance(p, GaussianPulse) else replace(p, values=np.zeros_like(p.values))
-              for p in config.pulses]
-    return [replace(config, pulses=(*silent[:r], p, *silent[r + 1:])) for r, p in enumerate(config.pulses)]
-
-
 def _record_inputs(p: _Controls, n: int) -> list[np.ndarray]:
     """Every array a direct run's record reads of its controls, over the first n stages.
 
@@ -256,7 +243,6 @@ def run(
     config: ScenarioConfig,
     stride: int | None = None,
     start: SimulationRecord | np.ndarray | None = None,
-    per_pulse: bool = False,
     until: float | None = None,
     sink=None,
 ) -> SimulationRecord:
@@ -285,9 +271,6 @@ def run(
     It raises ValueError where its record inputs up to that node differ
     from the record's by a bit, or its stride is neither the record's nor 0.
 
-    With per_pulse=True the run is `run_many([config], per_pulse=True)[0]`,
-    whatever the stride, and takes no `start`, `until` or `sink`.
-
     `record.diagnostics` counts the steps this run integrated (the skipped
     lead-in and a continued prefix excluded) and the coherence rows of the
     solve that produced it (1 for a direct run).
@@ -301,10 +284,6 @@ def run(
     formats them while the run goes on).  A continuation given the store
     its record's snapshots are in publishes only its own.
     """
-    if per_pulse:
-        if start is not None or until is not None or sink is not None:
-            raise ValueError("a per-pulse run takes no start, until or sink")
-        return run_many([config], per_pulse=True)[0]
     _check_stability(config)
     t_nodes = _time_grid(config)
     steps = len(t_nodes) - 1  # the whole grid's, which the snapshot plan follows
@@ -330,15 +309,8 @@ def run(
     return _integrate([controls], stride, start, sink, steps)[0]
 
 
-def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list[SimulationRecord]:
-    """`run(config, stride=0)` of each config, or with per_pulse=True its per-pulse record, in input order.
-
-    A per-pulse record is that of config r of each pulse r (pulse r kept,
-    the others silenced on the same time grid), solved together from zero
-    coherence: their boundary traces in `pulse_out`, their sums in
-    `boundary_out` and `boundary_in`, their coherence norms one row per
-    pulse, and no snapshots.  The equations are linear in the boundary
-    pulses, so `record.window_grams()` gives the energy of any superposition.
+def run_many(configs: Sequence[ScenarioConfig]) -> list[SimulationRecord]:
+    """`run(config, stride=0)` of each config, in input order.
 
     Configs with the same time grid, nz, ensemble and channel count are
     integrated together, at most MAX_ROWS a solve, equal ones sharing a
@@ -346,10 +318,6 @@ def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list
     holds the bits of its lone run.  All configs are checked for stability
     before solving.
     """
-    if per_pulse:
-        members = [_one_pulse_configs(c) or [c] for c in configs]
-        solved = iter(run_many([c for m in members for c in m]))
-        return [_per_pulse_record(c, [next(solved) for _ in m]) for c, m in zip(configs, members)]
     groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
     for i, config in enumerate(configs):
         _check_stability(config)
@@ -363,21 +331,6 @@ def run_many(configs: Sequence[ScenarioConfig], per_pulse: bool = False) -> list
             for i, record in zip(chunk, _integrate([_Controls(configs[i], t_nodes) for i in chunk], 0)):
                 records[i] = record
     return records
-
-
-def _per_pulse_record(config: ScenarioConfig, records: list[SimulationRecord]) -> SimulationRecord:
-    """The per-pulse record of `config` from the records of its one-pulse configs.
-
-    A config without pulses is solved as itself, its record giving the layout.
-    """
-    n, shape = len(config.pulses), records[0].boundary_out.shape
-    pulse_out, inputs = (np.array([getattr(r, name) for r in records[:n]], complex).reshape((n,) + shape)
-                         for name in ("boundary_out", "boundary_in"))
-    norms = np.array([r.coherence_norm for r in records[:n]]).reshape(n, shape[0])
-    record = replace(records[0], config=config, boundary_out=pulse_out.sum(axis=0), boundary_in=inputs.sum(axis=0),
-                     coherence_norm=norms, pulse_out=pulse_out, coherence_end=None)
-    record.window_energies = record.recompute_window_energies()
-    return record
 
 
 def _integrate(

@@ -5,7 +5,9 @@ scoped so that scenario, analysis and acceptance tests reuse them.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gemsim.model import (
@@ -61,6 +63,16 @@ def storage_config(
         grid=GridSpec(nz=nz, nt=int(math.ceil(t_end / dt)), t_end=t_end),
         windows=windows,
     )
+
+
+def one_pulse_configs(config):
+    """Config r of each pulse r: pulse r as given, every other silenced.
+
+    The silenced pulses keep their supports, and so the time grid, to the bit.
+    """
+    silent = [replace(p, amplitude=0.0) if isinstance(p, GaussianPulse) else replace(p, values=np.zeros_like(p.values))
+              for p in config.pulses]
+    return [replace(config, pulses=(*silent[:r], p, *silent[r + 1:])) for r, p in enumerate(config.pulses)]
 
 
 # a fig2 variant with a coarser z grid, used wherever a full fig2 run is too slow

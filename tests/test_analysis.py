@@ -14,10 +14,11 @@ from gemsim.analysis import (
     scan_both_ports,
     write_fringe_csv,
     _grams,
+    _solve,
 )
 from gemsim.errors import DegenerateFit, GemSimError, NoRoot
 from gemsim.scenarios import preset_family
-from gemsim.solver import run
+from gemsim.solver import run, run_many
 from conftest import FAST_FIG2, FAST_PHASES
 
 
@@ -127,7 +128,7 @@ def test_both_ports_are_anti_phase(fd_family):
      [0.0, 1.0, math.pi]),
 ], ids=["fig2_family", "fd_family", "fast_fig2_family-mu", "td_family-mu", "fast_fig2_family-coupling"])
 def test_basis_energies_match_direct_runs(family_fixture, overrides, variants, phases, request):
-    """One per-pulse solve gives every (mu, phase) window energy as w^H G w,
+    """One basis solve gives every (mu, phase) window energy as w^H G w,
     with mu a weight on the probe row.
 
     The error is measured against each window's largest energy over the
@@ -141,7 +142,7 @@ def test_basis_energies_match_direct_runs(family_fixture, overrides, variants, p
     assert family.pulse_weights(0.0) is not None
     for kw in variants:
         mu = kw.get("mu", 1.0)
-        grams = _grams(family.config_for_phase(0.0, **{k: v for k, v in kw.items() if k != "mu"}))
+        grams = _grams(_solve(family.basis(**{k: v for k, v in kw.items() if k != "mu"})))
         basis = [{name: float(np.real(np.conj(w[name]) @ gram @ w[name])) for name, gram in grams.items()}
                  for w in (family.pulse_weights(p, mu) for p in phases)]
         direct = [run(family.config_for_phase(p, **kw)).window_energies for p in phases]
@@ -149,6 +150,22 @@ def test_basis_energies_match_direct_runs(family_fixture, overrides, variants, p
             scale = max(d[name] for d in direct)
             errors = [abs(b[name] - d[name]) / scale for b, d in zip(basis, direct)]
             assert max(errors) <= 1e-12, (kw, name, errors)
+
+
+def test_proportional_freq_domain_rows_share_one_state_row():
+    # the rows are at unit amplitude, so at phase 0 both drive the coherence
+    # alike; the steering amplitude is a weight
+    family = preset_family("freq-domain", steering_amplitude=0.5)
+    records = run_many([config for config, _ in family.basis()])
+    assert [r.diagnostics["rows_integrated"] for r in records] == [1, 1]
+    grams = _grams(records)
+    phases = [0.0, 1.0, math.pi]
+    direct = [run(family.config_for_phase(p), stride=0).window_energies for p in phases]
+    for name, gram in grams.items():
+        scale = max(d[name] for d in direct)
+        for p, d in zip(phases, direct):
+            w = family.pulse_weights(p)[name]
+            assert abs(np.real(np.conj(w) @ gram @ w) - d[name]) <= 1e-12 * scale, (name, p)
 
 
 @pytest.mark.parametrize("preset, overrides", [
@@ -214,9 +231,10 @@ def test_mu_sweeps_solve_one_basis(fast_fig2_family, monkeypatch):
 
     monkeypatch.setattr(analysis, "run", counted)
     curve = mismatch_curve(fast_fig2_family, [0.3, 0.6, 0.9])
-    assert len(calls) == 1 and calls[0]["per_pulse"]
+    # the two rows continue their calibration records
+    assert len(calls) == 2 and all(c["start"] is not None for c in calls)
     mu = find_mu_for_visibility(fast_fig2_family, curve[1][1])
-    assert len(calls) == 2
+    assert len(calls) == 4
     assert mu == pytest.approx(0.6, abs=1e-12)  # the quadratic inverts V(mu) exactly
 
 
@@ -224,7 +242,8 @@ def test_mu_sweeps_solve_one_basis(fast_fig2_family, monkeypatch):
 def test_mu_sweeps_refuse_a_family_without_a_mode_overlap(beat_note, monkeypatch):
     from gemsim import analysis
 
-    monkeypatch.setattr(analysis, "run", lambda *args, **kwargs: pytest.fail("solved before refusing"))
+    for name in ("run", "run_many"):
+        monkeypatch.setattr(analysis, name, lambda *args, **kwargs: pytest.fail("solved before refusing"))
     family = preset_family("freq-domain", beat_note=beat_note)
     with pytest.raises(GemSimError, match="FrequencyDomainFamily has no mode-overlap factor"):
         mismatch_curve(family, [0.0, 0.5])
@@ -236,7 +255,7 @@ def test_mu_weights_scale_the_probe_after_the_mismatch_time():
     family = preset_family("fig2", **FAST_FIG2)
     weights = family.pulse_weights(1.0, 0.5)
     assert [weights[name][0] for name in ("input", "E1", "E2")] == [1.0, 0.5, 0.5]
-    assert all(w[1] == complex(math.cos(1.0), math.sin(1.0)) for w in weights.values())
+    assert all(w[1] == family.steering_scale() * complex(math.cos(1.0), math.sin(1.0)) for w in weights.values())
     t_mis = family.windows["E1"][0]
     for straddling in ((t_mis - 0.5, t_mis + 0.5), (0.0, t_mis)):
         family.windows["late"] = straddling

@@ -30,11 +30,11 @@ from gemsim.model import (
     config_sha256,
 )
 from gemsim.scenarios import preset_family
-from gemsim.solver import _bright_polariton, _check_stability, _time_grid, k_grid, run
-from conftest import FAST_FIG2, storage_config
+from gemsim.solver import _bright_polariton, _check_stability, _time_grid, k_grid, run, run_many
+from conftest import FAST_FIG2, one_pulse_configs, storage_config
 
 
-def reference_run(config, stride=None, start=None, per_pulse=False):
+def reference_run(config, stride=None, start=None):
     _check_stability(config)
 
     ens = config.ensemble
@@ -58,24 +58,15 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
     for c, ch in enumerate(config.coupling.channels):
         if ch.modulation is None:
             omegas_h[c, 1::2] = np.asarray(ch.omega_at(t_nodes[:-1]), dtype=complex)
-    if per_pulse:
-        sources = np.zeros((len(config.pulses), nch, 2 * n_steps + 1), dtype=complex)
-        for r, p in enumerate(config.pulses):
-            sources[r, p.channel] = p.envelope(t_half)
-        e_in_h = sources.sum(axis=0)
-    else:
-        e_in_h = np.zeros((nch, 2 * n_steps + 1), dtype=complex)
-        for p in config.pulses:
-            e_in_h[p.channel] += p.envelope(t_half)
-        sources = e_in_h
+    e_in_h = np.zeros((nch, 2 * n_steps + 1), dtype=complex)
+    for p in config.pulses:
+        e_in_h[p.channel] += p.envelope(t_half)
 
     g_over_delta = ens.g / ens.delta
     half_dz = 0.5 * dz
     kappa_h = 1j * ens.g * ens.n_density * np.conj(omegas_h) / ens.delta
     kappa_h *= half_dz
-    drive_h = 1j * g_over_delta * np.sum(omegas_h * sources, axis=-2)
-    if per_pulse:
-        drive_h = drive_h.T[:, :, None]
+    drive_h = 1j * g_over_delta * np.sum(omegas_h * e_in_h, axis=-2)
     w2_h = (ens.g**2 * ens.n_density / ens.delta**2) * np.sum(np.abs(omegas_h) ** 2, axis=0)
     w2_h *= half_dz
     stark_h = np.sum(np.abs(omegas_h) ** 2, axis=0) / ens.delta
@@ -98,13 +89,13 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
     if start is not None:
         sigma = np.array(start, dtype=complex)
     else:
-        sigma = np.zeros(sources.shape[:-2] + (nz,), dtype=complex)
+        sigma = np.zeros(nz, dtype=complex)
 
     snap_stride = stride or max(1, round(n_steps / 512))
 
-    boundary_out = np.zeros(sources.shape[:-2] + (n_steps + 1, nch), dtype=complex)
+    boundary_out = np.zeros((n_steps + 1, nch), dtype=complex)
     boundary_in = np.zeros((n_steps + 1, nch), dtype=complex)
-    coherence_norm = np.zeros(sources.shape[:-2] + (n_steps + 1,))  # one row per pulse in a per-pulse run
+    coherence_norm = np.zeros(n_steps + 1)
     snap_t = []
     snap_fields = []
     snap_sigma = []
@@ -117,10 +108,8 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
     def record_step(m, i):
         c_full = cumint(sigma)
         boundary_in[m] = e_in_h[:, i]
-        boundary_out[..., m, :] = sources[..., i] + kappa_h[:, i] * c_full[..., -1:]
-        coherence_norm[..., m] = ens.n_density * np.trapezoid(np.abs(sigma) ** 2, z, axis=-1)
-        if per_pulse:
-            return
+        boundary_out[m] = e_in_h[:, i] + kappa_h[:, i] * c_full[-1:]
+        coherence_norm[m] = ens.n_density * np.trapezoid(np.abs(sigma) ** 2, z, axis=-1)
         if m % snap_stride == 0 or m == n_steps:
             fields = fields_at(i, c_full)
             snap_t.append(t_nodes[m])
@@ -150,7 +139,7 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
         config=config,
         t=t_nodes,
         z=z,
-        boundary_out=boundary_out.sum(axis=0) if per_pulse else boundary_out,
+        boundary_out=boundary_out,
         boundary_in=boundary_in,
         snapshot_t=np.array(snap_t),
         snapshot_fields=np.array(snap_fields),
@@ -159,9 +148,8 @@ def reference_run(config, stride=None, start=None, per_pulse=False):
             t=np.array(snap_t), k=np.fft.fftshift(kvec), magnitude=np.array(kspec_mag)
         ),
         window_energies={},
-        snapshot_stride=0 if per_pulse else snap_stride,
+        snapshot_stride=snap_stride,
         coherence_norm=coherence_norm,
-        pulse_out=boundary_out if per_pulse else None,
     )
     record.window_energies = record.recompute_window_energies()
     return record
@@ -172,7 +160,7 @@ def _fast_fig2():
 
 
 def _freq_domain_per_pulse():
-    return preset_family("freq-domain").config_for_phase(0.4), {"per_pulse": True}
+    return one_pulse_configs(preset_family("freq-domain").config_for_phase(0.4)), {"rows": 2}
 
 
 def _beat_note():
@@ -181,9 +169,8 @@ def _beat_note():
 
 
 def _beat_note_per_pulse():
-    # two pulse rows but one channel: the boundary outputs broadcast rows
-    # against channels
-    return preset_family("freq-domain", nz=128, beat_note=True).config_for_phase(0.7), {"per_pulse": True}
+    # two pulse rows on one channel, each with a light shift that changes at every stage
+    return one_pulse_configs(preset_family("freq-domain", nz=128, beat_note=True).config_for_phase(0.7)), {"rows": 2}
 
 
 def _decaying_mismatch_from_initial_coherence():
@@ -202,17 +189,17 @@ def _mismatch_before_a_late_pulse():
 
 
 def _freq_domain_basis():
-    # at phase 0 both pulses have the same drive: the run integrates one row
-    return preset_family("freq-domain").config_for_phase(0.0), {"per_pulse": True}
+    # at phase 0 both pulses have the same drive: the solve integrates one row
+    return [config for config, _ in preset_family("freq-domain").basis()], {"rows": 1}
 
 
 def _three_pulses_first_and_last_equal():
-    # rows 0 and 2 share a drive and row 1 does not: the pulse-to-row mapping
-    # and the order of the row sum both show in the bits
+    # configs 0 and 2 share a drive and config 1 does not: the config-to-row
+    # mapping shows in the bits
     config = storage_config(nz=64)
     probe = config.pulses[0]
     pulses = (probe, replace(probe, t0=1.6, amplitude=0.5j, label="second"), replace(probe, label="third"))
-    return replace(config, pulses=pulses), {"per_pulse": True}
+    return one_pulse_configs(replace(config, pulses=pulses)), {"rows": 2}
 
 
 def _wiped_by_mu_zero():
@@ -235,23 +222,29 @@ def _same_bits(a, b):
         "freq-domain-basis", "three-pulses-first-and-last-equal"])
 def test_step_loop_matches_the_allocating_reference(scenario):
     config, kwargs = scenario()
-    new, ref = run(config, **kwargs), reference_run(config, **kwargs)
-    assert _same_bits(new.t, ref.t)
-    assert _same_bits(new.boundary_out, ref.boundary_out)
-    assert _same_bits(new.boundary_in, ref.boundary_in)
-    if kwargs.get("per_pulse"):
-        assert _same_bits(new.pulse_out, ref.pulse_out)
+    batch = isinstance(config, list)
+    if batch:
+        # one run_many solve, each config a row of its state (equal ones
+        # sharing a row), against the reference of its own config
+        news, refs = run_many(config), [reference_run(c) for c in config]
+        assert all(new.diagnostics["rows_integrated"] == kwargs["rows"] for new in news)
     else:
-        assert len(new.snapshot_t) == len(ref.snapshot_t) > 0
-        assert _same_bits(new.snapshot_t, ref.snapshot_t)
-        assert _same_bits(new.snapshot_fields, ref.snapshot_fields)
-        assert _same_bits(new.snapshot_sigma, ref.snapshot_sigma)
-        assert _same_bits(new.k_spectra.t, ref.k_spectra.t)
-        assert _same_bits(new.k_spectra.magnitude, ref.k_spectra.magnitude)
-    assert new.window_energies == ref.window_energies
-    scale = np.max(ref.coherence_norm)
-    assert scale > 0
-    assert np.max(np.abs(new.coherence_norm - ref.coherence_norm)) <= 1e-14 * scale
+        news, refs = [run(config, **kwargs)], [reference_run(config, **kwargs)]
+    for new, ref in zip(news, refs):
+        assert _same_bits(new.t, ref.t)
+        assert _same_bits(new.boundary_out, ref.boundary_out)
+        assert _same_bits(new.boundary_in, ref.boundary_in)
+        if not batch:
+            assert len(new.snapshot_t) == len(ref.snapshot_t) > 0
+            assert _same_bits(new.snapshot_t, ref.snapshot_t)
+            assert _same_bits(new.snapshot_fields, ref.snapshot_fields)
+            assert _same_bits(new.snapshot_sigma, ref.snapshot_sigma)
+            assert _same_bits(new.k_spectra.t, ref.k_spectra.t)
+            assert _same_bits(new.k_spectra.magnitude, ref.k_spectra.magnitude)
+        assert new.window_energies == ref.window_energies
+        scale = np.max(ref.coherence_norm)
+        assert scale > 0
+        assert np.max(np.abs(new.coherence_norm - ref.coherence_norm)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------

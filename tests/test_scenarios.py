@@ -163,7 +163,7 @@ def test_refine_balance_stays_near_analytic_optimum(monkeypatch):
 
     monkeypatch.setattr(scenarios, "run", counted)
     refined = fam.refine_balance(span=0.10, n_points=7)
-    assert calls == [1] * 14  # per factor, only its bare and steering-only dry runs
+    assert calls == [1, 2] * 7  # per factor, only its bare and steering-only (probe silenced) dry runs
     assert refined.params.event_factor == pytest.approx(r_star, rel=0.04)
 
 

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gemsim import io, oracle
+from gemsim import io, oracle, solver
+from gemsim.analysis import _grams, _solve, mismatch_curve, scan_both_ports
 from gemsim.errors import EmptySpectrum, NoCrossing, NonFinite, StabilityBound
 from gemsim.model import (
     CoherenceState,
@@ -31,11 +32,10 @@ from gemsim.solver import (
     polariton_spectrum,
     run,
     run_many,
-    _one_pulse_configs,
     _time_grid,
 )
 from gemsim.scenarios import preset_family
-from conftest import storage_config
+from conftest import one_pulse_configs, storage_config
 
 
 def total_flux(record):
@@ -192,21 +192,25 @@ def test_nonfinite_reports_step_and_magnitude():
     assert err.value.max_abs > 1.0
 
 
-@pytest.mark.parametrize("per_pulse, copies", [(False, 1), (True, 1), (True, 2)],
+@pytest.mark.parametrize("batch, copies", [(False, 1), (True, 1), (True, 2)],
                          ids=["default", "per-pulse", "per-pulse-duplicate-rows"])
-def test_nonfinite_is_reported_at_the_step_it_happens(per_pulse, copies):
+def test_nonfinite_is_reported_at_the_step_it_happens(batch, copies):
     single = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
     wild = replace(single, pulses=single.pulses * copies)
+
     # no diagnostics strides inside the run: the check must not depend on them
+    def solve(config):
+        return run_many(one_pulse_configs(config)) if batch else run(config, stride=10**6)
+
     with pytest.raises(NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
-        run(wild, stride=10**6, per_pulse=per_pulse)
+        solve(wild)
     n_steps = len(_time_grid(wild)) - 1
     assert 0 < err.value.step < n_steps
     assert err.value.time < wild.grid.t_end
     if copies > 1:
-        # equal pulses share one row, which blows up where the single pulse's row does
+        # equal one-pulse configs share one row, which blows up where the single pulse's row does
         with pytest.raises(NonFinite) as alone, np.errstate(over="ignore", invalid="ignore"):
-            run(single, stride=10**6, per_pulse=True)
+            solve(single)
         assert (err.value.step, err.value.time, err.value.max_abs) == (
             alone.value.step, alone.value.time, alone.value.max_abs)
 
@@ -378,34 +382,32 @@ def test_per_pulse_rows_superpose_to_the_direct_run():
     probe = config.pulses[0]
     two = replace(config, pulses=(probe, replace(probe, t0=1.6, amplitude=0.5j, label="second")))
     direct = run(two)
-    basis = run(two, per_pulse=True)
-    assert basis.pulse_out.shape == (2, len(direct.t), 1)
-    assert basis.snapshots == [] and basis.k_spectra.magnitude.size == 0
-    assert np.array_equal(basis.boundary_out, basis.pulse_out.sum(axis=0))
+    rows = run_many(one_pulse_configs(two))
+    assert all(len(r.t) == len(direct.t) and r.snapshot_t.size == 0 for r in rows)
     scale = np.abs(direct.boundary_out).max()
-    assert np.allclose(basis.boundary_out, direct.boundary_out, rtol=0.0, atol=1e-13 * scale)
+    superposed = rows[0].boundary_out + rows[1].boundary_out
+    assert np.allclose(superposed, direct.boundary_out, rtol=0.0, atol=1e-13 * scale)
     ones = np.ones(2)
-    for name, gram in basis.window_grams().items():
+    for name, gram in _grams(rows).items():
         assert np.allclose(gram, np.conj(gram.T))
         assert np.real(ones @ gram @ ones) == pytest.approx(direct.window_energies[name], rel=1e-12)
-    for extra in ({"start": np.zeros(64, dtype=complex)}, {"until": 4.0}, {"sink": object()}):
-        with pytest.raises(ValueError, match="per-pulse"):
-            run(two, per_pulse=True, **extra)
-    none = run(replace(config, pulses=()), per_pulse=True)
-    assert none.pulse_out.shape == (0, len(none.t), 1)
 
 
 def test_batched_per_pulse_solves_match_lone_runs(fast_fig2_family):
-    # nine powers share a grid (18 rows, so two solves) and power 60 has its own
-    powers = [0.05, 0.3, 60.0, 0.5, 0.8, 1.0, 1.4, 2.0, 2.7, 4.0]
-    configs = [fast_fig2_family.config_for_phase(0.0, power_factor=p) for p in powers]
-    assert len({_time_grid(c).tobytes() for c in configs}) == 2
-    batched = run_many(configs, per_pulse=True)
-    assert all(r.config is c for r, c in zip(batched, configs))  # input order
-    for config, record in zip(configs, batched):
-        lone = run(config, stride=0, per_pulse=True)
-        assert record.pulse_out.tobytes() == lone.pulse_out.tobytes()
-        grams, lone_grams = record.window_grams(), lone.window_grams()
+    # ten powers share a grid, nine of them solved together (18 rows, so two
+    # solves) and power 1 continuing the calibration records; power 60 has its own
+    powers = [0.05, 0.3, 60.0, 0.5, 0.8, 1.0, 1.4, 2.0, 2.7, 3.3, 4.0]
+    bases = [fast_fig2_family.basis(p) for p in powers]
+    rows = [row for basis in bases for row in basis]
+    assert len({_time_grid(c).tobytes() for c, _ in rows}) == 2
+    assert [start is not None for _, start in rows] == [p == 1.0 for p in powers for _ in range(2)]
+    batched = _solve(rows)
+    assert all(r.config is c for r, (c, _) in zip(batched, rows))  # input order
+    lone = [run(config, stride=0) for config, _ in rows]
+    for record, alone in zip(batched, lone):
+        assert _record_bits(record) == _record_bits(alone)
+    for k in range(0, len(rows), 2):
+        grams, lone_grams = _grams(batched[k:k + 2]), _grams(lone[k:k + 2])
         assert grams.keys() == lone_grams.keys()
         assert all(grams[name].tobytes() == lone_grams[name].tobytes() for name in grams)
 
@@ -423,15 +425,13 @@ def test_per_pulse_records_are_batches_of_one_pulse_runs(case, fast_fig2_family,
         "freq-domain-0.4": lambda: fd_family.config_for_phase(0.4),
         "beat-note": lambda: preset_family("freq-domain", nz=128, beat_note=True).config_for_phase(0.7),
     }[case]()
-    basis = run(config, stride=0, per_pulse=True)
-    singles = _one_pulse_configs(config)
-    assert len(singles) == len(config.pulses) == len(basis.pulse_out) == len(basis.coherence_norm)
-    for r, single in enumerate(singles):
+    singles = one_pulse_configs(config)
+    batched = run_many(singles)
+    assert len(batched) == len(config.pulses) == 2
+    for r, (single, record) in enumerate(zip(singles, batched)):
         assert single.pulses[r] is config.pulses[r]
         assert _time_grid(single).tobytes() == _time_grid(config).tobytes()
-        lone = run(single, stride=0)
-        assert basis.pulse_out[r].tobytes() == lone.boundary_out.tobytes()
-        assert basis.coherence_norm[r].tobytes() == lone.coherence_norm.tobytes()
+        assert _record_bits(record) == _record_bits(run(single, stride=0))
     lone = run(config, stride=0)
     twice = run_many([config, config])
     for record in twice:
@@ -439,15 +439,52 @@ def test_per_pulse_records_are_batches_of_one_pulse_runs(case, fast_fig2_family,
         assert _record_bits(record) == _record_bits(lone)
 
 
-@pytest.mark.parametrize("phase, per_pulse, rows", [
-    (0.0, False, 1), (0.0, True, 1), (0.4, True, 2),
+@pytest.mark.parametrize("family_fixture", ["fast_fig2_family", "td_family"])
+def test_continued_basis_rows_hold_the_bits_of_uninterrupted_runs(family_fixture, request):
+    # both rows continue a calibration record stopped where E1 closes, on the grid of the full run
+    family = request.getfixturevalue(family_fixture)
+    rows = family.basis()
+    (probe, bare), (steering, raw) = rows
+    assert bare is not None and raw is not None
+    assert _time_grid(steering).tobytes() == _time_grid(probe).tobytes() == _time_grid(
+        family.config_for_phase(0.0)).tobytes()
+    for (config, start), record in zip(rows, _solve(rows)):
+        whole = run(config, stride=0)
+        assert _record_bits(record) == _record_bits(whole)
+        assert record.diagnostics["steps_integrated"] == len(whole.t) - len(start.t)
+
+
+@pytest.mark.parametrize("sweep", ["phase", "mismatch"])
+def test_fig2_sweeps_integrate_at_most_20200_row_steps(sweep, monkeypatch):
+    # calibration 7376 + 3751 row-steps, then 2 x 4500 for the two continued rows
+    integrate, row_steps = solver._integrate, []
+
+    def counted(*args, **kwargs):
+        records = integrate(*args, **kwargs)
+        row_steps.append(records[0].diagnostics["steps_integrated"] * records[0].diagnostics["rows_integrated"])
+        return records
+
+    monkeypatch.setattr(solver, "_integrate", counted)
+    family = preset_family("fig2")
+    family.calibrate()
+    if sweep == "phase":
+        scan_both_ports(family, [2.0 * math.pi * i / 16 for i in range(16)])
+    else:
+        mismatch_curve(family, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    assert sum(row_steps) <= 20200, row_steps
+
+
+@pytest.mark.parametrize("solve, rows", [
+    (lambda fd: [run(fd.config_for_phase(0.0), stride=0)], 1),
+    (lambda fd: run_many([config for config, _ in fd.basis()]), 1),
+    (lambda fd: run_many(one_pulse_configs(fd.config_for_phase(0.4))), 2),
 ], ids=["direct", "basis", "basis-off-phase-zero"])
-def test_diagnostics_count_integrated_steps_and_rows(phase, per_pulse, rows):
-    # the freq-domain basis at phase 0 drives both pulses alike: one shared row
-    record = run(preset_family("freq-domain").config_for_phase(phase), stride=0, per_pulse=per_pulse)
-    # the 149 steps before the pulses rise are skipped
-    assert len(record.t) - 1 == 2775
-    assert record.diagnostics == {"steps_integrated": 2626, "rows_integrated": rows}
+def test_diagnostics_count_integrated_steps_and_rows(solve, rows, fd_family):
+    # the freq-domain basis (phase 0) drives both pulses alike: one shared row
+    for record in solve(fd_family):
+        # the 149 steps before the pulses rise are skipped
+        assert len(record.t) - 1 == 2775
+        assert record.diagnostics == {"steps_integrated": 2626, "rows_integrated": rows}
 
 
 def test_fig2_main_solve_counts_its_steps(fig2_record_pi):
@@ -489,7 +526,7 @@ def test_window_energies_keep_their_pinned_values(preset, fig2_record_pi, td_fam
 
 
 def test_basis_grams_keep_their_pinned_values(fd_family):
-    grams = run(fd_family.config_for_phase(0.0), stride=0, per_pulse=True).window_grams()
+    grams = _grams(_solve(fd_family.basis()))
     assert grams.keys() == PINNED_BASIS_GRAMS.keys()
     for name, rows in PINNED_BASIS_GRAMS.items():
         pinned = np.array([[float.fromhex(h) for h in row] for row in rows])
