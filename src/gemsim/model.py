@@ -540,7 +540,8 @@ class SimulationRecord:
     # continues from; not saved, so None for a loaded record
     coherence_end: Optional[np.ndarray] = None
     # deterministic counts of the work a run did: "steps_integrated" (the skipped lead-in
-    # excluded) and "rows_integrated" (of the solve that made it); empty for a loaded record
+    # excluded), "rows_integrated" (of the solve that made it) and "staged_steps" (those of
+    # its steps that took staged RK4, not its Taylor form); empty for a loaded record
     diagnostics: dict[str, int] = field(default_factory=dict)
 
     @property

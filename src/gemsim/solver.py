@@ -15,17 +15,35 @@ Time stepping is classical fourth order Runge-Kutta; the z integral is the
 trapezoid rule, giving global error O(dt^4 + dz^2).  Piecewise constant
 controls (gradient switches, coupling steps, pulse support edges) are
 aligned with step boundaries so no step straddles a switch.
-The stages run in place in buffers and views made once per run: a step
-allocates nothing and makes 31 numpy calls, plus a drive add in each stage
-where some pulse is on.  The loop keeps the z integral unscaled, as the
-cumulative sum of sigma[1:] + sigma[:-1] (added over the flattened state,
-one contiguous loop for any number of rows); the trapezoid's dz/2 is folded
-into the coefficients that read it (w2 per stage, kappa per node).  k1..k4
-are the rows of one buffer, so the update is one dot product with the RK4
-weights and one add.  The z integral of each new state serves both its
-boundary output and the next step's first stage, so a step takes four
-cumulative integrals; its value at z = L is kept per node, and the boundary
-traces are built from those after the loop.
+
+Write the right-hand side as L sigma + d(t), with L v = coef * v - w2 C(v),
+coef = -(gamma0 + i(eta z + stark)) and C(v) the z integral of v.  Where
+eta, stark and w2 are the same at all three stage times of a step, L is
+constant over it, and the step takes RK4's Taylor form, the same map in
+exact arithmetic: with d0, d_mid, d1 the drive at the step's start, middle
+and end,
+
+    v1 = L sigma + d0            v2 = L v1 + 2 (d_mid - d0) / h
+    v3 = L v2                    v4 = L v3 + 4 (d0 - 2 d_mid + d1) / h^3
+    sigma += h v1 + h^2/2 v2 + h^3/6 v3 + h^4/24 v4
+
+Its four operator applications are chained, so it needs no stage states,
+and the drive enters as three per-step values, the two differences made
+once per run.  A step whose controls change inside it (one that ends on a
+switch, and every step of a modulated coupling) takes the classical staged
+form, k = L(sigma + a h k_prev) + d at each stage.  Both run in place in
+buffers and views made once per run, and a step allocates nothing: a Taylor
+step makes 25 numpy calls, 28 where some pulse is on; a staged one 31, plus
+a drive add in each stage where some pulse is on.  The loop keeps the z
+integral unscaled, as the cumulative sum of v[1:] + v[:-1] (added over the
+flattened state, one contiguous loop for any number of rows); the
+trapezoid's dz/2 is folded into the coefficients that read it (w2 per stage,
+kappa per node).  k1..k4 (v1..v4) are the rows of one buffer, so the update
+is one dot product with the step's weights, made once per distinct step
+size, and one add.  The z integral of each new state serves both its
+boundary output and the next step's first application of L, so a step takes
+four cumulative integrals; its value at z = L is kept per node, and the
+boundary traces are built from those after the loop.
 
 Only the steps a result depends on are integrated.  From zero coherence, a
 step none of whose stages sees a nonzero drive leaves the state exactly
@@ -45,9 +63,10 @@ so continues the probe-only run, stopped before the steering starts, into
 both the bare calibration and the main solve, and a time-domain sweep its
 two calibration runs, stopped where E1 closes, into its basis rows.
 Many solves share the same loop.  `run_many` integrates configs on one time
-grid as the rows of one state, at most MAX_ROWS configs a solve; each row
-carries its own eta, stark, w2 and drive as one (rows, 1) column per stage,
-and its own mode mismatch, coherence norm and finiteness check.  A row's
+grid, whose steps take the same form, as the rows of one state, at most
+MAX_ROWS configs a solve; each row carries its own eta, stark, w2 and drive
+as one (rows, 1) column per stage, its Taylor drive differences as one per
+step, and its own mode mismatch, coherence norm and finiteness check.  A row's
 arithmetic depends on those alone, so configs whose eta, stark, w2, drive
 and mode mismatch are equal to the bit share one row; each config keeps
 its own kappa and boundary traces.  A one-row solve keeps a 1-D state and
@@ -157,6 +176,17 @@ def _distinct_rows(parts: list[_Controls]) -> tuple[list[int], list[int]]:
     return [inverse.index(d) for d in range(len(index))], inverse
 
 
+def _step_weights(dt: float) -> tuple:
+    """A step's half and full size and its update weights as complex numbers:
+    (dt/6, dt/3, dt/3, dt/6) for the staged form, (dt, dt^2/2, dt^3/6, dt^4/24)
+    for the Taylor form."""
+    taylor = [dt]
+    for j in (2, 3, 4):
+        taylor.append(taylor[-1] * dt / j)
+    return (complex(0.5 * dt), complex(dt), np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0], dtype=complex),
+            np.array(taylor, dtype=complex))
+
+
 def _check_stability(config: ScenarioConfig) -> None:
     violations = dt_violations(config)
     if violations:
@@ -215,6 +245,16 @@ class _Controls:
         self.t_half, self.eta_h, self.stark_h, self.w2_h, self.omegas_h = t_half, eta_h, stark_h, w2_h, omegas_h
         self.e_in_h, self.kappa = e_in_h, kappa
 
+        # per step: its size, and whether its controls change inside it (the
+        # staged RK4 step) or not (RK4's Taylor form)
+        self.h = np.diff(t_nodes)
+        self.staged = self.changed[1::2] | self.changed[2::2]
+
+    def taylor_drive(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per step, the drive terms RK4's Taylor form adds to L v1 and L v3."""
+        d0, d_mid, d1, h = self.drive[:-1:2], self.drive[1::2], self.drive[2::2], self.h
+        return 2 * (d_mid - d0) / h, 4 * (d0 - 2 * d_mid + d1) / (h * h * h)
+
 
 def _key(config: ScenarioConfig) -> tuple:
     """What configs integrated on one state (or one after another) must share besides the time grid."""
@@ -272,8 +312,9 @@ def run(
     from the record's by a bit, or its stride is neither the record's nor 0.
 
     `record.diagnostics` counts the steps this run integrated (the skipped
-    lead-in and a continued prefix excluded) and the coherence rows of the
-    solve that produced it (1 for a direct run).
+    lead-in and a continued prefix excluded), the coherence rows of the
+    solve that produced it (1 for a direct run), and the integrated steps
+    that took staged RK4 (those whose controls change inside the step).
 
     The snapshots live in one store sized before the loop, four arrays laid
     out as record.npz holds them: times (n,), fields (n, nch, nz),
@@ -312,11 +353,11 @@ def run(
 def run_many(configs: Sequence[ScenarioConfig]) -> list[SimulationRecord]:
     """`run(config, stride=0)` of each config, in input order.
 
-    Configs with the same time grid, nz, ensemble and channel count are
-    integrated together, at most MAX_ROWS a solve, equal ones sharing a
-    state row; no row's arithmetic depends on the others, so each record
-    holds the bits of its lone run.  All configs are checked for stability
-    before solving.
+    Configs with the same time grid, nz, ensemble and channel count, whose
+    controls change inside the same steps, are integrated together, at most
+    MAX_ROWS a solve, equal ones sharing a state row; no row's arithmetic
+    depends on the others, so each record holds the bits of its lone run.
+    All configs are checked for stability before solving.
     """
     groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
     for i, config in enumerate(configs):
@@ -325,11 +366,24 @@ def run_many(configs: Sequence[ScenarioConfig]) -> list[SimulationRecord]:
         key = (t_nodes.tobytes(),) + _key(config)
         groups.setdefault(key, (t_nodes, []))[1].append(i)
     records: list = [None] * len(configs)
+
+    def solve(chunk: list[tuple[int, _Controls]]) -> None:
+        for (i, _), record in zip(chunk, _integrate([p for _, p in chunk], 0)):
+            records[i] = record
+
     for t_nodes, members in groups.values():
-        for k in range(0, len(members), MAX_ROWS):
-            chunk = members[k:k + MAX_ROWS]
-            for i, record in zip(chunk, _integrate([_Controls(configs[i], t_nodes) for i in chunk], 0)):
-                records[i] = record
+        # a step takes the staged form in a solve if it does in one row, so
+        # rows share a solve only where they take the same form at every step
+        pending: dict[bytes, list[tuple[int, _Controls]]] = {}
+        for i in members:
+            p = _Controls(configs[i], t_nodes)
+            form = p.staged.tobytes()
+            chunk = pending.setdefault(form, [])
+            chunk.append((i, p))
+            if len(chunk) == MAX_ROWS:
+                solve(pending.pop(form))
+        for chunk in pending.values():
+            solve(chunk)
     return records
 
 
@@ -356,28 +410,33 @@ def _integrate(
 
     # one row keeps a 1-D state and scalar stage coefficients; otherwise the
     # state is (rows, nz), with one (rows, 1) column per stage of each row's
-    # own eta, stark, w2 and drive
+    # own eta, stark, w2 and drive, and per step of its Taylor drive terms
     single = len(rows) == 1
     if single:
         eta_h, stark_h, w2_h, drive_h = first.eta_h, first.stark_h, first.w2_h, first.drive
+        v2_drive, v4_drive = first.taylor_drive()
         sigma = np.zeros(nz, dtype=complex) if start is None else np.array(
             start.coherence_end if node else start, complex)
     else:
-        eta_h, stark_h, w2_h, drive_h = (np.stack([getattr(p, name) for p in rows], axis=1)[..., None]
-                                         for name in ("eta_h", "stark_h", "w2_h", "drive"))
+        eta_h, stark_h, w2_h, drive_h, v2_drive, v4_drive = (
+            np.stack(arrays, axis=1)[..., None] for arrays in zip(
+                *((p.eta_h, p.stark_h, p.w2_h, p.drive, *p.taylor_drive()) for p in rows)))
         sigma = np.zeros((len(rows), nz), dtype=complex)
     changed = np.logical_or.reduce([p.changed for p in rows])
     eta_changed = np.logical_or.reduce([p.eta_changed for p in rows]).tobytes()
+    staged = np.logical_or.reduce([p.staged for p in rows])
     # stages with a nonzero drive; adding a +-0 drive could flip only the sign
     # of a zero, and tests/test_reference.py checks that no recorded bit shows it
     driven = np.logical_or.reduce([p.drive != 0 for p in rows])
+    step_driven = driven[:-1:2] | driven[1::2] | driven[2::2]
 
-    # RK4 works in place in these buffers and views: k1..k4 are the rows of K,
-    # and c holds the integral of the state integrated last (w2 >= 0 keeps
-    # c[..., 0] at +0)
+    # RK4 works in place in these buffers and views: k1..k4 are the rows of K
+    # (the Taylor form's v1..v4), and c holds the integral of the state
+    # integrated last (w2 >= 0 keeps c[..., 0] at +0)
     K = np.empty((4,) + sigma.shape, dtype=complex)
     k1, k2, k3, k4 = K
     K_flat = K.reshape(4, -1)
+    (k1_hi, k2_hi, k3_hi), (k1_lo, k2_lo, k3_lo) = K_flat[:3, 1:], K_flat[:3, :-1]
     update = np.empty(sigma.size, dtype=complex)
     update_state = update.reshape(sigma.shape)
     stage, c = np.empty_like(sigma), np.zeros_like(sigma)
@@ -472,12 +531,11 @@ def _integrate(
                          and not (m0 > 0 and t_nodes[m0] >= p.config.mismatch_time - 1e-12)),
                         key=lambda item: item[0], reverse=True)
     next_mismatch = mismatches[-1][0] if mismatches else math.inf
-    # half and full step and the RK4 update weights, once per distinct step;
-    # the items of t_at, changed and driven index as Python floats and ints
-    t_at = memoryview(t_nodes)
-    rk4 = {dt: (complex(0.5 * dt), complex(dt), np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0], dtype=complex))
-           for dt in {b - a for a, b in zip(t_at[m0:], t_at[m0 + 1:])}}
-    changed, driven = changed.tobytes(), driven.tobytes()
+    # each step's weights, once per distinct step size; the items of h_at and
+    # of the flags index as Python floats and ints
+    t_at, h_at = memoryview(t_nodes), memoryview(first.h)
+    rk4 = {dt: _step_weights(dt) for dt in set(h_at[m0:])}
+    changed, driven, staged_at, step_driven = (a.tobytes() for a in (changed, driven, staged, step_driven))
     coef, w2 = local(2 * m0)
 
     for m in range(m0, n_steps + 1):
@@ -499,47 +557,73 @@ def _integrate(
         if m == n_steps:
             break
 
-        # one RK4 step: each stage k = coef * state + drive - w2 c, with c the
-        # integral of the stage state sigma + h k_in
-        half, full, rk4_weights = rk4[t_at[m + 1] - t_at[m]]
+        # one RK4 step, with L v = coef * v - w2 c(v) and c(v) the integral of
+        # v; both forms begin with k1 = v1 = L sigma + drive
+        half, full, rk4_weights, taylor_weights = rk4[h_at[m]]
         i = 2 * m
         np.multiply(coef, sigma, out=k1)
         if driven[i]:
             np.add(k1, drive_h[i], out=k1)
         np.subtract(k1, np.multiply(w2, c, out=c), out=k1)
 
-        i += 1
-        if changed[i]:
-            coef, w2 = local(i)
-        np.add(sigma, np.multiply(half, k1, out=stage), out=stage)
-        np.add(stage_hi, stage_lo, out=pair_flat)
-        np.add.accumulate(pair, axis=-1, out=c_tail)
-        np.multiply(coef, stage, out=k2)
-        if driven[i]:
-            np.add(k2, drive_h[i], out=k2)
-        np.subtract(k2, np.multiply(w2, c, out=c), out=k2)
+        if staged_at[m]:
+            # the staged step, where L changes inside it: k = L(state) + drive,
+            # with state sigma + h k_in
+            i += 1
+            if changed[i]:
+                coef, w2 = local(i)
+            np.add(sigma, np.multiply(half, k1, out=stage), out=stage)
+            np.add(stage_hi, stage_lo, out=pair_flat)
+            np.add.accumulate(pair, axis=-1, out=c_tail)
+            np.multiply(coef, stage, out=k2)
+            if driven[i]:
+                np.add(k2, drive_h[i], out=k2)
+            np.subtract(k2, np.multiply(w2, c, out=c), out=k2)
 
-        np.add(sigma, np.multiply(half, k2, out=stage), out=stage)
-        np.add(stage_hi, stage_lo, out=pair_flat)
-        np.add.accumulate(pair, axis=-1, out=c_tail)
-        np.multiply(coef, stage, out=k3)
-        if driven[i]:
-            np.add(k3, drive_h[i], out=k3)
-        np.subtract(k3, np.multiply(w2, c, out=c), out=k3)
+            np.add(sigma, np.multiply(half, k2, out=stage), out=stage)
+            np.add(stage_hi, stage_lo, out=pair_flat)
+            np.add.accumulate(pair, axis=-1, out=c_tail)
+            np.multiply(coef, stage, out=k3)
+            if driven[i]:
+                np.add(k3, drive_h[i], out=k3)
+            np.subtract(k3, np.multiply(w2, c, out=c), out=k3)
 
-        i += 1
-        if changed[i]:
-            coef, w2 = local(i)
-        np.add(sigma, np.multiply(full, k3, out=stage), out=stage)
-        np.add(stage_hi, stage_lo, out=pair_flat)
-        np.add.accumulate(pair, axis=-1, out=c_tail)
-        np.multiply(coef, stage, out=k4)
-        if driven[i]:
-            np.add(k4, drive_h[i], out=k4)
-        np.subtract(k4, np.multiply(w2, c, out=c), out=k4)
+            i += 1
+            if changed[i]:
+                coef, w2 = local(i)
+            np.add(sigma, np.multiply(full, k3, out=stage), out=stage)
+            np.add(stage_hi, stage_lo, out=pair_flat)
+            np.add.accumulate(pair, axis=-1, out=c_tail)
+            np.multiply(coef, stage, out=k4)
+            if driven[i]:
+                np.add(k4, drive_h[i], out=k4)
+            np.subtract(k4, np.multiply(w2, c, out=c), out=k4)
+            update_weights = rk4_weights  # (h/6, h/3, h/3, h/6)
+        else:
+            # RK4's Taylor form, the same map while L holds over the step:
+            # v2 = L v1 + 2(d_mid - d0)/h, v3 = L v2, v4 = L v3 + 4(d0 - 2 d_mid + d1)/h^3
+            np.add(k1_hi, k1_lo, out=pair_flat)
+            np.add.accumulate(pair, axis=-1, out=c_tail)
+            np.multiply(coef, k1, out=k2)
+            if step_driven[m]:
+                np.add(k2, v2_drive[m], out=k2)
+            np.subtract(k2, np.multiply(w2, c, out=c), out=k2)
 
-        # sigma += (dt/6) k1 + (dt/3) k2 + (dt/3) k3 + (dt/6) k4, one dot product
-        np.dot(rk4_weights, K_flat, out=update)
+            np.add(k2_hi, k2_lo, out=pair_flat)
+            np.add.accumulate(pair, axis=-1, out=c_tail)
+            np.multiply(coef, k2, out=k3)
+            np.subtract(k3, np.multiply(w2, c, out=c), out=k3)
+
+            np.add(k3_hi, k3_lo, out=pair_flat)
+            np.add.accumulate(pair, axis=-1, out=c_tail)
+            np.multiply(coef, k3, out=k4)
+            if step_driven[m]:
+                np.add(k4, v4_drive[m], out=k4)
+            np.subtract(k4, np.multiply(w2, c, out=c), out=k4)
+            update_weights = taylor_weights  # (h, h^2/2, h^3/6, h^4/24)
+
+        # the update, one dot product of the weights with k1..k4
+        np.dot(update_weights, K_flat, out=update)
         np.add(sigma, update_state, out=sigma)
         while t_at[m + 1] >= next_mismatch:
             _, row, factor = mismatches.pop()
@@ -547,6 +631,7 @@ def _integrate(
             next_mismatch = mismatches[-1][0] if mismatches else math.inf
 
     k_axis = np.fft.fftshift(k_grid(nz, dz))
+    n_staged = int(np.count_nonzero(staged[m0:]))
     records = []
     for p, j in zip(parts, inverse):
         # E_j(t, L) = E_j(t, 0) + kappa_j(t) integral_0^L sigma dz, one integral
@@ -570,7 +655,8 @@ def _integrate(
             snapshot_stride=stride,
             coherence_norm=norms[j],
             coherence_end=own[j].copy(),
-            diagnostics={"steps_integrated": n_steps - m0, "rows_integrated": len(rows)},
+            diagnostics={"steps_integrated": n_steps - m0, "rows_integrated": len(rows),
+                         "staged_steps": n_staged},
         )
         record.window_energies = record.recompute_window_energies()
         records.append(record)

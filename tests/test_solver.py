@@ -145,6 +145,33 @@ def test_grid_convergence_of_window_energies():
         )
 
 
+def test_window_energy_converges_at_fourth_order_in_dt():
+    """Where the controls are constant, the step is fourth order, drive included.
+
+    The gradient does not switch, so every step takes the Taylor form (none
+    reads a switch at its end), and the probe is cut below 1e-12 of its peak.
+    The window is the whole run: its edges are nodes at every dt, the output
+    power has no kink inside it, and the trapezoid's dt^2 edge term stays far
+    below the step error.  Errors are against 8x finer steps at the same nz.
+    """
+    config = storage_config(nz=64)
+    config = replace(config, gradient=GradientProfile((GradientSegment(0.0, 20.0),)),
+                     pulses=(replace(config.pulses[0], sigma=0.15, truncate=7.5),),
+                     windows={"all": (0.0, config.grid.t_end)})
+    assert math.exp(-0.5 * 7.5**2) < 1e-12
+
+    def energy(refine):
+        grid = replace(config.grid, nt=refine * config.grid.nt)
+        record = run(replace(config, grid=grid), stride=0)
+        assert record.diagnostics["staged_steps"] == 0
+        return record.window_energies["all"]
+
+    fine = energy(8)
+    errors = [abs(energy(refine) - fine) / fine for refine in (1, 2)]
+    assert errors[1] > 1e-12  # well above roundoff
+    assert math.log2(errors[0] / errors[1]) >= 3.5, errors
+
+
 def test_initial_coherence_is_recalled():
     config = replace(storage_config(beta=0.6, two_echo=False), pulses=())
     nz = config.grid.nz
@@ -412,6 +439,28 @@ def test_batched_per_pulse_solves_match_lone_runs(fast_fig2_family):
         assert all(grams[name].tobytes() == lone_grams[name].tobytes() for name in grams)
 
 
+def test_rows_share_a_solve_only_where_they_take_the_same_step_form():
+    # an event at t = 3 in all three configs; the coupling steps there in two
+    # of them, whose step into t = 3 takes the staged form, and not in the
+    # first, whose step takes the Taylor form as in its lone run
+    config = storage_config(nz=64)
+    omega = config.coupling.channels[0].segments[0].omega
+
+    def coupling(after):
+        return CouplingSchedule((CouplingChannel((CouplingSegment(0.0, omega), CouplingSegment(3.0, after))),))
+
+    steady = replace(config, coupling=coupling(omega))
+    stepped = replace(config, coupling=coupling(0.9 * omega))
+    weaker = replace(stepped, pulses=(replace(stepped.pulses[0], amplitude=0.5),))
+    configs = [steady, stepped, weaker]
+    assert len({_time_grid(c).tobytes() for c in configs}) == 1
+    batched = run_many(configs)
+    assert [r.diagnostics["rows_integrated"] for r in batched] == [1, 2, 2]
+    assert [r.diagnostics["staged_steps"] for r in batched] == [2, 3, 3]
+    for config, record in zip(configs, batched):
+        assert _record_bits(record) == _record_bits(run(config, stride=0))
+
+
 @pytest.mark.parametrize("case", [
     "fig2-theta", "fig2-mu-1", "fig2-power-2", "time-domain", "freq-domain-0", "freq-domain-0.4", "beat-note",
 ])
@@ -482,13 +531,23 @@ def test_fig2_sweeps_integrate_at_most_20200_row_steps(sweep, monkeypatch):
 def test_diagnostics_count_integrated_steps_and_rows(solve, rows, fd_family):
     # the freq-domain basis (phase 0) drives both pulses alike: one shared row
     for record in solve(fd_family):
-        # the 149 steps before the pulses rise are skipped
+        # the 149 steps before the pulses rise are skipped, and only the step
+        # into the gradient reversal at t = 11 is staged
         assert len(record.t) - 1 == 2775
-        assert record.diagnostics == {"steps_integrated": 2626, "rows_integrated": rows}
+        assert record.diagnostics == {"steps_integrated": 2626, "rows_integrated": rows, "staged_steps": 1}
 
 
 def test_fig2_main_solve_counts_its_steps(fig2_record_pi):
-    assert fig2_record_pi.diagnostics == {"steps_integrated": 11876, "rows_integrated": 1}
+    diagnostics = fig2_record_pi.diagnostics
+    assert diagnostics == {"steps_integrated": 11876, "rows_integrated": 1,
+                           "staged_steps": diagnostics["staged_steps"]}
+    assert 1 <= diagnostics["staged_steps"] <= 4  # the steps into a control switch
+
+
+def test_a_beat_note_stages_every_step():
+    # the modulated coupling changes stark and w2 at every stage
+    record = run(preset_family("freq-domain", nz=128, beat_note=True).config_for_phase(0.7), stride=0)
+    assert record.diagnostics["staged_steps"] == record.diagnostics["steps_integrated"] > 0
 
 
 # Window energies of the preset configs `simulate` solves (time-domain presets
