@@ -32,18 +32,27 @@ and the drive enters as three per-step values, the two differences made
 once per run.  A step whose controls change inside it (one that ends on a
 switch, and every step of a modulated coupling) takes the classical staged
 form, k = L(sigma + a h k_prev) + d at each stage.  Both run in place in
-buffers and views made once per run, and a step allocates nothing: a Taylor
-step makes 25 numpy calls, 28 where some pulse is on; a staged one 31, plus
-a drive add in each stage where some pulse is on.  The loop keeps the z
+buffers and views made once per run, and a step allocates nothing.  Each
+state L is applied to (sigma, k1..k3, a stage state) sits in a contiguous
+[v; C(v)] slot of one buffer, and A = [coef; w2] has the same shape, so L v
+is one stacked multiply A * [v; C(v)], the drive added to its first half,
+and one subtract of its halves: coef v + d - w2 C(v), rounded as written.
+k1..k4 (v1..v4) are strided rows of the slot buffer, so the update is one
+dot product with the step's weights, made once per distinct step size, and
+one add.  Each node's state is copied into a ring of at most NORM_RING
+elements (16 nodes at nz 256, one for a 16-row state); their coherence
+norms are taken by one np.vecdot (the BLAS dot np.vdot calls) and checked
+once the ring is full and at the loop's end, and a norm that is not finite
+is reported at its own node and row.  Outside those flushes a Taylor step
+makes 20 numpy calls, 23 where some pulse is on; a staged one 26, plus a
+drive add in each stage where some pulse is on.  The loop keeps the z
 integral unscaled, as the cumulative sum of v[1:] + v[:-1] (added over the
 flattened state, one contiguous loop for any number of rows); the
 trapezoid's dz/2 is folded into the coefficients that read it (w2 per stage,
-kappa per node).  k1..k4 (v1..v4) are the rows of one buffer, so the update
-is one dot product with the step's weights, made once per distinct step
-size, and one add.  The z integral of each new state serves both its
-boundary output and the next step's first application of L, so a step takes
-four cumulative integrals; its value at z = L is kept per node, and the
-boundary traces are built from those after the loop.
+kappa per node).  The z integral of each new state serves both its boundary
+output and the next step's first application of L, so a step takes four
+cumulative integrals; its value at z = L is kept per node, and the boundary
+traces are built from those after the loop.
 
 Only the steps a result depends on are integrated.  From zero coherence, a
 step none of whose stages sees a nonzero drive leaves the state exactly
@@ -156,6 +165,8 @@ def _time_grid(config: ScenarioConfig) -> np.ndarray:
 
 # configs (so state rows at most) per batched solve: per-row throughput still rises at 16 rows
 MAX_ROWS = 16
+# elements of the ring of node states whose coherence norms are taken together
+NORM_RING = 4096
 
 
 def _distinct_rows(parts: list[_Controls]) -> tuple[list[int], list[int]]:
@@ -415,13 +426,12 @@ def _integrate(
     if single:
         eta_h, stark_h, w2_h, drive_h = first.eta_h, first.stark_h, first.w2_h, first.drive
         v2_drive, v4_drive = first.taylor_drive()
-        sigma = np.zeros(nz, dtype=complex) if start is None else np.array(
-            start.coherence_end if node else start, complex)
+        shape = (nz,)
     else:
         eta_h, stark_h, w2_h, drive_h, v2_drive, v4_drive = (
             np.stack(arrays, axis=1)[..., None] for arrays in zip(
                 *((p.eta_h, p.stark_h, p.w2_h, p.drive, *p.taylor_drive()) for p in rows)))
-        sigma = np.zeros((len(rows), nz), dtype=complex)
+        shape = (len(rows), nz)
     changed = np.logical_or.reduce([p.changed for p in rows])
     eta_changed = np.logical_or.reduce([p.eta_changed for p in rows]).tobytes()
     staged = np.logical_or.reduce([p.staged for p in rows])
@@ -430,48 +440,76 @@ def _integrate(
     driven = np.logical_or.reduce([p.drive != 0 for p in rows])
     step_driven = driven[:-1:2] | driven[1::2] | driven[2::2]
 
-    # RK4 works in place in these buffers and views: k1..k4 are the rows of K
-    # (the Taylor form's v1..v4), and c holds the integral of the state
-    # integrated last (w2 >= 0 keeps c[..., 0] at +0)
-    K = np.empty((4,) + sigma.shape, dtype=complex)
-    k1, k2, k3, k4 = K
-    K_flat = K.reshape(4, -1)
-    (k1_hi, k2_hi, k3_hi), (k1_lo, k2_lo, k3_lo) = K_flat[:3, 1:], K_flat[:3, :-1]
+    # RK4 works in place in these buffers and views.  Z holds six contiguous
+    # [v; C(v)] slots, a state and its unscaled z integral: sigma, k1..k4 (the
+    # Taylor form's v1..v4) and the staged form's stage state.  A = [coef; w2],
+    # so L v is multiply(A, slot, T), the drive added to T[0], and
+    # T[0] - T[1].  Z starts at zero and only C(v)[..., 1:] is written, so
+    # every integral keeps its first element at +0.
+    Z = np.zeros((6, 2) + shape, dtype=complex)
+    Z_sigma, Z_k1, Z_k2, Z_k3, _, Z_stage = Z
+    sigma, k1, k2, k3, k4, stage = Z[:, 0]
+    c, c_last = Z[0, 1], Z[0, 1, ..., -1]
+    if start is not None:
+        sigma[...] = start.coherence_end if node else start
+    K_flat = Z[1:5, 0].reshape(4, -1)  # k1..k4, strided rows of Z
+    flat = Z[:, 0].reshape(6, -1)
+    sigma_hi, k1_hi, k2_hi, k3_hi, _, stage_hi = flat[:, 1:]
+    sigma_lo, k1_lo, k2_lo, k3_lo, _, stage_lo = flat[:, :-1]
+    c_tail, k1_c, k2_c, k3_c, _, stage_c = Z[:, 1, ..., 1:]
+    A, T = np.empty((2, 2) + shape, dtype=complex)
+    coef, T0, T1 = A[0], T[0], T[1]
+    eta_z, lam = np.empty((2,) + shape)  # eta z, and eta z + stark
     update = np.empty(sigma.size, dtype=complex)
-    update_state = update.reshape(sigma.shape)
-    stage, c = np.empty_like(sigma), np.zeros_like(sigma)
-    c_tail, c_last = c[..., 1:], c[..., -1]
-    # pair[..., j] = state[..., j + 1] + state[..., j], added over the flattened
-    # state in one contiguous loop; in a multi-row state the last column of
+    update_state = update.reshape(shape)
+    # pair[..., j] = v[..., j + 1] + v[..., j], added over the flattened state
+    # in one contiguous loop; in a multi-row state the last column of
     # pair_rows mixes two rows and is never read
     pair_rows = np.empty_like(sigma)
     pair_flat, pair = pair_rows.reshape(-1)[:-1], pair_rows[..., :-1]
-    sigma_hi, sigma_lo = sigma.reshape(-1)[1:], sigma.reshape(-1)[:-1]
-    stage_hi, stage_lo = stage.reshape(-1)[1:], stage.reshape(-1)[:-1]
     weights = np.full(nz, complex(dz))  # trapezoid rule
     weights[[0, -1]] *= 0.5
-    weighted = np.empty(nz, dtype=complex)
     n_density = ens.n_density
+    add, subtract, multiply, accumulate, dot = np.add, np.subtract, np.multiply, np.add.accumulate, np.dot
 
-    eta_z = None
-
-    def local(i: int) -> tuple[np.ndarray, complex | np.ndarray]:
-        """The local coefficient -(gamma0 + i(eta z + stark)) and w2 of stage i.
+    def local(i: int) -> None:
+        """Fill A with the local coefficient -(gamma0 + i(eta z + stark)) and w2 of stage i.
 
         eta z is kept until eta changes (a modulated coupling changes stark and
-        w2 at every stage, eta only at a gradient switch).  A multi-row state
-        gets w2 spread over its shape: a multiply by a (rows, 1) column costs
-        about twice a full one.
+        w2 at every stage, eta only at a gradient switch).  Both rows of A have
+        the state's shape: a multiply by a (rows, 1) column costs about twice a
+        full one.
         """
-        nonlocal eta_z
-        if eta_z is None or eta_changed[i]:
-            eta_z = eta_h[i] * z
-        return -(ens.gamma0 + 1j * (eta_z + stark_h[i])), w2_h[i] if single else np.repeat(w2_h[i], nz, -1)
+        if eta_changed[i]:
+            multiply(eta_h[i], z, eta_z)
+        add(eta_z, stark_h[i], lam)
+        multiply(1j, lam, coef)
+        add(ens.gamma0, coef, coef)
+        np.negative(coef, coef)
+        A[1] = w2_h[i]
 
     # c[..., -1] per node, made into the boundary outputs after the loop
-    c_end = np.zeros((n_steps + 1,) + sigma.shape[:-1], dtype=complex)
+    c_end = np.zeros((n_steps + 1,) + shape[:-1], dtype=complex)
     own = [sigma] if single else list(sigma)  # each row's state
-    norms = [np.zeros(n_steps + 1) for _ in rows]
+    norms = np.zeros((len(rows), n_steps + 1))
+    # each node's state is copied into a ring of at most NORM_RING elements;
+    # their coherence norms are taken and checked once the ring is full, and at
+    # the loop's end
+    ring = np.empty((max(1, NORM_RING // sigma.size), len(rows), nz), dtype=complex)
+    sigma_rows = sigma.reshape(len(rows), nz)
+
+    def flush(m: int, count: int) -> None:
+        """The coherence norms of nodes m - count + 1 .. m, from the ring;
+        NonFinite at the first node and row whose norm is not finite."""
+        states = ring[:count]
+        block = n_density * np.vecdot(states, weights * states).real
+        first_node = m - count + 1
+        norms[:, first_node:m + 1] = block.T
+        if not np.isfinite(block).all():
+            b, r = np.argwhere(~np.isfinite(block))[0]
+            finite = np.abs(states[b, r][np.isfinite(states[b, r])])
+            amax = float(finite.max()) if finite.size else math.inf
+            raise NonFinite(step=first_node + int(b), time=float(t_nodes[first_node + b]), max_abs=amax)
 
     # a snapshot at every multiple of stride and at the whole grid's last step;
     # a run stopped early leaves one at its last node to the run continuing it,
@@ -514,7 +552,7 @@ def _integrate(
     else:  # a coherence at node 0, or a continued record's at its last node
         m0 = node
         if node:
-            norms[0][:node] = start.coherence_norm[:node]
+            norms[0, :node] = start.coherence_norm[:node]
     # the nodes where the loop records a snapshot, in the order popped; those
     # in a skipped lead-in are recorded here
     for m in due:
@@ -536,21 +574,21 @@ def _integrate(
     t_at, h_at = memoryview(t_nodes), memoryview(first.h)
     rk4 = {dt: _step_weights(dt) for dt in set(h_at[m0:])}
     changed, driven, staged_at, step_driven = (a.tobytes() for a in (changed, driven, staged, step_driven))
-    coef, w2 = local(2 * m0)
+    multiply(eta_h[2 * m0], z, eta_z)
+    local(2 * m0)
+    filled, block_len = 0, len(ring)
 
     for m in range(m0, n_steps + 1):
         # node m: the z-integral of its state (also this step's k1 integral),
-        # its boundary values and coherence norms, and a snapshot when due
-        np.add(sigma_hi, sigma_lo, out=pair_flat)
-        np.add.accumulate(pair, axis=-1, out=c_tail)
+        # its boundary values, a copy into the norm ring, and a snapshot when due
+        add(sigma_hi, sigma_lo, pair_flat)
+        accumulate(pair, -1, None, c_tail)
         c_end[m] = c_last
-        for row, row_norms in zip(own, norms):
-            np.multiply(weights, row, out=weighted)
-            norm = row_norms[m] = n_density * np.vdot(row, weighted).real
-            if not math.isfinite(norm):
-                finite = np.abs(row[np.isfinite(row)])
-                amax = float(finite.max()) if finite.size else math.inf
-                raise NonFinite(step=m, time=float(t_nodes[m]), max_abs=amax)
+        ring[filled] = sigma_rows
+        filled += 1
+        if filled == block_len or m == n_steps:
+            flush(m, filled)
+            filled = 0
         if m == next_stop:
             snapshot(m)
             next_stop = stops.pop() if stops else -1
@@ -561,70 +599,73 @@ def _integrate(
         # v; both forms begin with k1 = v1 = L sigma + drive
         half, full, rk4_weights, taylor_weights = rk4[h_at[m]]
         i = 2 * m
-        np.multiply(coef, sigma, out=k1)
+        multiply(A, Z_sigma, T)
         if driven[i]:
-            np.add(k1, drive_h[i], out=k1)
-        np.subtract(k1, np.multiply(w2, c, out=c), out=k1)
+            add(T0, drive_h[i], T0)
+        subtract(T0, T1, k1)
 
         if staged_at[m]:
             # the staged step, where L changes inside it: k = L(state) + drive,
             # with state sigma + h k_in
             i += 1
             if changed[i]:
-                coef, w2 = local(i)
-            np.add(sigma, np.multiply(half, k1, out=stage), out=stage)
-            np.add(stage_hi, stage_lo, out=pair_flat)
-            np.add.accumulate(pair, axis=-1, out=c_tail)
-            np.multiply(coef, stage, out=k2)
+                local(i)
+            multiply(half, k1, stage)
+            add(sigma, stage, stage)
+            add(stage_hi, stage_lo, pair_flat)
+            accumulate(pair, -1, None, stage_c)
+            multiply(A, Z_stage, T)
             if driven[i]:
-                np.add(k2, drive_h[i], out=k2)
-            np.subtract(k2, np.multiply(w2, c, out=c), out=k2)
+                add(T0, drive_h[i], T0)
+            subtract(T0, T1, k2)
 
-            np.add(sigma, np.multiply(half, k2, out=stage), out=stage)
-            np.add(stage_hi, stage_lo, out=pair_flat)
-            np.add.accumulate(pair, axis=-1, out=c_tail)
-            np.multiply(coef, stage, out=k3)
+            multiply(half, k2, stage)
+            add(sigma, stage, stage)
+            add(stage_hi, stage_lo, pair_flat)
+            accumulate(pair, -1, None, stage_c)
+            multiply(A, Z_stage, T)
             if driven[i]:
-                np.add(k3, drive_h[i], out=k3)
-            np.subtract(k3, np.multiply(w2, c, out=c), out=k3)
+                add(T0, drive_h[i], T0)
+            subtract(T0, T1, k3)
 
             i += 1
             if changed[i]:
-                coef, w2 = local(i)
-            np.add(sigma, np.multiply(full, k3, out=stage), out=stage)
-            np.add(stage_hi, stage_lo, out=pair_flat)
-            np.add.accumulate(pair, axis=-1, out=c_tail)
-            np.multiply(coef, stage, out=k4)
+                local(i)
+            multiply(full, k3, stage)
+            add(sigma, stage, stage)
+            add(stage_hi, stage_lo, pair_flat)
+            accumulate(pair, -1, None, stage_c)
+            multiply(A, Z_stage, T)
             if driven[i]:
-                np.add(k4, drive_h[i], out=k4)
-            np.subtract(k4, np.multiply(w2, c, out=c), out=k4)
+                add(T0, drive_h[i], T0)
+            subtract(T0, T1, k4)
             update_weights = rk4_weights  # (h/6, h/3, h/3, h/6)
         else:
             # RK4's Taylor form, the same map while L holds over the step:
             # v2 = L v1 + 2(d_mid - d0)/h, v3 = L v2, v4 = L v3 + 4(d0 - 2 d_mid + d1)/h^3
-            np.add(k1_hi, k1_lo, out=pair_flat)
-            np.add.accumulate(pair, axis=-1, out=c_tail)
-            np.multiply(coef, k1, out=k2)
+            add(k1_hi, k1_lo, pair_flat)
+            accumulate(pair, -1, None, k1_c)
+            multiply(A, Z_k1, T)
             if step_driven[m]:
-                np.add(k2, v2_drive[m], out=k2)
-            np.subtract(k2, np.multiply(w2, c, out=c), out=k2)
+                add(T0, v2_drive[m], T0)
+            subtract(T0, T1, k2)
 
-            np.add(k2_hi, k2_lo, out=pair_flat)
-            np.add.accumulate(pair, axis=-1, out=c_tail)
-            np.multiply(coef, k2, out=k3)
-            np.subtract(k3, np.multiply(w2, c, out=c), out=k3)
+            add(k2_hi, k2_lo, pair_flat)
+            accumulate(pair, -1, None, k2_c)
+            multiply(A, Z_k2, T)
+            subtract(T0, T1, k3)
 
-            np.add(k3_hi, k3_lo, out=pair_flat)
-            np.add.accumulate(pair, axis=-1, out=c_tail)
-            np.multiply(coef, k3, out=k4)
+            add(k3_hi, k3_lo, pair_flat)
+            accumulate(pair, -1, None, k3_c)
+            multiply(A, Z_k3, T)
             if step_driven[m]:
-                np.add(k4, v4_drive[m], out=k4)
-            np.subtract(k4, np.multiply(w2, c, out=c), out=k4)
+                add(T0, v4_drive[m], T0)
+            subtract(T0, T1, k4)
             update_weights = taylor_weights  # (h, h^2/2, h^3/6, h^4/24)
 
         # the update, one dot product of the weights with k1..k4
-        np.dot(update_weights, K_flat, out=update)
-        np.add(sigma, update_state, out=sigma)
+        dot(update_weights, K_flat, update)
+        add(sigma, update_state, sigma)
         while t_at[m + 1] >= next_mismatch:
             _, row, factor = mismatches.pop()
             np.multiply(row, factor, out=row)

@@ -36,6 +36,7 @@ from gemsim.solver import (
 )
 from gemsim.scenarios import preset_family
 from conftest import one_pulse_configs, storage_config
+from test_reference import reference_run
 
 
 def total_flux(record):
@@ -219,39 +220,82 @@ def test_nonfinite_reports_step_and_magnitude():
     assert err.value.max_abs > 1.0
 
 
-@pytest.mark.parametrize("batch, copies", [(False, 1), (True, 1), (True, 2)],
-                         ids=["default", "per-pulse", "per-pulse-duplicate-rows"])
-def test_nonfinite_is_reported_at_the_step_it_happens(batch, copies):
-    single = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
+# probe amplitudes whose coherence norm overflows at steps 1, 33 and 620 of
+# the nz-64 storage run below: at different offsets within a block of nodes
+# whose norms are taken together, for one state row and for three
+BLOW_UP_AMPLITUDES = (1e160, 3e158, 1e156)
+
+
+def _wild(amplitude):
+    return storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=amplitude)
+
+
+def _blow_up(solve, config):
+    """The (step, time, max_abs) of the NonFinite that solving config raises."""
+    with pytest.raises(NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
+        solve(config)
+    return err.value.step, err.value.time, err.value.max_abs
+
+
+def _norm(state, z, n_density):
+    """A state's coherence norm, as the step loop takes it."""
+    weights = np.full(len(z), complex(z[1] - z[0]))
+    weights[[0, -1]] *= 0.5
+    return n_density * np.vecdot(state, weights * state).real
+
+
+# the first amplitude's cases are named by their form alone
+@pytest.mark.parametrize("batch, copies, amplitude", [
+    pytest.param(batch, copies, amplitude,
+                 id=name if amplitude == BLOW_UP_AMPLITUDES[0] else f"{name}-{amplitude:g}")
+    for amplitude in BLOW_UP_AMPLITUDES
+    for name, batch, copies in [("default", False, 1), ("per-pulse", True, 1), ("per-pulse-duplicate-rows", True, 2)]])
+def test_nonfinite_is_reported_at_the_step_it_happens(batch, copies, amplitude):
+    single = _wild(amplitude)
     wild = replace(single, pulses=single.pulses * copies)
 
     # no diagnostics strides inside the run: the check must not depend on them
     def solve(config):
         return run_many(one_pulse_configs(config)) if batch else run(config, stride=10**6)
 
-    with pytest.raises(NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
-        solve(wild)
+    step, time, max_abs = _blow_up(solve, wild)
     n_steps = len(_time_grid(wild)) - 1
-    assert 0 < err.value.step < n_steps
-    assert err.value.time < wild.grid.t_end
+    assert 0 < step < n_steps
+    assert time < wild.grid.t_end
     if copies > 1:
         # equal one-pulse configs share one row, which blows up where the single pulse's row does
-        with pytest.raises(NonFinite) as alone, np.errstate(over="ignore", invalid="ignore"):
-            solve(single)
-        assert (err.value.step, err.value.time, err.value.max_abs) == (
-            alone.value.step, alone.value.time, alone.value.max_abs)
+        assert (step, time, max_abs) == _blow_up(solve, single)
+
+
+def test_blow_ups_fall_at_different_offsets_within_a_block():
+    steps = [_blow_up(lambda c: run(c, stride=0), _wild(a))[0] for a in BLOW_UP_AMPLITUDES]
+    for rows in (1, 3):
+        block = solver.NORM_RING // (rows * 64)
+        assert len({step % block for step in steps}) == len(steps), (rows, steps)
 
 
 def test_a_blow_up_in_a_batch_is_reported_at_its_own_step():
     tame = storage_config(eta=100.0, nz=64, two_echo=False)
-    wild = storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=1e160)
+    wild = _wild(1e160)
     assert _time_grid(tame).tobytes() == _time_grid(wild).tobytes()  # rows of one state
-    with pytest.raises(NonFinite) as batched, np.errstate(over="ignore", invalid="ignore"):
-        run_many([tame, wild])
-    with pytest.raises(NonFinite) as alone, np.errstate(over="ignore", invalid="ignore"):
-        run(wild, stride=0)
-    assert (batched.value.step, batched.value.time, batched.value.max_abs) == (
-        alone.value.step, alone.value.time, alone.value.max_abs)
+    assert _blow_up(run_many, [tame, wild]) == _blow_up(lambda c: run(c, stride=0), wild)
+
+
+@pytest.mark.parametrize("amplitude", BLOW_UP_AMPLITUDES)
+def test_a_blow_up_in_the_middle_row_is_reported_at_its_first_nonfinite_node(amplitude):
+    wild = _wild(amplitude)
+    batch = [storage_config(eta=100.0, nz=64, two_echo=False), wild,
+             storage_config(eta=100.0, nz=64, two_echo=False, probe_amplitude=0.5j)]
+    batched = _blow_up(run_many, batch)
+    assert batched == _blow_up(lambda c: run(c, stride=0), wild)
+    # the first node of the allocating reference whose state has a norm that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = reference_run(wild, stride=1)
+        norms = _norm(ref.snapshot_sigma, ref.z, wild.ensemble.n_density)
+    m = int(np.flatnonzero(~np.isfinite(norms))[0])
+    state = ref.snapshot_sigma[m]
+    finite = np.abs(state[np.isfinite(state)])
+    assert batched == (m, float(ref.t[m]), float(finite.max()) if finite.size else math.inf)
 
 
 def test_run_requires_matching_initial_coherence():
@@ -330,6 +374,32 @@ def test_run_until_keeps_the_prefix_of_the_full_run(config):
             continued = run(config, stride, start=prefix)
             assert _record_bits(continued) == _record_bits(full), (stride, node)
             assert continued.diagnostics["steps_integrated"] == len(t) - 1 - node
+
+
+def test_norm_blocks_keep_each_nodes_bits():
+    """The norms taken per block of nodes are each node's own, to the bit: in a
+    run whose integrated nodes do not fill whole blocks, in an `until` prefix
+    ending inside a block, and in its continuation."""
+    config = storage_config(nz=64)
+    block = solver.NORM_RING // 64
+
+    def check(record, nodes):
+        expected = _norm(record.snapshot_sigma[:nodes], record.z, config.ensemble.n_density)
+        assert record.coherence_norm[:nodes].tobytes() == expected.tobytes()
+
+    full = run(config, stride=1)
+    n_steps = len(full.t) - 1
+    m0 = n_steps - full.diagnostics["steps_integrated"]
+    assert (n_steps + 1 - m0) % block != 0
+    check(full, n_steps + 1)
+    node = m0 + 3 * block + 5
+    prefix = run(config, stride=1, until=float(full.t[node]))
+    assert len(prefix.t) == node + 1 and len(prefix.snapshot_sigma) == node  # its last node's is left
+    check(prefix, node)
+    assert prefix.coherence_norm[node] == _norm(prefix.coherence_end, full.z, config.ensemble.n_density)
+    continued = run(config, stride=1, start=prefix)
+    check(continued, n_steps + 1)
+    assert continued.coherence_norm.tobytes() == full.coherence_norm.tobytes()
 
 
 def test_record_round_trip(tmp_path):
