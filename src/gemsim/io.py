@@ -3,7 +3,8 @@
 All numeric CSV output uses Python float repr (shortest round-trip,
 locale independent), so identical runs produce byte-identical files.
 `repr` holds the GIL, so `SnapshotWriter` formats snapshots.csv in a forked
-child while the solver runs; the other writers format a finished record.
+child while the solver runs; the other writers format a finished record in
+blocks of rows, and `save_record` writes `np.savez`'s bytes from the arrays' own buffers.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import struct
 import sys
 import threading
 import traceback
+import zipfile
 from contextlib import suppress
 from itertools import accumulate, repeat
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .model import (
     KSpectrumHistory,
@@ -46,6 +49,7 @@ def _rows(*columns) -> str:
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
+_BLOCK_ROWS = 1024  # boundary.csv rows formatted at a time
 _HASH_AT = len("# config_sha256=")  # where the header's hash starts
 _PLACEHOLDER = "0" * 64  # a sha256 hex digest's width, until close gives the hash
 
@@ -223,7 +227,8 @@ def write_boundary_csv(record: SimulationRecord, path, config_hash: str) -> None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_sha256={config_hash}\n")
         fh.write(",".join(header) + "\n")
-        fh.write(_rows(*(map(repr, column.tolist()) for column in columns)))
+        fh.writelines(_rows(*(map(repr, column[i:i + _BLOCK_ROWS].tolist()) for column in columns))
+                      for i in range(0, len(record.t), _BLOCK_ROWS))
 
 
 def write_snapshots_csv(record: SimulationRecord, path, config_hash: str) -> None:
@@ -253,13 +258,13 @@ def write_windows_json(record: SimulationRecord, path, config_hash: str) -> None
 
 
 def save_record(record: SimulationRecord, path, config_hash: str) -> None:
-    """Binary round-trip format: a single npz, stored uncompressed.
+    """Binary round-trip format: the bytes of `np.savez(path, **members)`, uncompressed.
 
-    Complex doubles barely compress, so compression would cost far more
-    time than the few bytes it saves.
+    Each member's data is written from the array's own buffer, where `np.savez`
+    copies it through `tobytes()`.  Complex doubles barely compress, so
+    compression would cost far more time than the few bytes it saves.
     """
-    np.savez(
-        path,
+    members = dict(
         config_json=canonical_json(config_to_dict(record.config)),
         config_sha256=config_hash,
         t=record.t,
@@ -277,6 +282,11 @@ def save_record(record: SimulationRecord, path, config_hash: str) -> None:
         strides=np.array([record.snapshot_stride] * 2),  # snapshots and k-spectra, taken together
         coherence_norm=record.coherence_norm,
     )
+    with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
+        for name, value in zip(members, map(np.asanyarray, members.values())):
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(value))
+                member.write(value.data if value.flags.c_contiguous else value.tobytes("A"))  # "A": the header's order
 
 
 def load_record(path) -> SimulationRecord:

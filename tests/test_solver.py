@@ -21,7 +21,9 @@ from gemsim.model import (
     GradientProfile,
     GradientSegment,
     GridSpec,
+    canonical_json,
     config_sha256,
+    config_to_dict,
     validate,
 )
 from gemsim.solver import (
@@ -36,7 +38,7 @@ from gemsim.solver import (
 )
 from gemsim.scenarios import preset_family
 from conftest import one_pulse_configs, storage_config
-from test_reference import reference_run
+from test_reference import reference_run, reference_write_boundary_csv
 
 
 def total_flux(record):
@@ -441,7 +443,49 @@ def test_save_record_writes_the_snapshot_arrays_without_stacking_copies(tmp_path
     finally:
         tracemalloc.stop()
     assert record.snapshot_fields.nbytes > 10 * record.boundary_out.nbytes
-    assert peak < 1.5 * record.snapshot_fields.nbytes
+    assert peak < 0.1 * record.snapshot_fields.nbytes
+
+
+def _savez_members(record, config_hash):
+    """The members record.npz holds, as `np.savez` is given them: the 0-d strings as str."""
+    names = sorted(record.window_energies)
+    return dict(
+        config_json=canonical_json(config_to_dict(record.config)), config_sha256=config_hash,
+        t=record.t, z=record.z, boundary_out=record.boundary_out, boundary_in=record.boundary_in,
+        snap_t=record.snapshot_t, snap_fields=record.snapshot_fields, snap_sigma=record.snapshot_sigma,
+        kspec_t=record.k_spectra.t, kspec_k=record.k_spectra.k, kspec_mag=record.k_spectra.magnitude,
+        window_names=np.array(names, dtype=str), window_values=np.array([record.window_energies[k] for k in names]),
+        strides=np.array([record.snapshot_stride] * 2), coherence_norm=record.coherence_norm,
+    )
+
+
+def _not_contiguous(record):
+    """The record with Fortran-ordered snapshot arrays, and t and boundary_in as strided views."""
+    def strided(a):
+        spread = np.zeros((2 * len(a),) + a.shape[1:], a.dtype)
+        spread[::2] = a
+        return spread[::2]
+    return replace(record, t=strided(record.t), boundary_in=strided(record.boundary_in),
+                   snapshot_fields=np.asfortranarray(record.snapshot_fields),
+                   snapshot_sigma=np.asfortranarray(record.snapshot_sigma))
+
+
+@pytest.mark.parametrize("stride, layout", [(400, None), (0, None), (400, _not_contiguous)],
+                         ids=["stride-400", "stride-0", "stride-400-not-contiguous"])
+def test_save_record_writes_the_bytes_of_np_savez(tmp_path, stride, layout):
+    record = run(storage_config(nz=64), stride=stride)
+    if layout is not None:
+        record = layout(record)
+        assert not any(a.flags.c_contiguous for a in (record.t, record.boundary_in, record.snapshot_sigma))
+        assert record.snapshot_sigma.flags.f_contiguous
+    sha = config_sha256(record.config)
+    io.save_record(record, tmp_path / "record.npz", sha)
+    np.savez(tmp_path / "savez.npz", **_savez_members(record, sha))
+    assert (tmp_path / "record.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+    with np.load(tmp_path / "record.npz") as data:
+        assert data["config_json"].shape == data["config_sha256"].shape == ()
+        assert str(data["config_sha256"]) == sha
+        assert (data["snap_fields"].shape[0] == 0) == (stride == 0)
 
 
 def test_load_record_reads_an_empty_store_saved_without_shapes(tmp_path):
@@ -676,6 +720,24 @@ def test_csv_exports(tmp_path):
     # boundary rows round-trip through repr exactly
     first = lines[2].split(",")
     assert float(first[1]) == record.boundary_out[0, 0].real
+
+
+def test_boundary_csv_is_formatted_in_blocks_smaller_than_the_file(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 10 * io._BLOCK_ROWS + 7  # ten whole blocks and a partial one
+    out, inp = (rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)) for _ in range(2))
+    record = replace(run(storage_config(nz=64), stride=0), t=np.linspace(0.0, 8.2, n), boundary_out=out,
+                     boundary_in=inp)
+    tracemalloc.start()
+    try:
+        io.write_boundary_csv(record, tmp_path / "b.csv", config_sha256(record.config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = (tmp_path / "b.csv").read_bytes()
+    reference_write_boundary_csv(record, tmp_path / "ref.csv")
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    assert peak < len(written)
 
 
 # ---------------------------------------------------------------------------
