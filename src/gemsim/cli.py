@@ -294,7 +294,7 @@ def cmd_oracle(args) -> int:
         if not isinstance(doc, dict):
             raise ValueError("the document must be a JSON object")
         events, holds = _oracle_events(doc)
-        pulses = [_j2c(v) for v in doc.get("pulses", [])]
+        pulses = [_j2c(v, f"pulses {i}") for i, v in enumerate(doc.get("pulses", []))]
         gamma0 = float(doc.get("gamma0", 0.0))
         result: dict = {}
         if events:
@@ -308,7 +308,7 @@ def cmd_oracle(args) -> int:
             try:
                 beta2 = oracle.balance_coupling(
                     float(b["r1"]), float(b.get("gamma0", 0.0)), float(b.get("tau", 0.0)),
-                    abs(_j2c(b.get("ep", 1.0))), abs(_j2c(b.get("es", 1.0))),
+                    abs(_j2c(b.get("ep", 1.0), "balance ep")), abs(_j2c(b.get("es", 1.0), "balance es")),
                 )
                 result["balance"] = {"beta2": beta2}
             except NoRoot as exc:

@@ -7,17 +7,23 @@ absorbed), so boundary traces at z=L share the time axis of the input at
 z=0.  All rate parameters only ever enter through the dimensionless groups
 g*N*L/gamma_e, Omega_c/Delta and g*N/eta, which is what makes the scaling
 harmless.
+
+The config dataclasses are the schema of a scenario document: config_to_dict
+and config_from_dict walk their fields, and each field's annotation decides
+its JSON form; validate checks the values against the same annotations.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import hashlib
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Optional
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Annotated, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -50,6 +56,8 @@ __all__ = [
 ]
 
 TIME_UNIT = "us"
+# field metadata: a JSON document must name this field, although the dataclass gives it a default
+REQUIRED = {"required": True}
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +81,9 @@ class EnsembleParams:
     (optical depth dialled through N).  All presets use g=1.
     """
 
-    g: float = 1.0
-    n_density: float = 40.0
-    delta: float = 1.0
+    g: float = field(default=1.0, metadata=REQUIRED)
+    n_density: float = field(default=40.0, metadata=REQUIRED)
+    delta: float = field(default=1.0, metadata=REQUIRED)
     gamma0: float = 0.0
     gamma_e: float = 1.0
     length: float = 1.0
@@ -199,7 +207,7 @@ class GaussianPulse:
 
     t0: float
     sigma: float
-    amplitude: complex = 1.0 + 0.0j
+    amplitude: complex = field(default=1.0 + 0.0j, metadata=REQUIRED)
     carrier: float = 0.0
     truncate: float = 4.0
     label: str = "probe"
@@ -223,8 +231,8 @@ class GaussianPulse:
 class SampledPulse:
     """Boundary envelope given by complex samples, linearly interpolated."""
 
-    t: np.ndarray
-    values: np.ndarray
+    t: Annotated[np.ndarray, float]
+    values: Annotated[np.ndarray, complex]
     label: str = "steering"
     channel: int = 0
 
@@ -273,12 +281,6 @@ class GridSpec:
     nt: int
     t_end: float
 
-    def __post_init__(self):
-        for name in ("nz", "nt"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"grid {name} must be an integer, got {value!r}")
-
     @property
     def dt(self) -> float:
         return self.t_end / self.nt
@@ -316,39 +318,43 @@ class ValidationReport:
         return "; ".join(self.failures)
 
 
-_NUMBER_KINDS = {"float": ("real number", numbers.Real), "complex": ("complex number", numbers.Complex),
-                 "int": ("integer", numbers.Integral)}
+# what a field annotated with the key holds: (as named in messages, the type)
+_FIELD_KINDS = {"float": ("a finite real number", numbers.Real), "int": ("a finite integer", numbers.Integral),
+                "complex": ("a finite complex number", numbers.Complex), "bool": ("true or false", bool),
+                "str": ("a string", str), "dict": ("an object", dict)}
 
 
-def _is_finite(value, kind) -> bool:
+def _is_kind(value, kind) -> bool:
+    if kind in (bool, str, dict):
+        return isinstance(value, kind)
     try:
         return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(abs(value))
     except OverflowError:
         return False
 
 
-def _number_failures(obj, where: str = "") -> list[str]:
-    """A message per number field of obj, or of a dataclass it holds, that is not a finite number.
+def _field_failures(obj, where: str = "") -> list[str]:
+    """A message per field of obj, or of a dataclass it holds, whose value is not of its annotation's kind.
 
-    A field's kind is its annotation: float, complex or int, with None allowed
-    where Optional.  A complex counts as finite when its modulus does, so no
-    later abs() can overflow.  Named windows must be pairs of finite reals.
+    The kinds are a finite float, complex or int, a bool, a str and a dict, with
+    None allowed where Optional.  A complex counts as finite when its modulus
+    does, so no later abs() can overflow.  Named windows must be pairs of finite reals.
     """
     out = []
     for f in fields(obj):
         value, name = getattr(obj, f.name), f"{where} {f.name}".lstrip()
-        label, kind = _NUMBER_KINDS.get(f.type.removeprefix("Optional[").rstrip("]"), (None, None))
+        label, kind = _FIELD_KINDS.get(f.type.removeprefix("Optional[").rstrip("]"), (None, None))
         if f.type == "dict[str, tuple[float, float]]":
             for key, bounds in value.items():
                 if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
-                        and all(_is_finite(b, numbers.Real) for b in bounds)):
+                        and all(_is_kind(b, numbers.Real) for b in bounds)):
                     out.append(f"{name} {key} must be a pair of finite real numbers, got {bounds!r}")
         elif kind is None:
             for i, item in enumerate(value) if isinstance(value, tuple) else [(None, value)]:
                 if is_dataclass(item):
-                    out += _number_failures(item, name if i is None else f"{name} {i}")
-        elif (value is not None or not f.type.startswith("Optional")) and not _is_finite(value, kind):
-            out.append(f"{name} must be a finite {label}, got {value!r}")
+                    out += _field_failures(item, name if i is None else f"{name} {i}")
+        elif (value is not None or not f.type.startswith("Optional")) and not _is_kind(value, kind):
+            out.append(f"{name} must be {label}, got {value!r}")
     return out
 
 
@@ -402,9 +408,9 @@ def dt_violations(config: ScenarioConfig) -> list[str]:
 def validate(config: ScenarioConfig) -> ValidationReport:
     """Check every declared invariant; report all violations by name.
 
-    Number fields come first: if one is mistyped or not finite, only those are reported.
+    Field kinds come first: if a field is mistyped or a number not finite, only those are reported.
     """
-    rep = ValidationReport(failures=_number_failures(config))
+    rep = ValidationReport(failures=_field_failures(config))
     if rep.failures:
         return rep
     ens = config.ensemble
@@ -564,160 +570,103 @@ class SimulationRecord:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: the config dataclasses are the schema
 # ---------------------------------------------------------------------------
 
-def _c2j(value: complex) -> list[float]:
-    value = complex(value)
-    return [value.real, value.imag]
+def _j2c(value, name: str) -> complex:
+    """A complex number from JSON: a number, or a pair [re, im] of them; never a boolean."""
+    pair = value if isinstance(value, (list, tuple)) else (value, 0.0)
+    if len(pair) != 2 or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair):
+        raise TypeError(f"{name} must be a number or a pair [re, im] of numbers, got {value!r}")
+    return complex(*pair)
 
 
-def _j2c(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    re, im = value  # a pair; anything else raises ValueError or TypeError
-    return complex(re, im)
+# a dataclass's field annotations, by field name
+_hints = functools.cache(functools.partial(get_type_hints, include_extras=True))
 
 
-def _pulse_to_dict(p: Pulse) -> dict:
-    if isinstance(p, GaussianPulse):
-        return {
-            "kind": "gaussian",
-            "label": p.label,
-            "channel": p.channel,
-            "t0": p.t0,
-            "sigma": p.sigma,
-            "amplitude": _c2j(p.amplitude),
-            "carrier": p.carrier,
-            "truncate": p.truncate,
-        }
-    return {
-        "kind": "sampled",
-        "label": p.label,
-        "channel": p.channel,
-        "t": [float(x) for x in p.t],
-        "values": [_c2j(v) for v in p.values],
-    }
+def _members(hint) -> tuple:
+    """The types a union annotation admits, None aside; (hint,) for any other annotation."""
+    union = get_origin(hint) in (Union, types.UnionType)
+    return tuple(a for a in get_args(hint) if a is not type(None)) if union else (hint,)
 
 
-def _pulse_from_dict(d: dict) -> Pulse:
-    if d["kind"] == "gaussian":
-        return GaussianPulse(
-            t0=d["t0"],
-            sigma=d["sigma"],
-            amplitude=_j2c(d["amplitude"]),
-            carrier=d.get("carrier", 0.0),
-            truncate=d.get("truncate", 4.0),
-            label=d.get("label", "probe"),
-            channel=d.get("channel", 0),
-        )
-    if d["kind"] == "sampled":
-        return SampledPulse(
-            t=np.array(d["t"], dtype=float),
-            values=np.array([_j2c(v) for v in d["values"]], dtype=complex),
-            label=d.get("label", "steering"),
-            channel=d.get("channel", 0),
-        )
-    raise ValueError(f"unknown pulse kind {d.get('kind')!r}")
+def _kind(cls) -> str:  # the "kind" tag of a pulse class: "gaussian" or "sampled"
+    return cls.__name__.removesuffix("Pulse").lower()
+
+
+def _to_json(value, hint):
+    """`value` in the JSON form of its field's annotation `hint`."""
+    if is_dataclass(value):
+        doc = {f.name: _to_json(getattr(value, f.name), _hints(type(value))[f.name]) for f in fields(value)}
+        return doc if len(_members(hint)) == 1 else {"kind": _kind(type(value)), **doc}
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is complex:
+        return [complex(value).real, complex(value).imag]
+    if origin is Annotated:  # an array of the annotated element type
+        items = value.tolist()
+        return [[v.real, v.imag] for v in items] if args[1] is complex else items
+    if origin is tuple:
+        return [_to_json(v, args[0]) for v in value]
+    if origin is dict:
+        return {k: _to_json(v, args[1]) for k, v in value.items()}
+    return value
+
+
+def _expect(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise TypeError(f"{where or 'the document'} must be {'an object' if kind is dict else 'a list'}, got {value!r}")
+    return value
+
+
+def _from_json(value, hint, where: str):
+    """The value of a field annotated `hint` that the JSON `value` gives; `where` names it in errors.
+
+    A key whose field has a default may be left out, unless the field's metadata
+    marks it required; keys that name no field are ignored.  Numbers, booleans
+    and strings are taken as they are, for `validate` to check.
+    """
+    members = _members(hint)
+    if value is None and type(None) in get_args(hint):
+        return None
+    if len(members) > 1:  # a pulse: its "kind" tag names its class
+        kinds = {_kind(m): m for m in members}
+        if (kind := _expect(value, dict, where).get("kind")) not in kinds:
+            raise ValueError(f"{where} kind must be one of {sorted(kinds)}, got {kind!r}")
+        members = (kinds[kind],)
+    hint, origin, args = members[0], get_origin(members[0]), get_args(members[0])
+    if is_dataclass(hint):
+        doc = _expect(value, dict, where)
+        for f in fields(hint):
+            if f.name not in doc and (f.metadata.get("required") or f.default is f.default_factory is MISSING):
+                raise KeyError(f"{where} {f.name} is required".lstrip())
+        return hint(**{f.name: _from_json(doc[f.name], _hints(hint)[f.name], f"{where} {f.name}".lstrip())
+                       for f in fields(hint) if f.name in doc})
+    if hint is complex:
+        return _j2c(value, where)
+    if origin is dict:  # an entry is named by the field's singular: "window E1"
+        entries = _expect(value, dict, where).items()
+        return {k: _from_json(v, args[1], f"{where.removesuffix('s')} {k}") for k, v in entries}
+    if origin not in (tuple, Annotated):
+        return value
+    _expect(value, list, where)
+    if origin is Annotated:  # an array of the annotated element type
+        return np.array([_j2c(v, where) for v in value] if args[1] is complex else value, dtype=args[1])
+    if args[-1] is Ellipsis:
+        return tuple(_from_json(v, args[0], f"{where} {i}") for i, v in enumerate(value))
+    if len(value) != len(args) or not all(_is_kind(x, numbers.Real) for x in value):  # a window's bounds
+        raise TypeError(f"{where} must be a list of {len(args)} finite numbers, got {value!r}")
+    return tuple(value)
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Plain-JSON form of a scenario, with explicit unit annotations."""
-    ens = config.ensemble
-    return {
-        "units": {"time": TIME_UNIT, "rates": f"rad/{TIME_UNIT}", "length": "medium units"},
-        "ensemble": {
-            "g": ens.g,
-            "n_density": ens.n_density,
-            "delta": ens.delta,
-            "gamma0": ens.gamma0,
-            "gamma_e": ens.gamma_e,
-            "length": ens.length,
-        },
-        "gradient": {
-            "segments": [
-                {"t_start": s.t_start, "eta": s.eta, "hold": s.hold}
-                for s in config.gradient.segments
-            ]
-        },
-        "coupling": {
-            "channels": [
-                {
-                    "segments": [{"t_start": s.t_start, "omega": _c2j(s.omega)} for s in ch.segments],
-                    "raman_offset": ch.raman_offset,
-                    "modulation": (
-                        None
-                        if ch.modulation is None
-                        else {"amplitude": _c2j(ch.modulation.amplitude), "freq": ch.modulation.freq}
-                    ),
-                }
-                for ch in config.coupling.channels
-            ]
-        },
-        "pulses": [_pulse_to_dict(p) for p in config.pulses],
-        "grid": {"nz": config.grid.nz, "nt": config.grid.nt, "t_end": config.grid.t_end},
-        "windows": {name: [w0, w1] for name, (w0, w1) in config.windows.items()},
-        "mode_mismatch": config.mode_mismatch,
-        "mismatch_time": config.mismatch_time,
-        "metadata": config.metadata,
-    }
-
-
-def _window_from_json(name: str, bounds) -> tuple[float, float]:
-    if not (
-        isinstance(bounds, (list, tuple))
-        and len(bounds) == 2
-        and all(isinstance(b, numbers.Real) and not isinstance(b, bool) for b in bounds)
-    ):
-        raise TypeError(f"window {name} must be a pair of numbers [t_start, t_end], got {bounds!r}")
-    return (bounds[0], bounds[1])
+    units = {"time": TIME_UNIT, "rates": f"rad/{TIME_UNIT}", "length": "medium units"}
+    return {"units": units, **_to_json(config, ScenarioConfig)}
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    ens, windows = doc["ensemble"], doc["windows"]
-    if not isinstance(windows, dict):
-        raise TypeError(f"windows must be an object of name: [t_start, t_end] pairs, got {windows!r}")
-    return ScenarioConfig(
-        ensemble=EnsembleParams(
-            g=ens["g"],
-            n_density=ens["n_density"],
-            delta=ens["delta"],
-            gamma0=ens.get("gamma0", 0.0),
-            gamma_e=ens.get("gamma_e", 1.0),
-            length=ens.get("length", 1.0),
-        ),
-        gradient=GradientProfile(
-            segments=tuple(
-                GradientSegment(s["t_start"], s["eta"], s.get("hold", False))
-                for s in doc["gradient"]["segments"]
-            )
-        ),
-        coupling=CouplingSchedule(
-            channels=tuple(
-                CouplingChannel(
-                    segments=tuple(
-                        CouplingSegment(s["t_start"], _j2c(s["omega"])) for s in ch["segments"]
-                    ),
-                    raman_offset=ch.get("raman_offset", 0.0),
-                    modulation=(
-                        None
-                        if ch.get("modulation") is None
-                        else CouplingModulation(
-                            amplitude=_j2c(ch["modulation"]["amplitude"]),
-                            freq=ch["modulation"]["freq"],
-                        )
-                    ),
-                )
-                for ch in doc["coupling"]["channels"]
-            )
-        ),
-        pulses=tuple(_pulse_from_dict(p) for p in doc["pulses"]),
-        grid=GridSpec(nz=doc["grid"]["nz"], nt=doc["grid"]["nt"], t_end=doc["grid"]["t_end"]),
-        windows={name: _window_from_json(name, w) for name, w in windows.items()},
-        mode_mismatch=doc.get("mode_mismatch", 1.0),
-        mismatch_time=doc.get("mismatch_time"),
-        metadata=doc.get("metadata", {}),
-    )
+    return _from_json(doc, ScenarioConfig, "")
 
 
 def canonical_json(doc: dict) -> str:

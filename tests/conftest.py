@@ -12,6 +12,7 @@ import pytest
 
 from gemsim.model import (
     CouplingChannel,
+    CouplingModulation,
     CouplingSchedule,
     CouplingSegment,
     EnsembleParams,
@@ -19,6 +20,7 @@ from gemsim.model import (
     GradientProfile,
     GradientSegment,
     GridSpec,
+    SampledPulse,
     ScenarioConfig,
 )
 from gemsim.scenarios import preset_family
@@ -62,6 +64,33 @@ def storage_config(
                               carrier=carrier, truncate=4.0),),
         grid=GridSpec(nz=nz, nt=int(math.ceil(t_end / dt)), t_end=t_end),
         windows=windows,
+    )
+
+
+def every_field_config():
+    """A config that sets every field of the document: a hold segment, a modulation, both
+    pulse kinds, mode mismatch and nested metadata.  Two complex fields hold plain floats
+    (the first coupling segment and the modulation amplitude), and every number is exact
+    in binary, so its JSON is the same bytes on any platform."""
+    return ScenarioConfig(
+        ensemble=EnsembleParams(g=1.0, n_density=40.0, delta=-2.0, gamma0=0.125, gamma_e=1.5, length=0.5),
+        gradient=GradientProfile((GradientSegment(0.0, 20.0), GradientSegment(2.5, 0.0, hold=True),
+                                  GradientSegment(3.0, -20.0))),
+        coupling=CouplingSchedule((
+            CouplingChannel((CouplingSegment(0.0, 0.75), CouplingSegment(2.5, 0.5 - 0.25j))),
+            CouplingChannel((CouplingSegment(0.0, 0.125j),), raman_offset=6.25,
+                            modulation=CouplingModulation(amplitude=0.5, freq=-3.0)),
+        )),
+        pulses=(
+            GaussianPulse(t0=1.25, sigma=0.25, amplitude=1.0, carrier=10.5, truncate=3.5, label="signal", channel=1),
+            SampledPulse(t=np.array([3.0, 3.25, 3.5]), values=np.array([0.0, 0.5 - 0.5j, 1j]),
+                         label="control", channel=1),
+        ),
+        grid=GridSpec(nz=64, nt=4096, t_end=6.0),
+        windows={"input": (0.0, 2.5), "E1": (3.5, 6.0)},
+        mode_mismatch=0.75,
+        mismatch_time=2.75,
+        metadata={"description": "every field", "power_mw": 330.0, "nested": {"runs": [1, 2]}},
     )
 
 

@@ -19,9 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from gemsim import oracle
 from gemsim.cli import SIMULATE_OUTPUTS, main
-from gemsim.model import config_sha256, config_to_dict, load_config
+from gemsim.model import config_from_dict, config_sha256, config_to_dict, load_config
 from gemsim.scenarios import FrequencyDomainParams, preset_family
-from conftest import FAST_FIG2, storage_config
+from conftest import FAST_FIG2, every_field_config, storage_config
 
 
 def run_cli(args):
@@ -511,6 +511,13 @@ def _full_doc(*path, value):
     return doc
 
 
+def _hold_doc(hold):
+    """The full document with its second gradient segment at eta = 0, flagged `hold`."""
+    doc = _full_doc("gradient", "segments", 1, "eta", value=0.0)
+    doc["gradient"]["segments"][1]["hold"] = hold
+    return doc
+
+
 def _sampled_doc(t, values):
     """The freq-domain document with one more pulse, sampled at times t."""
     doc = config_to_dict(preset_family("freq-domain").config_for_phase(0.0))
@@ -539,17 +546,76 @@ def _sampled_doc(t, values):
     (FULL, _sampled_doc([1.0, 3.0, 2.0], [0.1, 0.2, 0.1]),
      "pulse 2 (extra): sample times t must be strictly increasing"),
     (FULL, _sampled_doc([1.0, 2.0, 3.0], [0.1, 0.2]), "pulse 2 (extra): 2 values for 3 sample times t"),
+    (FULL, _hold_doc("no"), "gradient segments 1 hold"),
+    (FULL, _full_doc("pulses", 0, "amplitude", value=[True, False]), "pulses 0 amplitude"),
+    (FULL, _full_doc("pulses", 0, "label", value=5), "pulses 0 label"),
+    (FULL, _full_doc("metadata", value=[1]), "metadata"),
+    (["oracle"], {"pulses": [True], "events": [{"kind": "write", "beta": 0.3}]}, "pulses 0"),
 ], ids=["t_start-str", "delta-str", "sigma-null", "mode_mismatch-str", "gamma0-nan", "nz-huge",
         "fd-gamma0-str", "fd-gamma0-null", "fd-delta-0", "fd-dt_factor-0", "fd-tau-huge",
         "fd-beat_note-str", "fig2-phase_knob-typo",
         "oracle-list", "oracle-event-int", "oracle-energy-overflow",
-        "sampled-t-empty", "sampled-t-unsorted", "sampled-length-mismatch"])
+        "sampled-t-empty", "sampled-t-unsorted", "sampled-length-mismatch",
+        "hold-str", "amplitude-bools", "label-int", "metadata-list", "oracle-pulse-bool"])
 def test_malformed_document_exits_2(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert run_cli(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+REQUIRED_KEYS = [
+    ("ensemble",), ("ensemble", "g"), ("ensemble", "n_density"), ("ensemble", "delta"),
+    ("gradient",), ("gradient", "segments"), ("gradient", "segments", 0, "t_start"), ("gradient", "segments", 0, "eta"),
+    ("coupling",), ("coupling", "channels"), ("coupling", "channels", 0, "segments"),
+    ("coupling", "channels", 0, "segments", 0, "t_start"), ("coupling", "channels", 0, "segments", 0, "omega"),
+    ("coupling", "channels", 1, "modulation", "amplitude"), ("coupling", "channels", 1, "modulation", "freq"),
+    ("pulses",), ("pulses", 0, "kind"), ("pulses", 0, "t0"), ("pulses", 0, "sigma"), ("pulses", 0, "amplitude"),
+    ("pulses", 1, "kind"), ("pulses", 1, "t"), ("pulses", 1, "values"),
+    ("grid",), ("grid", "nz"), ("grid", "nt"), ("grid", "t_end"), ("windows",),
+]
+OPTIONAL_KEYS = [
+    (("ensemble", "gamma0"), 0.0), (("ensemble", "gamma_e"), 1.0), (("ensemble", "length"), 1.0),
+    (("gradient", "segments", 1, "hold"), False),
+    (("coupling", "channels", 1, "raman_offset"), 0.0), (("coupling", "channels", 1, "modulation"), None),
+    (("pulses", 0, "carrier"), 0.0), (("pulses", 0, "truncate"), 4.0), (("pulses", 0, "label"), "probe"),
+    (("pulses", 0, "channel"), 0), (("pulses", 1, "label"), "steering"), (("pulses", 1, "channel"), 0),
+    (("mode_mismatch",), 1.0), (("mismatch_time",), None), (("metadata",), {}),
+]
+
+
+def _without(path):
+    """every_field_config()'s document with the key at `path` removed."""
+    doc = config_to_dict(every_field_config())
+    *parents, key = path
+    del reduce(getitem, parents, doc)[key]
+    return doc
+
+
+@pytest.mark.parametrize("path", REQUIRED_KEYS, ids=lambda path: "-".join(map(str, path)))
+def test_a_document_without_a_required_key_exits_2(tmp_path, capsys, path):
+    (tmp_path / "doc.json").write_text(json.dumps(_without(path)))
+    assert run_cli(FULL + [str(tmp_path / "doc.json")]) == 2
+    err = capsys.readouterr().err
+    assert " ".join(map(str, path)) in err and "Traceback" not in err
+
+
+def _at(config, path):
+    return reduce(lambda node, key: node[key] if isinstance(key, int) else getattr(node, key), path, config)
+
+
+@pytest.mark.parametrize("path, default", OPTIONAL_KEYS, ids=["-".join(map(str, path)) for path, _ in OPTIONAL_KEYS])
+def test_a_document_without_an_optional_key_loads_its_default(tmp_path, path, default):
+    assert _at(every_field_config(), path) != default
+    (tmp_path / "doc.json").write_text(json.dumps(_without(path)))
+    assert _at(load_config(tmp_path / "doc.json"), path) == default
+
+
+def test_units_and_unknown_keys_are_ignored():
+    doc = _without(("units",))
+    doc["pulses"][1]["comment"] = "a key that names no field"
+    assert config_from_dict(doc) == every_field_config()
 
 
 README_ORACLE = {

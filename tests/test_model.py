@@ -1,5 +1,7 @@
 """Core types: validation, units, serialization."""
 
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -19,6 +21,8 @@ from gemsim.model import (
     GridSpec,
     SampledPulse,
     ScenarioConfig,
+    canonical_json,
+    config_from_dict,
     config_sha256,
     config_to_dict,
     dimensionless_od,
@@ -28,7 +32,7 @@ from gemsim.model import (
     validate,
 )
 from gemsim.scenarios import run_scenario
-from conftest import storage_config
+from conftest import every_field_config, storage_config
 
 
 def test_valid_config_passes():
@@ -183,6 +187,36 @@ def test_config_hash_tracks_content():
     b = storage_config(beta=0.3)
     assert config_sha256(a) != config_sha256(b)
     assert config_sha256(a) == config_sha256(storage_config())
+
+
+# every_field_config()'s document, recorded from the hand-written serialisers that the
+# walk over the config dataclasses replaced
+EVERY_FIELD_JSON = (
+    '{"coupling":{"channels":[{"modulation":null,"raman_offset":0.0,"segments":[{"omega":[0.75,0.0],'
+    '"t_start":0.0},{"omega":[0.5,-0.25],"t_start":2.5}]},{"modulation":{"amplitude":[0.5,0.0],"freq":-3.0},'
+    '"raman_offset":6.25,"segments":[{"omega":[0.0,0.125],"t_start":0.0}]}]},"ensemble":{"delta":-2.0,"g":1.0,'
+    '"gamma0":0.125,"gamma_e":1.5,"length":0.5,"n_density":40.0},"gradient":{"segments":[{"eta":20.0,'
+    '"hold":false,"t_start":0.0},{"eta":0.0,"hold":true,"t_start":2.5},{"eta":-20.0,"hold":false,"t_start":3.0}]},'
+    '"grid":{"nt":4096,"nz":64,"t_end":6.0},"metadata":{"description":"every field","nested":{"runs":[1,2]},'
+    '"power_mw":330.0},"mismatch_time":2.75,"mode_mismatch":0.75,"pulses":[{"amplitude":[1.0,0.0],'
+    '"carrier":10.5,"channel":1,"kind":"gaussian","label":"signal","sigma":0.25,"t0":1.25,"truncate":3.5},'
+    '{"channel":1,"kind":"sampled","label":"control","t":[3.0,3.25,3.5],"values":[[0.0,0.0],[0.5,-0.5],'
+    '[0.0,1.0]]}],"units":{"length":"medium units","rates":"rad/us","time":"us"},"windows":{"E1":[3.5,6.0],'
+    '"input":[0.0,2.5]}}'
+)
+EVERY_FIELD_SHA256 = "a1f82b250b44b7a4448eabb1b17d959c11022ec898404ead5f90daea0e205950"
+EVERY_FIELD_FILE_SHA256 = "2bf8db5e9443cc018ad6b2613fba9ddb398ee71213c8f31506c47e8dd41b5c63"
+
+
+def test_document_format_is_pinned(tmp_path):
+    config = every_field_config()
+    assert canonical_json(config_to_dict(config)) == EVERY_FIELD_JSON
+    assert config_sha256(config) == EVERY_FIELD_SHA256 == hashlib.sha256(EVERY_FIELD_JSON.encode()).hexdigest()
+    save_config(config, tmp_path / "config.json")
+    text = (tmp_path / "config.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == EVERY_FIELD_FILE_SHA256
+    assert text == (json.dumps(json.loads(EVERY_FIELD_JSON), indent=2, sort_keys=True) + "\n").encode()
+    assert config_from_dict(json.loads(EVERY_FIELD_JSON)) == config
 
 
 def test_gaussian_pulse_support_and_energy():
