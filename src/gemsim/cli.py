@@ -148,6 +148,9 @@ def cmd_simulate(args) -> int:
         except (NonFinite, StabilityBound) as exc:
             _err(f"solver error: {exc}")
             return EXIT_SOLVER
+        except OSError as exc:  # the solves write one file: the snapshot store's spool
+            _err(f"cannot write outputs: {exc}")
+            return EXIT_CONFIG
         except INPUT_ERRORS as exc:
             _err(f"cannot build configuration: {exc}")
             return EXIT_CONFIG

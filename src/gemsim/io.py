@@ -5,6 +5,9 @@ locale independent), so identical runs produce byte-identical files.
 `repr` holds the GIL, so `SnapshotWriter` formats snapshots.csv in a forked
 child while the solver runs; the other writers format a finished record in
 blocks of rows, and `save_record` writes `np.savez`'s bytes from the arrays' own buffers.
+The snapshot store lives in an unlinked spool file, and each process drops
+its pages of the store behind what it has written or read (`_release`), so
+none keeps more than a block of it resident.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import os
 import signal
 import struct
 import sys
+import tempfile
 import threading
 import traceback
 import zipfile
@@ -50,6 +54,7 @@ def _rows(*columns) -> str:
 
 
 _BLOCK_ROWS = 1024  # boundary.csv rows formatted at a time
+_BLOCK_BYTES = 1 << 20  # record.npz bytes written, spool bytes reserved and store bytes released at a time
 _HASH_AT = len("# config_sha256=")  # where the header's hash starts
 _PLACEHOLDER = "0" * 64  # a sha256 hex digest's width, until close gives the hash
 
@@ -62,17 +67,62 @@ def _snapshot_head(config_hash: str, n_channels: int) -> str:
     return f"# config_sha256={config_hash}\n" + ",".join(header) + "\n"
 
 
-def _snapshot_block(zs: list[str], t, fields: np.ndarray, sigma: np.ndarray) -> str:
-    """The nz rows of one snapshot: its time, z, then each field and the coherence as re, im."""
-    columns = [map(repr, v.tolist()) for p in (*fields, sigma) for v in (p.real, p.imag)]
-    return _rows(repeat(repr(float(t))), zs, *columns)
+# MADV_DONTNEED leaves a shared file mapping's data in the file on Linux; elsewhere
+# its meaning varies, so the pages are left to the kernel
+_DROP = mmap.MADV_DONTNEED if sys.platform == "linux" else None
+# a read fault maps the cached pages around it ("fault-around": 64 KiB by
+# default, at most one page table's span, 2 MiB on x86-64), pages behind the
+# reader included; a release drops them again
+_BEHIND = 2 << 20
+
+
+def _release(*views: np.ndarray) -> None:
+    """Drop this process's pages holding each contiguous view that lies in a spool, and _BEHIND bytes before it.
+
+    The data stays in the spool file, and a later access faults it back in.
+    The pages at both ends are dropped whole, neighbours' bytes and all.
+    """
+    if _DROP is None:
+        return
+    for view in views:
+        root = view
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        spool = getattr(root.base, "obj", None)  # a store's root is a byte array over its whole mapping
+        if not isinstance(spool, mmap.mmap) or not view.size:
+            continue
+        start = view.ctypes.data - root.ctypes.data
+        first = max(0, start - _BEHIND) // mmap.PAGESIZE * mmap.PAGESIZE
+        spool.madvise(_DROP, first, start + view.nbytes - first)
+
+
+def _release_behind(arrays, i: int) -> None:
+    """Row i of `arrays` is done, rows done in order: release them in blocks of about _BLOCK_BYTES.
+
+    Released row by row, fig2's store cost its solve about 30 ms of madvise
+    calls and page faults; a block costs one call an array.
+    """
+    step = max(1, _BLOCK_BYTES // sum(a.strides[0] for a in arrays))
+    if i % step == step - 1 or i == len(arrays[0]) - 1:
+        _release(*(a[i - i % step:i + 1] for a in arrays))
+
+
+def _snapshot_block(zs: list[str], t: np.ndarray, fields: np.ndarray, sigma: np.ndarray, i: int) -> str:
+    """The nz rows of snapshot i: its time, z, then each field and the coherence as re, im.
+
+    The snapshots formatted are released behind, a block at a time.
+    """
+    columns = [map(repr, v.tolist()) for p in (*fields[i], sigma[i]) for v in (p.real, p.imag)]
+    block = _rows(repeat(repr(float(t[i]))), zs, *columns)
+    _release_behind((t, fields, sigma), i)
+    return block
 
 
 def _write_snapshots(path, config_hash: str, n_channels: int, zs: list[str], t, fields, sigma) -> None:
     """snapshots.csv of the snapshot arrays: one block of nz rows per snapshot."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_snapshot_head(config_hash, n_channels))
-        fh.writelines(_snapshot_block(zs, *row) for row in zip(t, fields, sigma))
+        fh.writelines(_snapshot_block(zs, t, fields, sigma, i) for i in range(len(t)))
 
 
 _FAILED = 255  # the child's exit status for a failure other than an OSError
@@ -82,10 +132,17 @@ class SnapshotWriter:
     """Writes snapshots.csv while `solver.run(..., sink=writer)` is solving.
 
     `allocate` carves the run's snapshot store, its four arrays, from one
-    anonymous shared mapping and forks one child; `publish(i)` sends the
-    child the index of each finished snapshot through a pipe, 4 bytes a
-    snapshot, and the child formats and writes the blocks in order.  `close`
-    waits for the child.
+    shared mapping of a spool file in the output directory and forks one
+    child; `publish(i)` sends the child the index of each finished snapshot
+    through a pipe, 4 bytes a snapshot, and the child formats and writes the
+    blocks in order.  `close` waits for the child.
+    The spool is unlinked as soon as it is made, so no exit leaves it behind,
+    and its blocks are reserved before it is mapped, so a full disk raises
+    OSError from `allocate` rather than SIGBUS from a write to the mapping.
+    `publish` drops the run's pages of the snapshots published, and the
+    child its pages of those it has formatted, a block of about a MiB at a
+    time: the data stays in the file, and neither process keeps more than
+    a block or two of the store resident.
     Where fork is unavailable or unsafe (not Linux, or another thread
     running: fork copies the locks other threads hold, not the threads),
     `close` formats the store in this process instead.  Leaving the `with`
@@ -124,12 +181,24 @@ class SnapshotWriter:
             return self.store
         self._zs = list(map(repr, z.tolist()))
         sizes = [np.dtype(kind).itemsize * math.prod(shape) for kind, shape in layout]
-        mapping = mmap.mmap(-1, sum(sizes) or 1)  # MAP_SHARED: the child reads what the run writes
-        self.store = tuple(np.frombuffer(mapping, dtype=kind, count=math.prod(shape), offset=at).reshape(shape)
-                           for (kind, shape), at in zip(layout, accumulate(sizes, initial=0)))
+        whole = np.frombuffer(self._spool(sum(sizes) or 1), dtype=np.uint8)
+        self.store = tuple(whole[at:at + size].view(kind).reshape(shape)
+                           for (kind, shape), at, size in zip(layout, accumulate(sizes, initial=0), sizes))
         if n and sys.platform == "linux" and threading.active_count() == 1:
             self._fork(n)
         return self.store
+
+    def _spool(self, size: int) -> mmap.mmap:
+        """A shared mapping of `size` bytes of an unlinked file beside snapshots.csv, its blocks reserved."""
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(self.path)), suffix=".spool") as fh:
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fh.fileno(), 0, size)
+            else:  # macOS: write the file out
+                zeros = memoryview(bytes(_BLOCK_BYTES))
+                for at in range(0, size, _BLOCK_BYTES):
+                    fh.write(zeros[:size - at])
+                fh.flush()
+            return mmap.mmap(fh.fileno(), size)  # MAP_SHARED: the child reads what the run writes
 
     def _fork(self, n: int) -> None:
         read, self._pipe = os.pipe()
@@ -164,18 +233,19 @@ class SnapshotWriter:
                 pending += data
                 whole = len(pending) - len(pending) % 4
                 for (i,) in struct.iter_unpack("=I", pending[:whole]):
-                    fh.write(_snapshot_block(self._zs, t[i], fields[i], sigma[i]))
+                    fh.write(_snapshot_block(self._zs, t, fields, sigma, i))
                 pending, done = pending[whole:], done + whole // 4
         return 0
 
     def publish(self, i: int) -> None:
-        """Snapshot i is complete."""
+        """Snapshot i is complete; the run's pages of it are dropped with its block's."""
         if self._pipe is not None:
             try:
                 os.write(self._pipe, struct.pack("=I", i))
             except BrokenPipeError:  # the child has died; close reports how
                 os.close(self._pipe)
                 self._pipe = None
+        _release_behind(self.store, i)
 
     def close(self, config_hash: str) -> None:
         """Finish snapshots.csv, headed by `config_hash`; raises OSError naming it if that fails."""
@@ -242,8 +312,9 @@ def write_kspectra_csv(record: SimulationRecord, path, config_hash: str) -> None
     ks = list(map(repr, spec.k.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_sha256={config_hash}\nt,k,abs_psi\n")
-        fh.writelines(_rows(repeat(repr(float(t))), ks, map(repr, mag.tolist()))
-                      for t, mag in zip(spec.t, spec.magnitude))
+        for i, (t, mag) in enumerate(zip(spec.t, spec.magnitude)):
+            fh.write(_rows(repeat(repr(float(t))), ks, map(repr, mag.tolist())))
+            _release_behind((spec.t, spec.magnitude), i)
 
 
 def write_windows_json(record: SimulationRecord, path, config_hash: str) -> None:
@@ -261,8 +332,9 @@ def save_record(record: SimulationRecord, path, config_hash: str) -> None:
     """Binary round-trip format: the bytes of `np.savez(path, **members)`, uncompressed.
 
     Each member's data is written from the array's own buffer, where `np.savez`
-    copies it through `tobytes()`.  Complex doubles barely compress, so
-    compression would cost far more time than the few bytes it saves.
+    copies it through `tobytes()`, in blocks, and the pages of each block of a
+    snapshot store's spool are released once written.  Complex doubles barely
+    compress, so compression would cost far more time than the few bytes it saves.
     """
     members = dict(
         config_json=canonical_json(config_to_dict(record.config)),
@@ -286,7 +358,13 @@ def save_record(record: SimulationRecord, path, config_hash: str) -> None:
         for name, value in zip(members, map(np.asanyarray, members.values())):
             with archive.open(name + ".npy", "w", force_zip64=True) as member:
                 npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(value))
-                member.write(value.data if value.flags.c_contiguous else value.tobytes("A"))  # "A": the header's order
+                if not value.flags.c_contiguous:
+                    member.write(value.tobytes("A"))  # "A": the header's order
+                    continue
+                data = value.reshape(-1).view(np.uint8)
+                for at in range(0, data.size, _BLOCK_BYTES):
+                    member.write(data[at:at + _BLOCK_BYTES].data)
+                    _release(data[at:at + _BLOCK_BYTES])
 
 
 def load_record(path) -> SimulationRecord:

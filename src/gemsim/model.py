@@ -273,6 +273,12 @@ Pulse = GaussianPulse | SampledPulse
 # scenario configuration
 # ---------------------------------------------------------------------------
 
+# the largest grid `validate` accepts: fixed, so a config's exit code does not
+# depend on the machine, and far above every preset (nz 512, nt 14600)
+NZ_MAX = 1 << 14
+NT_MAX = 1 << 22
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Numerical grid: nz spatial points on [0, L], nt nominal time steps."""
@@ -463,10 +469,10 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             rep.failures.append(f"pulse {pi} ({p.label}): {failure}")
 
     grid = config.grid
-    if grid.nz < 16 or (grid.nz & (grid.nz - 1)) != 0:
-        rep.failures.append("grid: nz must be a power of two >= 16")
-    if grid.nt < 1 or grid.t_end <= 0:
-        rep.failures.append("grid: nt >= 1 and t_end > 0 required")
+    if not 16 <= grid.nz <= NZ_MAX or (grid.nz & (grid.nz - 1)) != 0:
+        rep.failures.append(f"grid: nz must be a power of two in [16, {NZ_MAX}]")
+    if not 1 <= grid.nt <= NT_MAX or grid.t_end <= 0:
+        rep.failures.append(f"grid: nt in [1, {NT_MAX}] and t_end > 0 required")
     else:
         rep.failures += dt_violations(config)
 

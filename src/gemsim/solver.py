@@ -330,11 +330,14 @@ def run(
     The snapshots live in one store sized before the loop, four arrays laid
     out as record.npz holds them: times (n,), fields (n, nch, nz),
     coherences (n, nz) and |psi(k)| (n, nz).  The record's snapshot arrays
-    and k-spectra are their first rows.  A `sink` places the store,
-    `sink.allocate(n, nch, z)` returning the four arrays, and
-    `sink.publish(i)` is called once row i is complete (io.SnapshotWriter
-    formats them while the run goes on).  A continuation given the store
-    its record's snapshots are in publishes only its own.
+    and k-spectra are their first rows.  Without a `sink` the store is
+    in memory.  A `sink` places the store, `sink.allocate(n, nch, z)`
+    returning the four arrays, and `sink.publish(i)` is called once row i
+    is complete; the run never reads a published row again, so the sink
+    may release its pages as long as the record can read them back
+    (io.SnapshotWriter maps the store from a spool file, drops the pages
+    of the rows published and formats them while the run goes on).  A continuation given the store its record's
+    snapshots are in publishes only its own.
     """
     _check_stability(config)
     t_nodes = _time_grid(config)

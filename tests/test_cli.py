@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from gemsim import oracle
 from gemsim.cli import SIMULATE_OUTPUTS, main
-from gemsim.model import config_from_dict, config_sha256, config_to_dict, load_config
+from gemsim.model import NT_MAX, NZ_MAX, config_from_dict, config_sha256, config_to_dict, load_config
 from gemsim.scenarios import FrequencyDomainParams, preset_family
 from conftest import FAST_FIG2, every_field_config, storage_config
 
@@ -72,15 +73,18 @@ def test_simulate_outputs_are_byte_identical(tmp_path, fast_preset_overrides):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_forked_writers_print_stdout_once(tmp_path, fast_preset_overrides):
-    """The snapshot writer forks; buffered stdout must not be written twice."""
+def _python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """`python args...` in a fresh interpreter that imports gemsim from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gemsim.cli", "simulate", "--preset", "fig2", "--config", fast_preset_overrides,
-         "--out", str(tmp_path / "run"), "--snapshot-stride", "2000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=600,
-    )
+    return subprocess.run([sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=600, **kwargs)
+
+
+def test_forked_writers_print_stdout_once(tmp_path, fast_preset_overrides):
+    """The snapshot writer forks; buffered stdout must not be written twice."""
+    proc = _python("-m", "gemsim.cli", "simulate", "--preset", "fig2", "--config", fast_preset_overrides,
+                   "--out", str(tmp_path / "run"), "--snapshot-stride", "2000")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("config sha256:") == 1
     assert "Traceback" not in proc.stderr
@@ -126,14 +130,19 @@ def test_invalid_preset_override_exits_before_calibrating(tmp_path, capsys, monk
     assert "nz must be a power of two" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "dry-run"])
 @pytest.mark.parametrize("preset, overrides, message", [
     ("freq-domain", {"nz": 100}, "nz must be a power of two"),
     ("freq-domain", {"beat_note": True, "dt_factor": 2.0}, "coupling bound"),
     ("freq-domain", {"mode_mismatch": 0.5}, "mode_mismatch"),
     ("fig2", {"nz": 100}, "nz must be a power of two"),
     ("fig2", {"steering_shape": "probe"}, "steering_shape"),
-], ids=["fd-nz", "fd-beat-note-dt", "fd-mode-mismatch", "fig2-nz", "fig2-steering-shape"])
+    # above the grid caps: nz 2**40 used to reach numpy's allocation of 8 TiB
+    # and exit 1 with a traceback, and a dt_factor of 1e-9 asks for nt ~ 1e10
+    ("fig2", {"nz": 1 << 40}, f"nz must be a power of two in [16, {NZ_MAX}]"),
+    ("fig2", {"dt_factor": 1e-9}, f"nt in [1, {NT_MAX}]"),
+], ids=["fd-nz", "fd-beat-note-dt", "fd-mode-mismatch", "fig2-nz", "fig2-steering-shape", "fig2-nz-cap",
+        "fig2-nt-cap"])
 def test_invalid_preset_override_exits_2_from_both_commands(
     tmp_path, capsys, monkeypatch, command, preset, overrides, message
 ):
@@ -148,8 +157,8 @@ def test_invalid_preset_override_exits_2_from_both_commands(
     path = tmp_path / "overrides.json"
     path.write_text(json.dumps(overrides))
     out = tmp_path / "out"
-    args = ["simulate"] if command == "simulate" else [
-        "sweep", "--kind", "phase", "--range", "0:6:6"]
+    args = {"simulate": ["simulate"], "dry-run": ["simulate", "--dry-run"],
+            "sweep": ["sweep", "--kind", "phase", "--range", "0:6:6"]}[command]
     assert run_cli(args + ["--preset", preset, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -363,6 +372,67 @@ def test_a_killed_snapshot_writer_exits_2(tmp_path, capsys, monkeypatch, fast_pr
     [pid] = pids
     _no_child_left(pid)
     assert "snapshots.csv" not in {path.name for path in out.iterdir()}
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_FSIZE is POSIX")
+def test_a_spool_that_cannot_be_reserved_exits_2(tmp_path, fast_preset_overrides):
+    # a file-size limit below the snapshot store (about 7 MB here) stands in
+    # for a full disk: reserving the spool's blocks fails with EFBIG, an
+    # OSError, before anything is mapped or forked; the limit is the child's alone
+    import resource
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+    out = tmp_path / "run"
+    proc = _python("-m", "gemsim.cli", "simulate", "--preset", "fig2", "--config", fast_preset_overrides,
+                   "--out", str(out), preexec_fn=limit_file_size)
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("gemsim: cannot write outputs: ")
+    assert proc.stdout == ""
+    assert list(out.iterdir()) == []  # no snapshots.csv, no spool
+
+
+_PEAK_RSS = """
+import json, resource, sys
+from gemsim.cli import main
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
+
+*args, out = sys.argv[1:]
+assert main(args + ["--snapshot-stride", "0", "--out", out + "-warm-up"]) == 0
+before = peak()
+assert main(args + ["--snapshot-stride", "2", "--out", out]) == 0
+child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+print(json.dumps({"before": before, "after": peak(), "child": child}))
+"""
+
+
+@needs_fork
+def test_the_snapshot_store_is_not_resident(tmp_path, fast_preset_overrides):
+    # a run at stride 0 first, so that the peak before the measured run holds
+    # all but the store; the measured run's store, about 65 MB, is larger than
+    # that whole peak, and lives in a spool that the solver, the writer child
+    # and the exports each release behind them: the run's peak and the
+    # child's grow by a few MB, where a resident store adds tens of MB to each
+    import zipfile
+
+    out = tmp_path / "run"
+    proc = _python("-c", _PEAK_RSS, "simulate", "--preset", "fig2", "--config", fast_preset_overrides, str(out))
+    assert proc.returncode == 0, proc.stderr
+    rss = json.loads(proc.stdout.splitlines()[-1])
+    with zipfile.ZipFile(out / "record.npz") as archive:
+        store = sum(archive.getinfo(f"{name}.npy").file_size
+                    for name in ("snap_t", "snap_fields", "snap_sigma", "kspec_mag"))
+    assert store > rss["before"]
+    assert rss["after"] - rss["before"] < store / 4, (rss, store)
+    assert rss["child"] - rss["before"] < store / 4, (rss, store)
+    assert sorted(path.name for path in out.iterdir()) == sorted(SIMULATE_OUTPUTS)
+    shutil.rmtree(out)  # about 300 MB of outputs
 
 
 def _no_snapshots_left(out):

@@ -10,6 +10,8 @@ import pytest
 
 from gemsim.errors import GemSimError
 from gemsim.model import (
+    NT_MAX,
+    NZ_MAX,
     CouplingChannel,
     CouplingModulation,
     CouplingSchedule,
@@ -75,6 +77,19 @@ def test_nz_must_be_power_of_two(nz):
     config = storage_config()
     report = validate(ScenarioConfig(**{**config.__dict__, "grid": GridSpec(nz, config.grid.nt, config.grid.t_end)}))
     assert any("power of two" in f for f in report.failures)
+
+
+def test_the_grid_caps_admit_their_own_values_and_refuse_larger():
+    # the caps are fixed numbers, so a config's exit code does not depend on the machine
+    config = storage_config()
+    grid = config.grid
+
+    def failures(nz, nt):
+        return validate(replace(config, grid=GridSpec(nz, nt, grid.t_end))).failures
+
+    assert failures(NZ_MAX, NT_MAX) == []
+    assert failures(2 * NZ_MAX, grid.nt) == [f"grid: nz must be a power of two in [16, {NZ_MAX}]"]
+    assert failures(grid.nz, NT_MAX + 1) == [f"grid: nt in [1, {NT_MAX}] and t_end > 0 required"]
 
 
 def test_gradient_invariants():

@@ -488,6 +488,28 @@ def test_save_record_writes_the_bytes_of_np_savez(tmp_path, stride, layout):
         assert (data["snap_fields"].shape[0] == 0) == (stride == 0)
 
 
+def test_a_spooled_record_exports_the_bytes_of_an_in_memory_one(tmp_path):
+    # a store of several release blocks, whose pages the solver, the writer
+    # child and the exports each drop behind them and read back from the spool
+    config = storage_config(nz=64)
+    sha = config_sha256(config)
+    spooled_dir, memory_dir = tmp_path / "spooled", tmp_path / "memory"
+    spooled_dir.mkdir()
+    memory_dir.mkdir()
+    record = run(config, stride=1)
+    io.write_snapshots_csv(record, memory_dir / "snapshots.csv", sha)
+    with io.SnapshotWriter(spooled_dir / "snapshots.csv") as writer:
+        spooled = run(config, stride=1, sink=writer)
+        assert spooled.snapshot_fields.nbytes > 2 * io._BLOCK_BYTES
+        for out, r in ((spooled_dir, spooled), (memory_dir, record)):
+            io.write_kspectra_csv(r, out / "kspectra.csv", sha)
+            io.save_record(r, out / "record.npz", sha)
+        writer.close(sha)
+    for name in ("snapshots.csv", "kspectra.csv", "record.npz"):
+        assert (spooled_dir / name).read_bytes() == (memory_dir / name).read_bytes(), name
+    assert sorted(path.name for path in spooled_dir.iterdir()) == ["kspectra.csv", "record.npz", "snapshots.csv"]
+
+
 def test_load_record_reads_an_empty_store_saved_without_shapes(tmp_path):
     # a stride-0 record.npz once held its empty snapshot and k-spectrum
     # arrays as np.array([]): shape (0,), float
